@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 import warnings
@@ -28,13 +27,6 @@ from .training import (METRICS_HEADER, TrainingAbort, format_metrics_row,
                        load_state, save_state, train, eval_embeddings, eval_split)
 
 CATEGORY_NAMES = {0: "non-support", 1: "support", 2: "margin-violator"}
-
-
-def _threads_default(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("MMCL_THREADS")
-    return int(env) if env else 1
 
 
 def _load_any_dataset(path) -> Dataset:
@@ -57,7 +49,7 @@ def _load_checkpoint_params(path) -> enc.EncoderParams:
 def cmd_train(args) -> int:
     cfg = cfgmod.parse_config_file(args.config)
     cfgmod.apply_overrides(cfg, args.set or [])
-    tc = cfgmod.build_train_config(cfg, threads=_threads_default(args.threads))
+    tc = cfgmod.build_train_config(cfg)
     dataset = cfgmod.load_dataset(cfg)
     metrics_path = cfg["out.metrics"]
     ckpt_path = cfg["out.checkpoint"]
@@ -129,17 +121,13 @@ def _parse_instance_file(path, C: float, beta: float) -> tuple:
         delta = assemble_delta(k_xx, k_xY, K_YY, beta)
         return SvmInstance(k_xY=k_xY, K_YY=K_YY, k_xx=k_xx, delta=delta, C=C, beta=beta), None
     if "Z_neg" in sections:
-        kernel_kv = {}
+        cfg = cfgmod.default_config()
         for line in sections.get("kernel", []):
+            if "=" not in line:
+                raise cfgmod.ConfigError(f"{path}: [kernel] expects 'key = value', got {line!r}")
             key, value = line.split("=", 1)
-            kernel_kv[key.strip()] = value.strip()
-        spec = KernelSpec(
-            kind=kernel_kv.get("kind", "rbf"),
-            sigma_sq=float(kernel_kv.get("sigma_sq", 1.0)),
-            gamma=float(kernel_kv.get("gamma", 1.0)),
-            bias=float(kernel_kv.get("bias", 0.0)),
-            positive_gamma=kernel_kv.get("positive_gamma", "false").lower() == "true",
-        )
+            cfgmod.set_key(cfg, "kernel." + key.strip(), value)
+        spec = cfgmod.build_kernel(cfg)
         z_pos = np.array([float(v) for v in ",".join(sections["z_pos"]).split(",")])
         Z_neg = np.array([[float(v) for v in row.split(",")] for row in sections["Z_neg"]]).T
         return build_instance(spec, z_pos, Z_neg, C, beta), spec
@@ -265,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override a config key (repeatable)")
-    p_train.add_argument("--threads", type=int, default=None,
-                         help="per-anchor solve pool size (default: MMCL_THREADS or 1)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="kNN readout and linear probe of a checkpoint")

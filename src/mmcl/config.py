@@ -176,7 +176,7 @@ def build_augmentation(cfg: dict) -> AugmentationSpec:
                             scale_range=(cfg["aug.scale_lo"], cfg["aug.scale_hi"]))
 
 
-def build_train_config(cfg: dict, threads: int = 1) -> TrainConfig:
+def build_train_config(cfg: dict) -> TrainConfig:
     try:
         return TrainConfig(
             batch_size=cfg["batch_size"], epochs=cfg["epochs"], lr=cfg["lr"],
@@ -188,7 +188,7 @@ def build_train_config(cfg: dict, threads: int = 1) -> TrainConfig:
             head_hidden=cfg["model.head_hidden"], out_dim=cfg["model.out_dim"],
             eval_features=cfg["eval_features"], eval_k=cfg["eval.k"],
             probe_epochs=cfg["eval.probe_epochs"], probe_lr=cfg["eval.probe_lr"],
-            test_fraction=cfg["eval.test_fraction"], threads=threads,
+            test_fraction=cfg["eval.test_fraction"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

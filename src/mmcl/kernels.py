@@ -94,6 +94,27 @@ def gram(spec: KernelSpec, A, B) -> np.ndarray:
     return np.tanh(_tanh_slope(spec) * inner + spec.bias)
 
 
+def _grad_scale(spec: KernelSpec, kvals):
+    """Coefficient c with dk(a, b)/db = c (a - b) for rbf and c a for linear
+    and tanh, as a function of the kernel value k = k(a, b):
+
+    linear: 1
+    rbf:    k / sigma_sq
+    tanh:   slope * (1 - k^2)
+    """
+    if spec.kind == "rbf":
+        return kvals / spec.sigma_sq
+    if spec.kind == "tanh":
+        return _tanh_slope(spec) * (1.0 - kvals * kvals)
+    return np.ones_like(kvals)
+
+
+def _pair_grad(spec: KernelSpec, a, b, kvals) -> np.ndarray:
+    """dk(a, b)/db from stored kernel values, broadcasting over columns."""
+    c = _grad_scale(spec, kvals)
+    return c * (a - b) if spec.kind == "rbf" else c * a
+
+
 def kernel_grad(spec: KernelSpec, a, b) -> np.ndarray:
     """Gradient of k(a, b) with respect to the second argument b.
 
@@ -104,13 +125,7 @@ def kernel_grad(spec: KernelSpec, a, b) -> np.ndarray:
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
     _check_same_dim(a, b)
-    if spec.kind == "linear":
-        return a.copy()
-    if spec.kind == "rbf":
-        return kernel_eval(spec, a, b) * (a - b) / spec.sigma_sq
-    s = _tanh_slope(spec)
-    t = np.tanh(s * float(a @ b) + spec.bias)
-    return s * (1.0 - t * t) * a
+    return _pair_grad(spec, a, b, kernel_eval(spec, a, b))
 
 
 def grad_wrt_second(spec: KernelSpec, A, b) -> np.ndarray:
@@ -122,14 +137,7 @@ def grad_wrt_second(spec: KernelSpec, A, b) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     b = _as_vector(b, "b")
     _check_same_dim(A, b)
-    if spec.kind == "linear":
-        return A.copy()
-    if spec.kind == "rbf":
-        kvals = gram(spec, A, b[:, None])[:, 0]
-        return kvals[None, :] * (A - b[:, None]) / spec.sigma_sq
-    s = _tanh_slope(spec)
-    t = np.tanh(s * (A.T @ b) + spec.bias)
-    return (s * (1.0 - t * t))[None, :] * A
+    return _pair_grad(spec, A, b[:, None], gram(spec, b[:, None], A))
 
 
 def grad_wrt_each_column(spec: KernelSpec, a, B) -> np.ndarray:
@@ -141,11 +149,20 @@ def grad_wrt_each_column(spec: KernelSpec, a, B) -> np.ndarray:
     a = _as_vector(a, "a")
     B = np.asarray(B, dtype=np.float64)
     _check_same_dim(a, B)
-    if spec.kind == "linear":
-        return np.broadcast_to(a[:, None], B.shape).copy()
+    return _pair_grad(spec, a[:, None], B, gram(spec, a[:, None], B))
+
+
+def gram_vjp(spec: KernelSpec, A, B, K, W):
+    """Gradients (dA, dB) of <W, K> with respect to A and B, where
+    K = gram(spec, A, B) is passed in and W has K's shape.
+
+    With M = W * c(K) (``_grad_scale``), dA = B M' and dB = A M; rbf also
+    subtracts A diag(rowsum M) from dA and B diag(colsum M) from dB.
+    """
+    M = W * _grad_scale(spec, K)
+    dA = B @ M.T
+    dB = A @ M
     if spec.kind == "rbf":
-        kvals = gram(spec, a[:, None], B)[0]
-        return kvals[None, :] * (a[:, None] - B) / spec.sigma_sq
-    s = _tanh_slope(spec)
-    t = np.tanh(s * (B.T @ a) + spec.bias)
-    return np.outer(a, s * (1.0 - t * t))
+        dA -= A * np.sum(M, axis=1)
+        dB -= B * np.sum(M, axis=0)
+    return dA, dB

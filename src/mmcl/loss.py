@@ -11,21 +11,27 @@ function w(z) = alpha' (k(z+, z) 1 - k(Z-, z)) is the negated loss.
 
 ``batch_loss`` applies this per anchor over a two-view batch: anchor k uses
 view1[k] as the SVM positive, view2[k] as the scored point, and the other
-2(N-1) columns of both views as negatives.
+2(N-1) columns of both views as negatives. It solves all N duals at once
+and returns their solutions as one (N, 2N-2) array; the loss and its
+gradient over all anchors come from one ``kernels.gram_vjp`` call, as do
+those of ``nce_batch_loss``. The per-anchor functions (``mmcl_loss``,
+``mmcl_grad``, ``nce_loss``, ``nce_grad``) are the references they are
+tested against.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelSpec, gram, grad_wrt_each_column, grad_wrt_second, kernel_grad
+from .kernels import KernelSpec, gram, gram_vjp, grad_wrt_each_column, grad_wrt_second, kernel_grad
 from .svm import (SingularInstanceError, SolverConfig, SvmInstance, resolve_step_sizes,
-                  solve_inv, solve_oracle, solve_pgd, _draw_alpha0, _pgd_batched)
+                  solve_oracle, _draw_alpha0, _pgd_batched)
+
+_LINEAR = KernelSpec(kind="linear")
 
 
 @dataclass
@@ -155,6 +161,19 @@ def negative_indices(N: int) -> np.ndarray:
     return _negative_indices_cached(N)
 
 
+def _stack_views(embeddings_view1, embeddings_view2):
+    """(E, N): the two d' x N views side by side, columns 0..N-1 from view 1
+    and N..2N-1 from view 2."""
+    V1 = np.asarray(embeddings_view1, dtype=np.float64)
+    V2 = np.asarray(embeddings_view2, dtype=np.float64)
+    if V1.shape != V2.shape or V1.ndim != 2:
+        raise ValueError(f"views must share shape d' x N, got {V1.shape} and {V2.shape}")
+    N = V1.shape[1]
+    if N < 2:
+        raise ValueError(f"batch size must be >= 2 (no negatives exist for N={N})")
+    return np.concatenate([V1, V2], axis=1), N
+
+
 def _anchor_deltas(K_full: np.ndarray, neg_idx: np.ndarray, beta: float):
     """Per-anchor (k_xx, k_xY, K_YY, delta) slices from the full Gram matrix."""
     N = neg_idx.shape[0]
@@ -167,125 +186,72 @@ def _anchor_deltas(K_full: np.ndarray, neg_idx: np.ndarray, beta: float):
     return k_xx, k_xY, K_YY, deltas
 
 
-def _solve_anchor(delta_k, k_xY_k, K_YY_k, k_xx_k, C, beta, solver, method, seed_key):
-    inst = SvmInstance(k_xY=k_xY_k, K_YY=K_YY_k, k_xx=k_xx_k, delta=delta_k, C=C, beta=beta)
-    if method == "inv":
-        return solve_inv(inst)
-    if method == "oracle":
-        return solve_oracle(inst, tol=solver.tol)
-    return solve_pgd(inst, solver, alpha0=_draw_alpha0(inst.n, C, seed_key))
-
-
-def _grad_coeff(spec: KernelSpec, kvals):
-    """Multiplier turning a stored kernel value into its pair gradient:
-    rbf grad = c (u - v), linear/tanh grad = c u (w.r.t. v)."""
-    if spec.kind == "rbf":
-        return kvals / spec.sigma_sq
-    if spec.kind == "linear":
-        return np.ones_like(kvals)
-    s = spec.gamma if spec.positive_gamma else -spec.gamma
-    return s * (1.0 - kvals * kvals)
-
-
-def _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas, N, d_E):
-    """Losses and gradient accumulation for every anchor, reusing the batch
-    Gram matrix instead of re-evaluating kernels. Matches the composition of
-    ``mmcl_loss`` / ``mmcl_grad`` over anchors to float round-off."""
-    total = 0.0
-    rbf = spec.kind == "rbf"
-    for k in range(N):
-        idx = neg_idx[k]
-        a = N + k
-        alpha = alphas[k]
-        alpha_sum = float(np.sum(alpha))
-        kneg = K_full[idx, a]
-        kpos = K_full[k, a]
-        total += float(alpha @ kneg - alpha_sum * kpos)
-
-        z = E[:, a]
-        z_pos = E[:, k]
-        negs = E[:, idx]
-        w_neg = alpha * _grad_coeff(spec, kneg)
-        w_pos = alpha_sum * float(_grad_coeff(spec, np.asarray(kpos)))
-        if rbf:
-            d_z = negs @ w_neg - z * float(np.sum(w_neg)) - w_pos * (z_pos - z)
-            d_E[:, a] += d_z
-            d_E[:, k] += -w_pos * (z - z_pos)
-            d_E[:, idx] += np.outer(z, w_neg) - negs * w_neg[None, :]
-        else:
-            d_E[:, a] += negs @ w_neg - w_pos * z_pos
-            d_E[:, k] += -w_pos * z
-            d_E[:, idx] += np.outer(z, w_neg)
-    return total
+def _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas):
+    """Total loss and its gradient w.r.t. the stacked embeddings E for every
+    anchor, reusing the batch Gram matrix. Row k of the N x 2N weight block
+    W holds anchor k's alphas at its negatives and -sum(alpha) at its SVM
+    positive, so the total is <W, K(E[:, N:], E)>. Matches the composition
+    of ``mmcl_loss`` / ``mmcl_grad`` over anchors to float round-off."""
+    N = neg_idx.shape[0]
+    W = np.zeros((N, 2 * N))
+    np.put_along_axis(W, neg_idx, alphas, axis=1)
+    W[np.arange(N), np.arange(N)] = -np.sum(alphas, axis=1)
+    K_anchor = K_full[N:]
+    d_anchor, d_E = gram_vjp(spec, E[:, N:], E, K_anchor, W)
+    d_E[:, N:] += d_anchor
+    return float(np.sum(W * K_anchor)), d_E
 
 
 def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
                beta: float, solver: SolverConfig, fn_correction: bool = False,
-               method: str = "pgd", threads: int = 1):
+               method: str = "pgd"):
     """Per-anchor SVM solves and max-margin losses over a two-view batch.
 
     Both views are d' x N with aligned columns. For each anchor k the SVM
     positive is view1[:, k], the scored point is view2[:, k], and the
-    negatives are the 2(N-1) other columns of both views. Returns
-    ``(total_loss, grads1, grads2, alphas)`` where grads1/grads2 are the
-    accumulated loss gradients w.r.t. each view's embedding matrix and
-    ``alphas`` is the per-anchor list of dual vectors (post-correction when
-    ``fn_correction`` is set).
+    negatives are the 2(N-1) other columns of both views, ordered as in
+    ``negative_indices``. Returns ``(total_loss, grads1, grads2, alphas)``
+    where grads1/grads2 are the accumulated loss gradients w.r.t. each
+    view's embedding matrix and ``alphas`` is an (N, 2N-2) array whose row
+    k is anchor k's dual vector (post-correction when ``fn_correction`` is
+    set).
+
+    ``method`` picks the dual solver: ``pgd`` runs one stacked PGD over all
+    anchors, ``inv`` one stacked linear solve, and ``oracle`` is the slow
+    reference, ``solve_oracle`` anchor by anchor.
 
     ``total_loss`` uses the alphas solved here for this batch. It scales
     with each anchor's alpha_x = alpha' 1, which shrinks as the margin
     grows, so across training it may rise toward zero while the loss at
     fixed alpha, which the gradients describe, still falls.
-
-    With ``threads`` = 1 the PGD solves run as one stacked iteration; with
-    more threads the per-anchor solves are dispatched to a pool and the
-    gradient accumulation stays in fixed anchor order, so the two modes
-    agree to float round-off.
     """
-    V1 = np.asarray(embeddings_view1, dtype=np.float64)
-    V2 = np.asarray(embeddings_view2, dtype=np.float64)
-    if V1.shape != V2.shape or V1.ndim != 2:
-        raise ValueError(f"views must share shape d' x N, got {V1.shape} and {V2.shape}")
-    N = V1.shape[1]
-    if N < 2:
-        raise ValueError(f"batch size must be >= 2 (no negatives exist for N={N})")
+    E, N = _stack_views(embeddings_view1, embeddings_view2)
     if method not in ("pgd", "inv", "oracle"):
         raise ValueError(f"unknown solver method {method!r}")
-
-    E = np.concatenate([V1, V2], axis=1)  # columns 0..N-1 = view1, N..2N-1 = view2
     K_full = gram(spec, E, E)
     neg_idx = negative_indices(N)
     k_xx, k_xY, K_YY, deltas = _anchor_deltas(K_full, neg_idx, beta)
 
-    if method == "pgd" and threads == 1:
+    if method == "pgd":
         alpha0 = np.stack([_draw_alpha0(deltas.shape[1], C, [solver.seed, k]) for k in range(N)])
         eta = resolve_step_sizes(deltas, solver.step_size)
-        alphas_arr, _, _, _ = _pgd_batched(
+        alphas, _, _, _ = _pgd_batched(
             deltas, C, eta, alpha0, solver.max_iters, solver.tol, solver.nesterov)
-        solutions = list(alphas_arr)
-    elif method == "inv" and threads == 1:
+    elif method == "inv":
         try:
             unconstrained = 2.0 * np.linalg.solve(deltas, np.ones(deltas.shape[1]))
         except np.linalg.LinAlgError as exc:
             raise SingularInstanceError(f"singular anchor delta in batch of {N}: {exc}") from exc
-        solutions = list(np.clip(unconstrained, 0.0, C))
+        alphas = np.clip(unconstrained, 0.0, C)
     else:
-        def run(k):
-            sol = _solve_anchor(deltas[k], k_xY[k], K_YY[k], float(k_xx[k]),
-                                C, beta, solver, method, [solver.seed, k])
-            return sol.alpha
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                solutions = list(pool.map(run, range(N)))
-        else:
-            solutions = [run(k) for k in range(N)]
+        alphas = np.stack([
+            solve_oracle(SvmInstance(k_xY=k_xY[k], K_YY=K_YY[k], k_xx=float(k_xx[k]),
+                                     delta=deltas[k], C=C, beta=beta), tol=solver.tol).alpha
+            for k in range(N)])
 
     if fn_correction:
-        alphas = [fn_correct(sol, C) for sol in solutions]
-    else:
-        alphas = [np.asarray(sol) for sol in solutions]
-    d_E = np.zeros_like(E)
-    total = _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas, N, d_E)
+        alphas = fn_correct(alphas, C)
+    total, d_E = _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas)
     return total, d_E[:, :N].copy(), d_E[:, N:].copy(), alphas
 
 
@@ -293,31 +259,21 @@ def nce_batch_loss(embeddings_view1, embeddings_view2, temperature: float):
     """InfoNCE over the same anchor/negative layout as ``batch_loss``."""
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    V1 = np.asarray(embeddings_view1, dtype=np.float64)
-    V2 = np.asarray(embeddings_view2, dtype=np.float64)
-    if V1.shape != V2.shape or V1.ndim != 2:
-        raise ValueError(f"views must share shape d' x N, got {V1.shape} and {V2.shape}")
-    N = V1.shape[1]
-    if N < 2:
-        raise ValueError(f"batch size must be >= 2 (no negatives exist for N={N})")
-    E = np.concatenate([V1, V2], axis=1)
-    neg_idx = negative_indices(N)
-    scores = (E.T @ E) / temperature
-    total = 0.0
-    d_E = np.zeros_like(E)
-    for k in range(N):
-        idx = neg_idx[k]
-        a = N + k
-        s_pos = scores[a, k]
-        s_neg = scores[a, idx]
-        m = max(s_pos, float(np.max(s_neg)))
-        e_pos = math.exp(s_pos - m)
-        e_neg = np.exp(s_neg - m)
-        denom = e_pos + float(np.sum(e_neg))
-        total += (m + math.log(denom)) - s_pos
-        p_pos = e_pos / denom
-        p_neg = e_neg / denom
-        d_E[:, a] += ((p_pos - 1.0) * E[:, k] + E[:, idx] @ p_neg) / temperature
-        d_E[:, k] += (p_pos - 1.0) * E[:, a] / temperature
-        d_E[:, idx] += np.outer(E[:, a], p_neg) / temperature
+    E, N = _stack_views(embeddings_view1, embeddings_view2)
+    # row k scores anchor k (column N+k) against every column; its own
+    # column is masked out and the positive sits at column k
+    inner = E[:, N:].T @ E
+    scores = inner / temperature
+    rows = np.arange(N)
+    scores[rows, N + rows] = -np.inf
+    m = np.max(scores, axis=1, keepdims=True)
+    e = np.exp(scores - m)
+    denom = np.sum(e, axis=1)
+    total = float(np.sum(m[:, 0] + np.log(denom) - scores[rows, rows]))
+    # d total / d inner: (softmax - one-hot of the positive) / temperature
+    G = e / denom[:, None]
+    G[rows, rows] -= 1.0
+    G /= temperature
+    d_anchor, d_E = gram_vjp(_LINEAR, E[:, N:], E, inner, G)
+    d_E[:, N:] += d_anchor
     return total, d_E[:, :N].copy(), d_E[:, N:].copy()

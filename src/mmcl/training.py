@@ -70,7 +70,6 @@ class TrainConfig:
     probe_epochs: int = 500
     probe_lr: float = 0.1
     test_fraction: float = 0.2
-    threads: int = 1
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -163,7 +162,7 @@ def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
             solver = replace(config.solver, seed=_batch_seed(config.seed, epoch, b))
             total, g1, g2, alphas = batch_loss(
                 emb1, emb2, spec, C, config.beta, solver,
-                fn_correction=config.fn_correction, method=method, threads=config.threads)
+                fn_correction=config.fn_correction, method=method)
         if config.average_loss:
             total /= N
             g1 = g1 / N

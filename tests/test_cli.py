@@ -62,6 +62,14 @@ class TestTrainCommand:
         assert code == 2
         assert "foo" in err
 
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "blobs.cfg"
+        write_blobs_config(cfg, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
@@ -121,6 +129,37 @@ class TestSolveCommand:
         assert rows[0][header.index("iterations")] == "0"
         alphas = [float(r[1]) for r in parse_csv_blocks(out)[1][1]]
         assert all(0.0 <= a <= 0.5 for a in alphas)
+
+    EMBEDDINGS = "[z_pos]\n1.0,0.0\n[Z_neg]\n0.0,1.0\n-1.0,0.0\n"
+
+    def _solve_alphas(self, tmp_path, capsys, kernel_lines):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("[kernel]\n" + kernel_lines + self.EMBEDDINGS)
+        # beta = 5 keeps D positive definite for either tanh slope
+        code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", "inv",
+                                 "--beta", "5.0")
+        alphas = [float(r[1]) for r in parse_csv_blocks(out)[1][1]] if code == 0 else None
+        return code, alphas, err
+
+    def test_kernel_section_reads_booleans_as_config_files_do(self, tmp_path, capsys):
+        # tanh with the slope flipped to +gamma; "yes" and "true" must agree
+        base = "kind = tanh\ngamma = 0.5\n"
+        code_yes, yes, _ = self._solve_alphas(tmp_path, capsys, base + "positive_gamma = yes\n")
+        code_true, true, _ = self._solve_alphas(tmp_path, capsys, base + "positive_gamma = true\n")
+        code_no, no, _ = self._solve_alphas(tmp_path, capsys, base + "positive_gamma = no\n")
+        assert code_yes == code_true == code_no == 0
+        assert yes == true
+        assert yes != no
+
+    def test_kernel_section_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
+        code, _, err = self._solve_alphas(tmp_path, capsys, "kind = rbf\nsigmaa_sq = 0.3\n")
+        assert code == 2
+        assert "sigmaa_sq" in err
+
+    def test_kernel_section_line_without_equals_exits_2(self, tmp_path, capsys):
+        code, _, err = self._solve_alphas(tmp_path, capsys, "kind rbf\n")
+        assert code == 2
+        assert "kind rbf" in err
 
     def test_malformed_instance_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "bad.txt"

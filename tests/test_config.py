@@ -85,8 +85,8 @@ class TestBuilders:
 
     def test_train_config(self):
         cfg = parse_config_text("loss = nce\nbatch_size = 4\n")
-        tc = build_train_config(cfg, threads=3)
-        assert tc.loss == "nce" and tc.batch_size == 4 and tc.threads == 3
+        tc = build_train_config(cfg)
+        assert tc.loss == "nce" and tc.batch_size == 4
 
     def test_invalid_train_config_is_config_error(self):
         cfg = parse_config_text("batch_size = 1\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmcl import KernelSpec, kernel_eval, kernel_grad, gram
-from mmcl.kernels import grad_wrt_each_column, grad_wrt_second
+from mmcl.kernels import grad_wrt_each_column, grad_wrt_second, gram_vjp
 
 from helpers import central_diff, rel_err, unit_columns
 
@@ -169,3 +169,25 @@ class TestKernelGrad:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kernel_grad(KernelSpec(kind="rbf"), np.ones(2), np.ones(3))
+
+
+class TestGramVjp:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_central_differences(self, kind):
+        # A != B and a non-square W, so a transposed or swapped term shows
+        rng = np.random.default_rng(17)
+        spec = spec_for(kind)
+        A = unit_columns(rng, 5, 3)
+        B = unit_columns(rng, 5, 4)
+        W = rng.standard_normal((3, 4))
+        dA, dB = gram_vjp(spec, A, B, gram(spec, A, B), W)
+
+        def weighted(flat, which):
+            X = flat.reshape(5, -1)
+            K = gram(spec, X, B) if which == "A" else gram(spec, A, X)
+            return float(np.sum(W * K))
+
+        fd_A = central_diff(lambda v: weighted(v, "A"), A.ravel()).reshape(A.shape)
+        fd_B = central_diff(lambda v: weighted(v, "B"), B.ravel()).reshape(B.shape)
+        assert rel_err(dA, fd_A) <= 1e-6
+        assert rel_err(dB, fd_B) <= 1e-6

@@ -3,12 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from mmcl import (KernelSpec, LossBatch, SolverConfig, batch_loss, decision_function,
-                  fn_correct, mmcl_grad, mmcl_loss, nce_batch_loss, nce_grad, nce_loss)
+from mmcl import (KernelSpec, LossBatch, SolverConfig, batch_loss, build_instance,
+                  decision_function, fn_correct, mmcl_grad, mmcl_loss, nce_batch_loss, nce_grad,
+                  nce_loss, solve_inv, solve_oracle, solve_pgd)
+from mmcl.svm import _draw_alpha0
 
 from helpers import central_diff, rel_err, unit_columns
 
 ALL_KINDS = ["linear", "rbf", "tanh"]
+
+# beta = 2 keeps every anchor's D positive definite for both tanh slopes,
+# so solve_inv (Cholesky) and solve_oracle accept the rebuilt instances
+EQUIVALENCE_KERNELS = {
+    "linear": KernelSpec(kind="linear"),
+    "rbf": KernelSpec(kind="rbf", sigma_sq=0.8),
+    "tanh": KernelSpec(kind="tanh", gamma=0.1, bias=0.1),
+    "tanh_positive": KernelSpec(kind="tanh", gamma=0.1, bias=0.1, positive_gamma=True),
+}
 
 
 def random_batch(rng, d=6, n=5, alpha=None):
@@ -275,18 +286,73 @@ class TestBatchLoss:
                     fd[i, j] = (loss_with(*vp) - loss_with(*vm)) / (2 * h)
             assert rel_err(grads, fd) <= 1e-4
 
-    def test_threads_agree_with_single(self):
+    @staticmethod
+    def _per_anchor(v1, v2, anchor_terms):
+        """Loss and view gradients composed anchor by anchor;
+        ``anchor_terms(z, z_pos, Z_neg, k)`` returns (loss, LossGrads)."""
+        N = v1.shape[1]
+        E = np.concatenate([v1, v2], axis=1)
+        d_E = np.zeros_like(E)
+        total = 0.0
+        for k in range(N):
+            cols = [j for j in range(N) if j != k] + [N + j for j in range(N) if j != k]
+            value, g = anchor_terms(E[:, N + k], E[:, k], E[:, cols], k)
+            total += value
+            d_E[:, N + k] += g.d_z
+            d_E[:, k] += g.d_z_pos
+            d_E[:, cols] += g.d_Z_neg
+        return total, d_E[:, :N], d_E[:, N:]
+
+    @staticmethod
+    def _assert_close(actual, reference, rtol):
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert float(np.max(np.abs(np.asarray(actual) - reference))) <= rtol * scale
+
+    @pytest.mark.parametrize("method", ["pgd", "inv", "oracle"])
+    @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
+    def test_batched_matches_per_anchor(self, kernel, method):
+        # every anchor rebuilt from its embeddings, solved alone (PGD from
+        # the same seeded start) and scored by the mmcl_loss/mmcl_grad oracle
         rng = np.random.default_rng(21)
-        v1, v2 = self._views(rng, 5, 6)
-        spec = KernelSpec(kind="rbf", sigma_sq=0.8)
-        solver = SolverConfig(max_iters=150, tol=1e-10, seed=3)
-        out1 = batch_loss(v1, v2, spec, 50.0, 0.1, solver, threads=1)
-        out4 = batch_loss(v1, v2, spec, 50.0, 0.1, solver, threads=4)
-        assert abs(out1[0] - out4[0]) <= 1e-12 * max(1.0, abs(out1[0]))
-        assert np.abs(out1[1] - out4[1]).max() <= 1e-12
-        assert np.abs(out1[2] - out4[2]).max() <= 1e-12
-        for a, b in zip(out1[3], out4[3]):
-            assert np.abs(a - b).max() <= 1e-12
+        N = 6
+        v1, v2 = self._views(rng, 5, N)
+        spec = EQUIVALENCE_KERNELS[kernel]
+        C, beta = 3.0, 2.0
+        solver = SolverConfig(max_iters=2000, tol=1e-13, seed=3)
+        total, g1, g2, alphas = batch_loss(v1, v2, spec, C, beta, solver, method=method)
+        assert alphas.shape == (N, 2 * N - 2)
+
+        def anchor_terms(z, z_pos, Z_neg, k):
+            inst = build_instance(spec, z_pos, Z_neg, C, beta)
+            if method == "pgd":
+                sol = solve_pgd(inst, solver, alpha0=_draw_alpha0(inst.n, C, [solver.seed, k]))
+            elif method == "inv":
+                sol = solve_inv(inst)
+            else:
+                sol = solve_oracle(inst, tol=solver.tol)
+            self._assert_close(alphas[k], sol.alpha, 1e-12)
+            batch = LossBatch(z=z, z_pos=z_pos, Z_neg=Z_neg, alpha=sol.alpha)
+            return mmcl_loss(batch, spec), mmcl_grad(batch, spec)
+
+        ref_total, r1, r2 = self._per_anchor(v1, v2, anchor_terms)
+        self._assert_close(total, ref_total, 1e-12)
+        self._assert_close(g1, r1, 1e-12)
+        self._assert_close(g2, r2, 1e-12)
+
+    @pytest.mark.parametrize("tau", [0.5, 1e-3])
+    def test_nce_batch_matches_per_anchor(self, tau):
+        # at tau = 1e-3 the scores of unit embeddings reach 1e3 and exp
+        # overflows unless each anchor's scores are shifted by their maximum
+        rng = np.random.default_rng(23)
+        v1, v2 = self._views(rng, 5, 7)
+        total, g1, g2 = nce_batch_loss(v1, v2, tau)
+        ref_total, r1, r2 = self._per_anchor(
+            v1, v2, lambda z, z_pos, Z_neg, k: (nce_loss(z, z_pos, Z_neg, tau),
+                                                nce_grad(z, z_pos, Z_neg, tau)))
+        assert math.isfinite(total)
+        self._assert_close(total, ref_total, 1e-12)
+        self._assert_close(g1, r1, 1e-12)
+        self._assert_close(g2, r2, 1e-12)
 
     def test_fn_correction_applied(self):
         rng = np.random.default_rng(31)
