@@ -2,7 +2,8 @@
 
 All tabular output is CSV with a header row. Exit codes: 0 success,
 1 runtime abort (diagnostics written next to the checkpoint), 2 usage,
-config, or input-file errors.
+config, or input-file errors, and an ``inv`` solve (``solve``, ``inspect``
+or ``train``) whose dual matrix is not positive definite.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .data import Dataset, load_binary, load_csv, stream_rng, DATASET_MAGIC
 from .evaluate import knn_readout, linear_probe
 from .kernels import KernelSpec
 from .loss import batch_loss, nce_batch_loss
-from .svm import (SolverConfig, SvmInstance, assemble_delta, build_instance,
-                  classify_support, solve_inv, solve_oracle, solve_pgd)
+from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
+                  build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
 from .training import (METRICS_HEADER, TrainingAbort, format_metrics_row,
                        load_state, save_state, train, eval_embeddings, eval_split)
 
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, cfgmod.ConfigError, ValueError) as exc:
+    except (FileNotFoundError, cfgmod.ConfigError, ValueError, SingularInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

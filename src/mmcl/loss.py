@@ -17,6 +17,16 @@ gradient over all anchors come from one ``kernels.gram_vjp`` call, as do
 those of ``nce_batch_loss``. The per-anchor functions (``mmcl_loss``,
 ``mmcl_grad``, ``nce_loss``, ``nce_grad``) are the references they are
 tested against.
+
+Every anchor's dual matrix D_k is a principal submatrix of the shared
+2N x 2N matrix M = K + beta I plus a rank-2 term, so the ``inv`` method
+factorizes M once and derives each clip(2 D_k^{-1} 1, 0, C) by a
+two-index downdate and a Woodbury update (Hager 1989, "Updating the inverse
+of a matrix"), never building the (N, 2N-2, 2N-2) stack of D_k that ``pgd``
+and ``oracle`` still assemble. Its definiteness policy is that of the
+per-anchor ``svm.solve_inv``: an anchor whose D_k is not positive definite
+raises ``SingularInstanceError``, decided from the inertia of M
+(Haynsworth) rather than by factorizing D_k.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .kernels import KernelSpec, gram, gram_vjp, grad_wrt_each_column, grad_wrt_second, kernel_grad
 from .svm import (SingularInstanceError, SolverConfig, SvmInstance, resolve_step_sizes,
@@ -186,6 +197,82 @@ def _anchor_deltas(K_full: np.ndarray, neg_idx: np.ndarray, beta: float):
     return k_xx, k_xY, K_YY, deltas
 
 
+def _count_signs(det, trace, sign):
+    """Eigenvalues of the given sign of symmetric 2x2 matrices, from their
+    determinants and traces (a zero determinant counts as neither)."""
+    return (det < 0) + 2 * ((det > 0) & (sign * trace > 0))
+
+
+def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float) -> np.ndarray:
+    """clip(2 D_k^{-1} 1, 0, C) for every anchor k from one LDL' factorization
+    of M = K_full + beta I.
+
+    Anchor k's dual matrix is a principal submatrix of M plus a rank-2
+    term: D_k = M[R,R] + U W U' with S = {k, N+k}, R the other indices,
+    U = [1, M[R,k]] and W = [[k_xx, -1], [-1, 0]]. With P = M^{-1} and
+    Q = P[S,S], the inverse of M[R,R] is P[R,R] - P[R,S] Q^{-1} P[S,R] and
+    M[R,R]^{-1} M[R,k] = -P[R,S] Q^{-1} e_1. Woodbury with the 2x2
+    capacitance cap = W^{-1} + U' M[R,R]^{-1} U then gives
+    D_k^{-1} 1 = M[R,R]^{-1} U cap^{-1} W^{-1} e_1, so past the inverse
+    every anchor costs O(N) scalars and one combination of columns of P.
+
+    D_k must be positive definite, as ``svm.solve_inv``'s Cholesky
+    requires. By Haynsworth inertia additivity
+    n_neg(D_k) = n_neg(M) - n_neg(Q) + n_pos(cap) - 1, and D_k is singular
+    exactly when cap is. M need not be definite, only nonsingular; its
+    inertia is that of the block-diagonal factor (Sylvester), where every
+    2x2 Bunch-Kaufman pivot has one negative eigenvalue. Non-finite kernel
+    values give NaN alphas, as the iterative solvers do.
+    """
+    N = neg_idx.shape[0]
+    if not np.all(np.isfinite(K_full)):
+        return np.full(neg_idx.shape, np.nan)
+    M = K_full + beta * np.eye(2 * N)
+    ldu, ipiv, info = lapack.dsytrf(M, lower=1)
+    if info == 0:
+        P, info = lapack.dsytri(ldu, ipiv, lower=1)
+        P = np.tril(P) + np.tril(P, -1).T
+    # singular to working precision: 1-norm condition number >= 1 / (2N eps)
+    if info != 0 or not (2 * N * np.finfo(np.float64).eps * np.max(np.sum(np.abs(M), axis=0))
+                         * np.max(np.sum(np.abs(P), axis=0)) < 1.0):
+        raise SingularInstanceError(
+            f"K + beta I of the batch of {N} is singular (beta = {beta}), "
+            "so the inv duals cannot be solved")
+    k = np.arange(N)
+    r = np.sum(P, axis=1)
+    q_aa, q_ab, q_bb = P[k, k], P[k, N + k], P[N + k, N + k]
+    q_det = q_aa * q_bb - q_ab * q_ab
+    # s = P[R,S]' 1 and t = Q^{-1} s
+    s_a = r[k] - q_aa - q_ab
+    s_b = r[N + k] - q_ab - q_bb
+    t_a = (q_bb * s_a - q_ab * s_b) / q_det
+    t_b = (q_aa * s_b - q_ab * s_a) / q_det
+    # cap = W^{-1} + H with W^{-1} = [[0, -1], [-1, -k_xx]]; H11 = 1' M[R,R]^{-1} 1,
+    # H12 = -t_a, and H22 = M_kk - (Q^{-1})_11 by the Schur complement
+    cap11 = np.sum(r) - 2.0 * (r[k] + r[N + k]) + q_aa + 2.0 * q_ab + q_bb - (s_a * t_a + s_b * t_b)
+    cap12 = -t_a - 1.0
+    cap22 = beta - q_bb / q_det
+    cap_det = cap11 * cap22 - cap12 * cap12
+
+    n_neg_M = np.count_nonzero(np.diag(ldu)[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2
+    n_neg = (n_neg_M - _count_signs(q_det, q_aa + q_bb, -1)
+             + _count_signs(cap_det, cap11 + cap22, 1) - 1)
+    definite = (n_neg == 0) & (q_det != 0) & (cap_det != 0) & np.isfinite(cap_det)
+    if not np.all(definite):
+        bad = int(np.argmin(definite))
+        raise SingularInstanceError(
+            f"anchor {bad} of {N}: D is not positive definite (beta = {beta}), "
+            "so its inv dual clip(2 D^-1 1, 0, C) is not defined")
+
+    # D^{-1} 1 = c1 M[R,R]^{-1} 1 + c2 M[R,R]^{-1} M[R,k] with c = cap^{-1} (0, -1)',
+    # column k of X over the rows R
+    c1, c2 = cap12 / cap_det, -cap11 / cap_det
+    w_a = c1 * t_a + c2 * q_bb / q_det
+    w_b = c1 * t_b - c2 * q_ab / q_det
+    X = r[:, None] * c1 - P[:, :N] * (c1 + w_a) - P[:, N:] * (c1 + w_b)
+    return np.clip(2.0 * np.take_along_axis(X.T, neg_idx, axis=1), 0.0, C)
+
+
 def _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas):
     """Total loss and its gradient w.r.t. the stacked embeddings E for every
     anchor, reusing the batch Gram matrix. Row k of the N x 2N weight block
@@ -216,9 +303,17 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     k is anchor k's dual vector (post-correction when ``fn_correction`` is
     set).
 
-    ``method`` picks the dual solver: ``pgd`` runs one stacked PGD over all
-    anchors, ``inv`` one stacked linear solve, and ``oracle`` is the slow
-    reference, ``solve_oracle`` anchor by anchor.
+    ``method`` picks the dual solver: ``pgd`` runs one stacked PGD over
+    each anchor's assembled dual matrix D_k, ``oracle`` is the slow
+    reference, ``solve_oracle`` anchor by anchor, and ``inv`` takes every
+    anchor's clip(2 D_k^{-1} 1, 0, C) from one factorization of the
+    2N x 2N matrix K + beta I (see ``_inv_batched``) without assembling any
+    D_k, in O(N^3) time and O(N^2) memory. ``inv`` raises
+    ``SingularInstanceError`` naming the first anchor whose D_k is not
+    positive definite, exactly the anchors ``svm.solve_inv`` rejects
+    (possible with the indefinite tanh kernel), and when K + beta I is
+    singular to working precision (beta = 0 with a repeated column, or
+    by chance with tanh).
 
     ``total_loss`` uses the alphas solved here for this batch. It scales
     with each anchor's alpha_x = alpha' 1, which shrinks as the margin
@@ -230,24 +325,20 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
         raise ValueError(f"unknown solver method {method!r}")
     K_full = gram(spec, E, E)
     neg_idx = negative_indices(N)
-    k_xx, k_xY, K_YY, deltas = _anchor_deltas(K_full, neg_idx, beta)
-
-    if method == "pgd":
-        alpha0 = np.stack([_draw_alpha0(deltas.shape[1], C, [solver.seed, k]) for k in range(N)])
-        eta = resolve_step_sizes(deltas, solver.step_size)
-        alphas, _, _, _ = _pgd_batched(
-            deltas, C, eta, alpha0, solver.max_iters, solver.tol, solver.nesterov)
-    elif method == "inv":
-        try:
-            unconstrained = 2.0 * np.linalg.solve(deltas, np.ones(deltas.shape[1]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularInstanceError(f"singular anchor delta in batch of {N}: {exc}") from exc
-        alphas = np.clip(unconstrained, 0.0, C)
+    if method == "inv":
+        alphas = _inv_batched(K_full, neg_idx, beta, C)
     else:
-        alphas = np.stack([
-            solve_oracle(SvmInstance(k_xY=k_xY[k], K_YY=K_YY[k], k_xx=float(k_xx[k]),
-                                     delta=deltas[k], C=C, beta=beta), tol=solver.tol).alpha
-            for k in range(N)])
+        k_xx, k_xY, K_YY, deltas = _anchor_deltas(K_full, neg_idx, beta)
+        if method == "pgd":
+            alpha0 = np.stack([_draw_alpha0(deltas.shape[1], C, [solver.seed, k]) for k in range(N)])
+            eta = resolve_step_sizes(deltas, solver.step_size)
+            alphas, _, _, _ = _pgd_batched(
+                deltas, C, eta, alpha0, solver.max_iters, solver.tol, solver.nesterov)
+        else:
+            alphas = np.stack([
+                solve_oracle(SvmInstance(k_xY=k_xY[k], K_YY=K_YY[k], k_xx=float(k_xx[k]),
+                                         delta=deltas[k], C=C, beta=beta), tol=solver.tol).alpha
+                for k in range(N)])
 
     if fn_correction:
         alphas = fn_correct(alphas, C)

@@ -17,7 +17,10 @@ Three solvers are provided:
 * ``solve_pgd``    -- m-step projected gradient, optionally Nesterov
   accelerated with restart on objective increase.
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
-  computed with a Cholesky solve.
+  computed with a Cholesky solve, so D must be positive definite. It is
+  the per-anchor reference for the batched ``inv`` of ``loss.batch_loss``,
+  which takes every anchor of a batch from one factorization and rejects
+  the same anchors.
 
 The objectives satisfy g(2 D^{-1} 1) <= g(oracle) <= min(g(pgd), g(inv)).
 """
@@ -34,7 +37,8 @@ from .kernels import KernelSpec, gram
 
 
 class SingularInstanceError(RuntimeError):
-    """The instance's D matrix could not be factorized (numerically singular)."""
+    """The instance's D matrix is not positive definite (or is numerically
+    singular), so the inv solve clip(2 D^{-1} 1, 0, C) is not defined."""
 
 
 @dataclass

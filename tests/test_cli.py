@@ -70,6 +70,15 @@ class TestTrainCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_indefinite_inv_batch_exits_2(self, tmp_path, capsys):
+        # tanh with gamma = 2 at beta = 0.1 makes the first batch's duals indefinite
+        cfg = tmp_path / "blobs.cfg"
+        write_blobs_config(cfg, tmp_path, **{"kernel.kind": "tanh", "kernel.gamma": 2.0})
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: anchor ")
+        assert "not positive definite" in err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
@@ -160,6 +169,15 @@ class TestSolveCommand:
         code, _, err = self._solve_alphas(tmp_path, capsys, "kind rbf\n")
         assert code == 2
         assert "kind rbf" in err
+
+    def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys):
+        # tanh with gamma = 2 gives this instance an indefinite D at the default beta
+        inst = tmp_path / "inst.txt"
+        inst.write_text("[kernel]\nkind = tanh\ngamma = 2.0\n" + self.EMBEDDINGS)
+        code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", "inv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot factorize delta")
 
     def test_malformed_instance_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "bad.txt"
@@ -267,6 +285,18 @@ class TestInspectCommand:
         code, _, err = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),
                                "--anchor", "99999", "--batch-size", "8")
         assert code == 2
+
+    @pytest.mark.parametrize("all_anchors", [False, True])
+    def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys, all_anchors):
+        cfg, ckpt, data = self._setup(tmp_path, capsys)
+        which = ["--all-anchors"] if all_anchors else ["--anchor", "0"]
+        code, out, err = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),
+                                 *which, "--batch-size", "8", "--method", "inv",
+                                 "--set", "kernel.kind=tanh", "--set", "kernel.gamma=2.0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "not positive definite" in err or "cannot factorize" in err
 
     def test_all_anchors_export(self, tmp_path, capsys):
         cfg, ckpt, data = self._setup(tmp_path, capsys)

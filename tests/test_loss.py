@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mmcl import (KernelSpec, LossBatch, SolverConfig, batch_loss, build_instance,
-                  decision_function, fn_correct, mmcl_grad, mmcl_loss, nce_batch_loss, nce_grad,
-                  nce_loss, solve_inv, solve_oracle, solve_pgd)
+from mmcl import (KernelSpec, LossBatch, SingularInstanceError, SolverConfig, batch_loss,
+                  build_instance, decision_function, fn_correct, gram, mmcl_grad, mmcl_loss,
+                  nce_batch_loss, nce_grad, nce_loss, solve_inv, solve_oracle, solve_pgd)
+from mmcl.loss import _anchor_deltas, negative_indices
 from mmcl.svm import _draw_alpha0
 
 from helpers import central_diff, rel_err, unit_columns
@@ -384,3 +386,149 @@ class TestBatchLoss:
                     vm[view_index][i, j] -= h
                     fd[i, j] = (nce_batch_loss(*vp, tau)[0] - nce_batch_loss(*vm, tau)[0]) / (2 * h)
             assert rel_err(grads, fd) <= 1e-6
+
+
+# every anchor's D is positive definite for these kernels at beta = 0.1 and
+# N <= 128: the default (negative) tanh slope needs gamma below about
+# beta / (2N - 2), since its linear term enters D with a negative sign
+SHARED_INV_KERNELS = {
+    "linear": KernelSpec(kind="linear"),
+    "rbf": KernelSpec(kind="rbf", sigma_sq=0.8),
+    "tanh": KernelSpec(kind="tanh", gamma=2e-4, bias=0.1),
+    "tanh_positive": KernelSpec(kind="tanh", gamma=0.1, bias=0.1, positive_gamma=True),
+}
+
+
+def stacked_inv_alphas(v1, v2, spec, C, beta):
+    """clip(2 D_k^{-1} 1, 0, C) from the assembled (N, 2N-2, 2N-2) stack of
+    every anchor's D, each solved by LU: the reference for the shared
+    factorization. Fails unless every D_k is positive definite."""
+    E = np.concatenate([v1, v2], axis=1)
+    _, _, _, deltas = _anchor_deltas(gram(spec, E, E), negative_indices(v1.shape[1]), beta)
+    np.linalg.cholesky(deltas)
+    return np.clip(2.0 * np.linalg.solve(deltas, np.ones(deltas.shape[1])), 0.0, C)
+
+
+def first_rejected_anchor(v1, v2, spec, beta):
+    """The first anchor whose instance ``solve_inv`` rejects, or None."""
+    N = v1.shape[1]
+    E = np.concatenate([v1, v2], axis=1)
+    for k, cols in enumerate(negative_indices(N)):
+        try:
+            solve_inv(build_instance(spec, E[:, k], E[:, cols], 3.0, beta))
+        except SingularInstanceError:
+            return k
+    return None
+
+
+class TestSharedFactorizationInv:
+    """``batch_loss(method="inv")`` solves every anchor from one factorization
+    of K + beta I; it must match the per-anchor solves it replaces."""
+
+    @staticmethod
+    def _check_against_stacked(v1, v2, spec, C, beta):
+        total, g1, g2, alphas = batch_loss(v1, v2, spec, C, beta, SolverConfig(), method="inv")
+        ref_alphas = stacked_inv_alphas(v1, v2, spec, C, beta)
+        assert alphas.shape == ref_alphas.shape
+        TestBatchLoss._assert_close(alphas, ref_alphas, 1e-10)
+
+        def anchor_terms(z, z_pos, Z_neg, k):
+            batch = LossBatch(z=z, z_pos=z_pos, Z_neg=Z_neg, alpha=ref_alphas[k])
+            return mmcl_loss(batch, spec), mmcl_grad(batch, spec)
+
+        ref_total, r1, r2 = TestBatchLoss._per_anchor(v1, v2, anchor_terms)
+        TestBatchLoss._assert_close(total, ref_total, 1e-10)
+        TestBatchLoss._assert_close(g1, r1, 1e-10)
+        TestBatchLoss._assert_close(g2, r2, 1e-10)
+        return alphas
+
+    @pytest.mark.parametrize("C", [3.0, math.inf])
+    @pytest.mark.parametrize("beta", [0.1, 2.0])
+    @pytest.mark.parametrize("N", [2, 3, 32, 128])
+    @pytest.mark.parametrize("kernel", sorted(SHARED_INV_KERNELS))
+    def test_matches_stacked_solve(self, kernel, N, beta, C):
+        rng = np.random.default_rng([N, 7])
+        v1, v2 = unit_columns(rng, 6, N), unit_columns(rng, 6, N)
+        self._check_against_stacked(v1, v2, SHARED_INV_KERNELS[kernel], C, beta)
+
+    @pytest.mark.parametrize("kernel", sorted(SHARED_INV_KERNELS))
+    def test_duplicate_columns_match_stacked_solve(self, kernel):
+        # both views identical (as in `mmcl inspect --all-anchors`), and one
+        # further column repeated: K has repeated rows, K + beta I does not
+        rng = np.random.default_rng(8)
+        v1 = unit_columns(rng, 6, 12)
+        v1[:, 5] = v1[:, 2]
+        self._check_against_stacked(v1, v1.copy(), SHARED_INV_KERNELS[kernel], 3.0, 0.1)
+
+    @pytest.mark.parametrize("C", [3.0, 100.0, math.inf])
+    @pytest.mark.parametrize("beta", [0.1, 2.0])
+    def test_collapsed_embeddings_give_two_over_beta(self, beta, C):
+        # every embedding equal: D = beta I for every anchor and kernel
+        v = np.tile(unit_columns(np.random.default_rng(9), 6, 1), (1, 10))
+        for spec in SHARED_INV_KERNELS.values():
+            alphas = self._check_against_stacked(v, v.copy(), spec, C, beta)
+            assert np.allclose(alphas, min(2.0 / beta, C), rtol=1e-12, atol=0.0)
+
+    def test_definiteness_verdict_matches_solve_inv(self):
+        # random tanh batches: inv raises naming anchor j iff solve_inv
+        # rejects some anchor and j is the first one; batches whose K + beta I
+        # is indefinite while every D_k is positive definite must succeed
+        raised = indefinite_ok = 0
+        for seed in range(80):
+            rng = np.random.default_rng([seed, 11])
+            N, d = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            spec = KernelSpec(kind="tanh", gamma=float(rng.uniform(0.2, 3.0)),
+                              bias=float(rng.uniform(-1.0, 1.0)),
+                              positive_gamma=bool(rng.integers(2)))
+            beta = float(rng.uniform(0.05, 1.0))
+            v1, v2 = unit_columns(rng, d, N), unit_columns(rng, d, N)
+            first = first_rejected_anchor(v1, v2, spec, beta)
+            if first is not None:
+                with pytest.raises(SingularInstanceError, match=rf"^anchor {first} of {N}: "):
+                    batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(), method="inv")
+                raised += 1
+                continue
+            _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(), method="inv")
+            E = np.concatenate([v1, v2], axis=1)
+            for k, cols in enumerate(negative_indices(N)):
+                ref = solve_inv(build_instance(spec, E[:, k], E[:, cols], 3.0, beta)).alpha
+                TestBatchLoss._assert_close(alphas[k], ref, 1e-10)
+            if np.linalg.eigvalsh(gram(spec, E, E) + beta * np.eye(2 * N))[0] < 0:
+                indefinite_ok += 1
+        assert raised > 0
+        assert indefinite_ok > 0
+
+    def test_singular_shared_matrix_raises(self):
+        # beta = 0 and a repeated column make K + beta I singular; the
+        # stacked LU solve returned non-finite or huge alphas here
+        rng = np.random.default_rng(12)
+        v1, v2 = unit_columns(rng, 6, 5), unit_columns(rng, 6, 5)
+        v2[:, 3] = v1[:, 1]
+        with pytest.raises(SingularInstanceError, match="singular"):
+            batch_loss(v1, v2, KernelSpec(kind="rbf"), 3.0, 0.0, SolverConfig(), method="inv")
+
+    def test_nonfinite_embeddings_give_nan_alphas(self):
+        # as the iterative solvers do, so that training aborts with diagnostics
+        rng = np.random.default_rng(13)
+        v1, v2 = unit_columns(rng, 6, 4), unit_columns(rng, 6, 4)
+        v1[0, 2] = np.nan
+        total, _, _, alphas = batch_loss(v1, v2, KernelSpec(), 3.0, 0.1, SolverConfig(), method="inv")
+        assert np.all(np.isnan(alphas)) and math.isnan(total)
+
+    def test_allocation_stays_quadratic(self):
+        # nothing of size O(N^3): the (N, 2N-2, 2N-2) stack of every anchor's D
+        # was 66 MB at N = 128 and grew 8x per doubling of N
+        spec, solver = KernelSpec(kind="rbf"), SolverConfig()
+        peaks = {}
+        for N in (128, 256):
+            rng = np.random.default_rng(N)
+            v1, v2 = unit_columns(rng, 32, N), unit_columns(rng, 32, N)
+            batch_loss(v1, v2, spec, 100.0, 0.1, solver, method="inv")
+            tracemalloc.start()
+            try:
+                batch_loss(v1, v2, spec, 100.0, 0.1, solver, method="inv")
+                peaks[N] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[128] < 16e6
+        assert peaks[256] < 6 * peaks[128]
