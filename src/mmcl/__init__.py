@@ -17,7 +17,7 @@ from .encoder import (EncoderParams, AdamState, ForwardTape, StaleTapeError,
                       init_adam, save_params, load_params)
 from .data import (Dataset, AugmentationSpec, augment, augment_batch, make_blobs,
                    make_moons, load_csv, save_csv, load_binary, save_binary, stream_rng)
-from .evaluate import EvalReport, knn_readout, linear_probe, fit_linear_probe
+from .evaluate import knn_readout, linear_probe, fit_linear_probe
 from .training import (TrainConfig, TrainState, TrainingAbort, apply_schedules,
                        run_epoch, train, init_state, save_state, load_state)
 

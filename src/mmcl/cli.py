@@ -9,10 +9,10 @@ or ``train``) whose dual matrix is not positive definite.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,12 +20,12 @@ from . import config as cfgmod
 from . import encoder as enc
 from .data import Dataset, load_binary, load_csv, stream_rng, DATASET_MAGIC
 from .evaluate import knn_readout, linear_probe
-from .kernels import KernelSpec
 from .loss import batch_loss, nce_batch_loss
 from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
                   build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
-from .training import (METRICS_HEADER, TrainingAbort, format_metrics_row,
-                       load_state, save_state, train, eval_embeddings, eval_split)
+from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort,
+                       eval_embeddings, eval_split, format_metrics_row, load_state, save_state,
+                       train)
 
 CATEGORY_NAMES = {0: "non-support", 1: "support", 2: "margin-violator"}
 
@@ -40,10 +40,9 @@ def _load_any_dataset(path) -> Dataset:
 
 def _load_checkpoint_params(path) -> enc.EncoderParams:
     with open(path, "rb") as fh:
-        head = fh.read(5)
-    if head == b"MMTR1":
-        return load_state(path).params
-    with open(path, "rb") as fh:
+        if fh.read(len(STATE_MAGIC)) == STATE_MAGIC:
+            return load_state(path).params
+        fh.seek(0)
         return enc.load_params(fh)
 
 
@@ -128,7 +127,7 @@ def _parse_instance_file(path, C: float, beta: float) -> tuple:
                 raise cfgmod.ConfigError(f"{path}: [kernel] expects 'key = value', got {line!r}")
             key, value = line.split("=", 1)
             cfgmod.set_key(cfg, "kernel." + key.strip(), value)
-        spec = cfgmod.build_kernel(cfg)
+        spec = cfgmod.build_train_config(cfg).kernel
         z_pos = np.array([float(v) for v in ",".join(sections["z_pos"]).split(",")])
         Z_neg = np.array([[float(v) for v in row.split(",")] for row in sections["Z_neg"]]).T
         return build_instance(spec, z_pos, Z_neg, C, beta), spec
@@ -170,19 +169,17 @@ def cmd_inspect(args) -> int:
     if len(dataset) < N:
         print(f"dataset has {len(dataset)} samples, need at least {N}", file=sys.stderr)
         return 2
-    spec = cfgmod.build_kernel(cfg)
-    solver = cfgmod.build_solver(cfg)
-    C, beta = cfg["C"], cfg["beta"]
+    tc = cfgmod.build_train_config(cfg)
 
     if args.all_anchors:
         rng = stream_rng(args.seed, "inspect-batch")
         idx = rng.choice(len(dataset), size=N, replace=False)
         emb = _head_embeddings(params, dataset.samples[idx])
-        _, _, _, alphas = batch_loss(emb, emb, spec, C, beta, solver,
-                                     fn_correction=cfg["fn_correction"], method=args.method)
+        _, _, _, alphas = batch_loss(emb, emb, tc.kernel, tc.C, tc.beta, tc.solver,
+                                     fn_correction=tc.fn_correction, method=args.method)
         print("anchor_index,negative_index,alpha,is_support,is_margin_violator")
         for k, alpha in enumerate(alphas):
-            cats = classify_support(alpha, C)
+            cats = classify_support(alpha, tc.C)
             for j, a in enumerate(alpha):
                 print(f"{k},{j},{float(a)!r},{int(cats[j] == 1)},{int(cats[j] == 2)}")
         return 0
@@ -195,16 +192,16 @@ def cmd_inspect(args) -> int:
     others = np.setdiff1d(np.arange(len(dataset)), [anchor])
     chosen = rng.choice(others, size=N - 1, replace=False)
     emb = _head_embeddings(params, dataset.samples[np.concatenate([[anchor], chosen])])
-    inst = build_instance(spec, emb[:, 0], emb[:, 1:], C, beta)
+    inst = build_instance(tc.kernel, emb[:, 0], emb[:, 1:], tc.C, tc.beta)
     if args.method == "inv":
         sol = solve_inv(inst)
     elif args.method == "oracle":
-        sol = solve_oracle(inst, tol=solver.tol)
+        sol = solve_oracle(inst, tol=tc.solver.tol)
     else:
-        sol = solve_pgd(inst, solver)
+        sol = solve_pgd(inst, tc.solver)
     cats = classify_support(sol.alpha, inst.C)
     print("anchor_index,anchor_label,n_negatives,C,alpha_x")
-    print(f"{anchor},{dataset.labels[anchor]},{inst.n},{C!r},{sol.alpha_x!r}")
+    print(f"{anchor},{dataset.labels[anchor]},{inst.n},{tc.C!r},{sol.alpha_x!r}")
     print()
     print("negative_index,label,alpha,category")
     for j, neg_idx in enumerate(chosen):
@@ -222,9 +219,8 @@ def cmd_bench(args) -> int:
     if any(s < 2 for s in sizes):
         print("bench sizes must be >= 2", file=sys.stderr)
         return 2
-    spec = KernelSpec(kind="rbf", sigma_sq=1.0)
-    solver = SolverConfig(step_size="auto", max_iters=args.max_iters, tol=1e-8,
-                          nesterov=True, seed=0)
+    tc = cfgmod.build_train_config(cfgmod.default_config())
+    solver = replace(tc.solver, max_iters=args.max_iters)
     print("batch_size,loss_variant,ms_per_iter")
     for N in sizes:
         rng = stream_rng(args.seed, "bench", N)
@@ -237,9 +233,9 @@ def cmd_bench(args) -> int:
             for _ in range(args.reps):
                 start = time.perf_counter()
                 if variant == "nce":
-                    nce_batch_loss(v1, v2, 0.5)
+                    nce_batch_loss(v1, v2, tc.temperature)
                 else:
-                    batch_loss(v1, v2, spec, 100.0, 0.1, solver,
+                    batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, solver,
                                method="pgd" if variant == "mmcl_pgd" else "inv")
                 times.append((time.perf_counter() - start) * 1e3)
             print(f"{N},{variant},{sorted(times)[len(times) // 2]!r}")
@@ -247,6 +243,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = TrainConfig()
     parser = argparse.ArgumentParser(prog="mmcl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -259,24 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="kNN readout and linear probe of a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--k", type=int, default=200)
-    p_eval.add_argument("--probe-epochs", type=int, default=500)
-    p_eval.add_argument("--probe-lr", type=float, default=0.1)
-    p_eval.add_argument("--test-fraction", type=float, default=0.2)
-    p_eval.add_argument("--features", choices=("backbone", "head"), default="backbone")
-    p_eval.add_argument("--split-seed", type=int, default=0)
+    p_eval.add_argument("--k", type=int, default=defaults.eval_k)
+    p_eval.add_argument("--probe-epochs", type=int, default=defaults.probe_epochs)
+    p_eval.add_argument("--probe-lr", type=float, default=defaults.probe_lr)
+    p_eval.add_argument("--test-fraction", type=float, default=defaults.test_fraction)
+    p_eval.add_argument("--features", choices=("backbone", "head"), default=defaults.eval_features)
+    p_eval.add_argument("--split-seed", type=int, default=defaults.seed)
     p_eval.set_defaults(func=cmd_eval)
 
     p_solve = sub.add_parser("solve", help="solve one dual instance from a file")
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--solver", choices=("pgd", "inv", "oracle"), default="pgd")
-    p_solve.add_argument("--C", type=float, default=100.0)
-    p_solve.add_argument("--beta", type=float, default=0.1)
-    p_solve.add_argument("--step-size", type=lambda s: s if s == "auto" else float(s), default="auto")
-    p_solve.add_argument("--max-iters", type=int, default=1000)
-    p_solve.add_argument("--tol", type=float, default=1e-8)
+    p_solve.add_argument("--C", type=float, default=defaults.C)
+    p_solve.add_argument("--beta", type=float, default=defaults.beta)
+    p_solve.add_argument("--step-size", type=lambda s: s if s == "auto" else float(s),
+                         default=defaults.solver.step_size)
+    p_solve.add_argument("--max-iters", type=int, default=defaults.solver.max_iters)
+    p_solve.add_argument("--tol", type=float, default=defaults.solver.tol)
     p_solve.add_argument("--no-nesterov", action="store_true")
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=int, default=defaults.solver.seed)
     p_solve.set_defaults(func=cmd_solve)
 
     p_inspect = sub.add_parser("inspect", help="per-negative dual weights for an anchor")
@@ -285,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--anchor", type=int, default=0)
     p_inspect.add_argument("--all-anchors", action="store_true",
                            help="dump every anchor of a two-view batch instead")
-    p_inspect.add_argument("--batch-size", type=int, default=32)
+    p_inspect.add_argument("--batch-size", type=int, default=defaults.batch_size)
     p_inspect.add_argument("--method", choices=("pgd", "inv", "oracle"), default="inv")
     p_inspect.add_argument("--config", default=None, help="config file for kernel/C/beta/solver")
     p_inspect.add_argument("--set", action="append", metavar="KEY=VALUE")

@@ -4,15 +4,17 @@ and construction of the runtime objects.
 Lines are ``key = value`` with ``#`` comments; no nesting. Every key has a
 default and can be overridden with ``--set key=value``; precedence is
 CLI > file > default. ``parse -> serialize -> parse`` is the identity.
+Each training key sets one field of ``TrainConfig`` or of one of its parts
+and takes that field's default; only the data and output keys, which no
+dataclass holds, carry their own. There is no ``average_loss`` key.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
+from functools import reduce
 
-from .data import AugmentationSpec, Dataset, load_binary, load_csv, make_blobs, make_moons
-from .kernels import KernelSpec
-from .svm import SolverConfig
+from .data import Dataset, load_binary, load_csv, make_blobs, make_moons
 from .training import TrainConfig
 
 
@@ -64,8 +66,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# key -> (parser, default); declaration order is the canonical dump order
-SCHEMA = {
+# The data and output keys, which no dataclass holds: key -> (parser, default).
+IO_KEYS = {
     "data.kind": (str, "blobs"),
     "data.classes": (int, 4),
     "data.per_class": (int, 128),
@@ -74,55 +76,65 @@ SCHEMA = {
     "data.noise": (float, 0.1),
     "data.path": (str, ""),
     "data.seed": (int, 0),
-    "model.backbone_widths": (_parse_int_list, (64, 64)),
-    "model.head_hidden": (int, 64),
-    "model.out_dim": (int, 32),
-    "kernel.kind": (str, "rbf"),
-    "kernel.sigma_sq": (float, 1.0),
-    "kernel.gamma": (float, 1.0),
-    "kernel.bias": (float, 0.0),
-    "kernel.positive_gamma": (_parse_bool, False),
-    "loss": (str, "mmcl_pgd"),
-    "C": (float, 100.0),
-    "beta": (float, 0.1),
-    "fn_correction": (_parse_bool, False),
-    "temperature": (float, 0.5),
-    "average_loss": (_parse_bool, False),
-    "batch_size": (int, 32),
-    "epochs": (int, 10),
-    "lr": (float, 1e-3),
-    "seed": (int, 0),
-    "eval_every": (int, 0),
-    "eval_features": (str, "backbone"),
-    "eval.k": (int, 200),
-    "eval.probe_epochs": (int, 500),
-    "eval.probe_lr": (float, 0.1),
-    "eval.test_fraction": (float, 0.2),
-    "schedules": (_parse_schedules, ()),
-    "solver.step_size": (_parse_step_size, "auto"),
-    "solver.max_iters": (int, 1000),
-    "solver.tol": (float, 1e-8),
-    "solver.nesterov": (_parse_bool, True),
-    "solver.seed": (int, 0),
-    "aug.noise_sigma": (float, 0.1),
-    "aug.dropout_p": (float, 0.0),
-    "aug.scale_lo": (float, 1.0),
-    "aug.scale_hi": (float, 1.0),
     "out.metrics": (str, "metrics.csv"),
     "out.checkpoint": (str, "model.ckpt"),
 }
 
+# The training keys: key -> (parser, field), where field is a TrainConfig
+# field or "part.field" for a field of its kernel, solver or augmentation.
+SCHEMA = {
+    "model.backbone_widths": (_parse_int_list, "backbone_widths"),
+    "model.head_hidden": (int, "head_hidden"),
+    "model.out_dim": (int, "out_dim"),
+    "kernel.kind": (str, "kernel.kind"),
+    "kernel.sigma_sq": (float, "kernel.sigma_sq"),
+    "kernel.gamma": (float, "kernel.gamma"),
+    "kernel.bias": (float, "kernel.bias"),
+    "kernel.positive_gamma": (_parse_bool, "kernel.positive_gamma"),
+    "loss": (str, "loss"),
+    "C": (float, "C"),
+    "beta": (float, "beta"),
+    "fn_correction": (_parse_bool, "fn_correction"),
+    "temperature": (float, "temperature"),
+    "batch_size": (int, "batch_size"),
+    "epochs": (int, "epochs"),
+    "lr": (float, "lr"),
+    "seed": (int, "seed"),
+    "eval_every": (int, "eval_every"),
+    "eval_features": (str, "eval_features"),
+    "eval.k": (int, "eval_k"),
+    "eval.probe_epochs": (int, "probe_epochs"),
+    "eval.probe_lr": (float, "probe_lr"),
+    "eval.test_fraction": (float, "test_fraction"),
+    "schedules": (_parse_schedules, "schedules"),
+    "solver.step_size": (_parse_step_size, "solver.step_size"),
+    "solver.max_iters": (int, "solver.max_iters"),
+    "solver.tol": (float, "solver.tol"),
+    "solver.nesterov": (_parse_bool, "solver.nesterov"),
+    "solver.seed": (int, "solver.seed"),
+    "aug.noise_sigma": (float, "augmentation.noise_sigma"),
+    "aug.dropout_p": (float, "augmentation.dropout_p"),
+    "aug.scale_lo": (float, "augmentation.scale_lo"),
+    "aug.scale_hi": (float, "augmentation.scale_hi"),
+}
+
+
+_PARSERS = {key: parser for key, (parser, _) in (*IO_KEYS.items(), *SCHEMA.items())}
+
 
 def default_config() -> dict:
-    return {k: d for k, (_, d) in SCHEMA.items()}
+    defaults = TrainConfig()
+    cfg = {key: default for key, (_, default) in IO_KEYS.items()}
+    for key, (_, path) in SCHEMA.items():
+        cfg[key] = reduce(getattr, path.split("."), defaults)
+    return cfg
 
 
 def set_key(cfg: dict, key: str, raw_value: str) -> None:
-    if key not in SCHEMA:
+    if key not in _PARSERS:
         raise ConfigError(f"unknown config key {key!r}")
-    parser, _ = SCHEMA[key]
     try:
-        cfg[key] = parser(raw_value.strip())
+        cfg[key] = _PARSERS[key](raw_value.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -156,40 +168,21 @@ def apply_overrides(cfg: dict, overrides) -> dict:
 
 
 def serialize_config(cfg: dict) -> str:
-    return "\n".join(f"{k} = {_fmt(cfg[k])}" for k in SCHEMA) + "\n"
-
-
-def build_kernel(cfg: dict) -> KernelSpec:
-    return KernelSpec(kind=cfg["kernel.kind"], sigma_sq=cfg["kernel.sigma_sq"],
-                      gamma=cfg["kernel.gamma"], bias=cfg["kernel.bias"],
-                      positive_gamma=cfg["kernel.positive_gamma"])
-
-
-def build_solver(cfg: dict) -> SolverConfig:
-    return SolverConfig(step_size=cfg["solver.step_size"], max_iters=cfg["solver.max_iters"],
-                        tol=cfg["solver.tol"], nesterov=cfg["solver.nesterov"],
-                        seed=cfg["solver.seed"])
-
-
-def build_augmentation(cfg: dict) -> AugmentationSpec:
-    return AugmentationSpec(noise_sigma=cfg["aug.noise_sigma"], dropout_p=cfg["aug.dropout_p"],
-                            scale_range=(cfg["aug.scale_lo"], cfg["aug.scale_hi"]))
+    return "\n".join(f"{k} = {_fmt(cfg[k])}" for k in _PARSERS) + "\n"
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
+    """The TrainConfig a parsed config describes: each training key sets
+    the one field it names."""
+    fields, parts = {}, {}
+    for key, (_, path) in SCHEMA.items():
+        part, _, name = path.rpartition(".")
+        (parts.setdefault(part, {}) if part else fields)[name] = cfg[key]
     try:
-        return TrainConfig(
-            batch_size=cfg["batch_size"], epochs=cfg["epochs"], lr=cfg["lr"],
-            loss=cfg["loss"], kernel=build_kernel(cfg), C=cfg["C"], beta=cfg["beta"],
-            solver=build_solver(cfg), fn_correction=cfg["fn_correction"],
-            schedules=list(cfg["schedules"]), seed=cfg["seed"], eval_every=cfg["eval_every"],
-            augmentation=build_augmentation(cfg), temperature=cfg["temperature"],
-            average_loss=cfg["average_loss"], backbone_widths=cfg["model.backbone_widths"],
-            head_hidden=cfg["model.head_hidden"], out_dim=cfg["model.out_dim"],
-            eval_features=cfg["eval_features"], eval_k=cfg["eval.k"],
-            probe_epochs=cfg["eval.probe_epochs"], probe_lr=cfg["eval.probe_lr"],
-            test_fraction=cfg["eval.test_fraction"],
-        )
+        defaults = TrainConfig()
+        for part, values in parts.items():
+            fields[part] = replace(getattr(defaults, part), **values)
+        return TrainConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

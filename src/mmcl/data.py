@@ -14,6 +14,8 @@ Binary dataset format:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -59,21 +61,21 @@ class Dataset:
 
 @dataclass(frozen=True)
 class AugmentationSpec:
-    """Random cascade applied to a sample: multiplicative scale, additive
-    Gaussian noise, then coordinate dropout."""
+    """Random cascade applied to a sample: a multiplicative scale drawn from
+    [scale_lo, scale_hi], additive Gaussian noise, then coordinate dropout."""
 
     noise_sigma: float = 0.0
     dropout_p: float = 0.0
-    scale_range: tuple = (1.0, 1.0)
+    scale_lo: float = 1.0
+    scale_hi: float = 1.0
 
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        lo, hi = self.scale_range
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
+        if not 0.0 < self.scale_lo <= self.scale_hi:
+            raise ValueError(f"need 0 < scale_lo <= scale_hi, got {self.scale_lo}, {self.scale_hi}")
 
 
 def augment(spec: AugmentationSpec, x, rng: np.random.Generator) -> np.ndarray:
@@ -85,8 +87,7 @@ def augment(spec: AugmentationSpec, x, rng: np.random.Generator) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
-    lo, hi = spec.scale_range
-    scale = rng.uniform(lo, hi)
+    scale = rng.uniform(spec.scale_lo, spec.scale_hi)
     noise = rng.standard_normal(d)
     keep = rng.random(d) >= spec.dropout_p
     return (x * scale + spec.noise_sigma * noise) * keep
@@ -97,8 +98,7 @@ def augment_batch(spec: AugmentationSpec, X, rng: np.random.Generator) -> np.nda
     make this faster than per-sample calls but equally deterministic."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    lo, hi = spec.scale_range
-    scale = rng.uniform(lo, hi, size=(n, 1))
+    scale = rng.uniform(spec.scale_lo, spec.scale_hi, size=(n, 1))
     noise = rng.standard_normal((n, d))
     keep = rng.random((n, d)) >= spec.dropout_p
     return (X * scale + spec.noise_sigma * noise) * keep
@@ -217,9 +217,32 @@ def load_binary(path) -> Dataset:
         magic = fh.read(len(DATASET_MAGIC))
         if magic != DATASET_MAGIC:
             raise ValueError(f"{path}: bad dataset magic {magic!r}")
-        n, d, has_labels = struct.unpack("<qqB", fh.read(17))
-        samples = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
-        labels = None
-        if has_labels:
-            labels = np.frombuffer(fh.read(8 * n), dtype="<i8").copy()
+        n, d, has_labels = read_struct(fh, "<qqB")
+        samples = read_array(fh, "<f8", (n, d))
+        labels = read_array(fh, "<i8", (n,)) if has_labels else None
     return Dataset(samples=samples, labels=labels, name=str(path))
+
+
+def read_exact(fh, size: int) -> bytes:
+    """The next ``size`` bytes of a seekable binary file. A file that ends
+    early (truncated, or a garbled length) raises a ValueError naming it
+    before anything of that length is allocated."""
+    pos = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - fh.seek(pos)
+    if not 0 <= size <= left:
+        raise ValueError(f"{getattr(fh, 'name', '<stream>')}: truncated or corrupt: "
+                         f"needs {size} bytes at offset {pos}, {left} left")
+    return fh.read(size)
+
+
+def read_struct(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt)))
+
+
+def read_array(fh, dtype: str, shape: tuple) -> np.ndarray:
+    """A copy of the next array of ``shape`` in a binary file."""
+    if min(shape) < 0:
+        raise ValueError(f"{getattr(fh, 'name', '<stream>')}: corrupt: negative shape {shape}")
+    dtype = np.dtype(dtype)
+    raw = read_exact(fh, math.prod(shape) * dtype.itemsize)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()

@@ -20,9 +20,11 @@ Checkpoint format (documented because it is a stable external surface):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .data import read_array, read_struct
 
 MAGIC = b"MMCL1"
 NORM_FLOOR = 1e-12  # guards against near-zero pre-normalization vectors
@@ -186,16 +188,13 @@ def adam_step(params: EncoderParams, grads: list, state: AdamState):
     n_backbone = len(params.layers)
     new_params = EncoderParams(layers=new_layers[:n_backbone], head=new_layers[n_backbone:],
                                activation=params.activation, out_dim=params.out_dim)
-    new_state = AdamState(m=new_m, v=new_v, step=t, lr=state.lr, beta1=state.beta1,
-                          beta2=state.beta2, epsilon=state.epsilon)
-    return new_params, new_state
+    return new_params, replace(state, m=new_m, v=new_v, step=t)
 
 
-def init_adam(params: EncoderParams, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.all_layers()]
-    v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.all_layers()]
-    return AdamState(m=m, v=v, step=0, lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+def init_adam(params: EncoderParams, **hyper) -> AdamState:
+    """Zero moments; ``hyper`` sets any of lr, beta1, beta2 and epsilon, whose
+    defaults are AdamState's."""
+    return AdamState(m=zero_grads(params), v=zero_grads(params), **hyper)
 
 
 def zero_grads(params: EncoderParams) -> list:
@@ -222,11 +221,8 @@ def load_params(fh) -> EncoderParams:
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}, expected {MAGIC!r}")
-    n_backbone, n_head = struct.unpack("<qq", fh.read(16))
-    shapes = [struct.unpack("<qq", fh.read(16)) for _ in range(n_backbone + n_head)]
-    pairs = []
-    for out_dim, in_dim in shapes:
-        W = np.frombuffer(fh.read(8 * out_dim * in_dim), dtype="<f8").reshape(out_dim, in_dim).copy()
-        b = np.frombuffer(fh.read(8 * out_dim), dtype="<f8").copy()
-        pairs.append((W, b))
+    n_backbone, n_head = read_struct(fh, "<qq")
+    shapes = [read_struct(fh, "<qq") for _ in range(n_backbone + n_head)]
+    pairs = [(read_array(fh, "<f8", (out_dim, in_dim)), read_array(fh, "<f8", (out_dim,)))
+             for out_dim, in_dim in shapes]
     return EncoderParams(layers=pairs[:n_backbone], head=pairs[n_backbone:])

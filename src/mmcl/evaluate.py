@@ -3,17 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class EvalReport:
-    knn_accuracy: float
-    linear_accuracy: float
-    k: int
-    epochs_probe: int
 
 
 def _normalize_rows(X: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from scipy.linalg import lapack
 
 from .kernels import KernelSpec, gram, gram_vjp, grad_wrt_each_column, grad_wrt_second, kernel_grad
 from .svm import (SingularInstanceError, SolverConfig, SvmInstance, resolve_step_sizes,
-                  solve_oracle, _draw_alpha0, _pgd_batched)
+                  solve_oracle, _check_C_beta, _draw_alpha0, _pgd_batched)
 
 _LINEAR = KernelSpec(kind="linear")
 
@@ -155,7 +155,10 @@ def nce_grad(z, z_pos, Z_neg, temperature: float) -> LossGrads:
 
 
 @lru_cache(maxsize=32)
-def _negative_indices_cached(N: int) -> np.ndarray:
+def negative_indices(N: int) -> np.ndarray:
+    """Row k lists the 2(N-1) stacked-column indices of anchor k's negatives:
+    view-1 columns of the other batch items, then their view-2 columns.
+    The cached array is read-only."""
     idx = np.empty((N, 2 * (N - 1)), dtype=np.int64)
     all_idx = np.arange(2 * N)
     for k in range(N):
@@ -164,12 +167,6 @@ def _negative_indices_cached(N: int) -> np.ndarray:
         idx[k] = others
     idx.setflags(write=False)
     return idx
-
-
-def negative_indices(N: int) -> np.ndarray:
-    """Row k lists the 2(N-1) stacked-column indices of anchor k's negatives:
-    view-1 columns of the other batch items, then their view-2 columns."""
-    return _negative_indices_cached(N)
 
 
 def _stack_views(embeddings_view1, embeddings_view2):
@@ -313,7 +310,8 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     positive definite, exactly the anchors ``svm.solve_inv`` rejects
     (possible with the indefinite tanh kernel), and when K + beta I is
     singular to working precision (beta = 0 with a repeated column, or
-    by chance with tanh).
+    by chance with tanh). Every method rejects C <= 0 and beta < 0 with
+    the ValueError an ``SvmInstance`` raises.
 
     ``total_loss`` uses the alphas solved here for this batch. It scales
     with each anchor's alpha_x = alpha' 1, which shrinks as the margin
@@ -323,6 +321,7 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     E, N = _stack_views(embeddings_view1, embeddings_view2)
     if method not in ("pgd", "inv", "oracle"):
         raise ValueError(f"unknown solver method {method!r}")
+    _check_C_beta(C, beta)
     K_full = gram(spec, E, E)
     neg_idx = negative_indices(N)
     if method == "inv":

@@ -41,6 +41,14 @@ class SingularInstanceError(RuntimeError):
     singular), so the inv solve clip(2 D^{-1} 1, 0, C) is not defined."""
 
 
+def _check_C_beta(C: float, beta: float) -> None:
+    """Every path that builds a dual needs C > 0 (inf allowed) and beta >= 0."""
+    if not C > 0:
+        raise ValueError(f"C must be positive, got {C}")
+    if beta < 0:
+        raise ValueError(f"beta must be nonnegative, got {beta}")
+
+
 @dataclass
 class SvmInstance:
     """One reduced dual problem.
@@ -59,6 +67,9 @@ class SvmInstance:
     @property
     def n(self) -> int:
         return self.delta.shape[0]
+
+    def __post_init__(self):
+        _check_C_beta(self.C, self.beta)
 
     def describe(self) -> str:
         return f"SvmInstance(n={self.n}, C={self.C}, beta={self.beta})"
@@ -130,10 +141,6 @@ def build_instance(spec: KernelSpec, z_pos, Z_neg, C: float, beta: float) -> Svm
         raise ValueError(f"Z_neg must be d x n with n >= 1, got shape {Z_neg.shape}")
     if z_pos.shape[0] != Z_neg.shape[0]:
         raise ValueError(f"dimension mismatch: z_pos has {z_pos.shape[0]} rows, Z_neg has {Z_neg.shape[0]}")
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
     k_xx = float(gram(spec, z_pos[:, None], z_pos[:, None])[0, 0])
     k_xY = gram(spec, z_pos[:, None], Z_neg)[0]
     K_YY = gram(spec, Z_neg, Z_neg)

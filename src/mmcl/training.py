@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import encoder as enc
-from .data import AugmentationSpec, Dataset, augment_batch, stream_rng
+from .data import AugmentationSpec, Dataset, augment_batch, read_array, read_struct, stream_rng
 from .kernels import KernelSpec
 from .loss import batch_loss, nce_batch_loss
 from .svm import SolverConfig, build_instance
@@ -46,6 +46,11 @@ class TrainingAbort(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """Every training setting. These fields and those of the kernel, solver
+    and augmentation are the only holders of training defaults; the config
+    keys and the CLI read theirs from here. The batch loss is always the
+    sum over anchors (Adam is invariant to a 1/N scale up to epsilon)."""
+
     batch_size: int = 32
     epochs: int = 10
     lr: float = 1e-3
@@ -55,13 +60,12 @@ class TrainConfig:
     beta: float = 0.1
     solver: SolverConfig = field(default_factory=SolverConfig)
     fn_correction: bool = False
-    schedules: list = field(default_factory=list)  # (epoch, field, value)
+    schedules: tuple = ()  # (epoch, field, value) entries
     seed: int = 0
     eval_every: int = 0
     # realization knobs beyond the core recipe
-    augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
+    augmentation: AugmentationSpec = AugmentationSpec(noise_sigma=0.1)
     temperature: float = 0.5
-    average_loss: bool = False
     backbone_widths: tuple = (64, 64)
     head_hidden: int = 64
     out_dim: int = 32
@@ -102,8 +106,7 @@ class TrainState:
 def init_state(config: TrainConfig, in_dim: int) -> TrainState:
     params = enc.init_params(in_dim, config.backbone_widths, config.head_hidden,
                              config.out_dim, seed=config.seed)
-    adam = enc.init_adam(params, lr=config.lr)
-    return TrainState(params=params, adam=adam, epoch=0, seed=config.seed)
+    return TrainState(params=params, adam=enc.init_adam(params, lr=config.lr), seed=config.seed)
 
 
 def apply_schedules(config: TrainConfig, epoch: int):
@@ -163,10 +166,6 @@ def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
             total, g1, g2, alphas = batch_loss(
                 emb1, emb2, spec, C, config.beta, solver,
                 fn_correction=config.fn_correction, method=method)
-        if config.average_loss:
-            total /= N
-            g1 = g1 / N
-            g2 = g2 / N
         if not math.isfinite(total):
             raise TrainingAbort(
                 f"non-finite loss {total} at epoch {epoch}, batch {b}",
@@ -290,20 +289,13 @@ def load_state(path) -> TrainState:
         magic = fh.read(len(STATE_MAGIC))
         if magic != STATE_MAGIC:
             raise ValueError(f"{path}: bad train-state magic {magic!r}")
-        epoch, seed = struct.unpack("<qq", fh.read(16))
-        lr, beta1, beta2, epsilon, step = struct.unpack("<ddddq", fh.read(40))
-        (n_rows,) = struct.unpack("<q", fh.read(8))
-        history = [tuple(struct.unpack("<6d", fh.read(48))) for _ in range(n_rows)]
+        epoch, seed = read_struct(fh, "<qq")
+        lr, beta1, beta2, epsilon, step = read_struct(fh, "<ddddq")
+        (n_rows,) = read_struct(fh, "<q")
+        history = [read_struct(fh, "<6d") for _ in range(n_rows)]
         params = enc.load_params(fh)
-        def read_buffers():
-            out = []
-            for W, b in params.all_layers():
-                mW = np.frombuffer(fh.read(8 * W.size), dtype="<f8").reshape(W.shape).copy()
-                mb = np.frombuffer(fh.read(8 * b.size), dtype="<f8").copy()
-                out.append((mW, mb))
-            return out
-        m = read_buffers()
-        v = read_buffers()
+        m, v = [[(read_array(fh, "<f8", W.shape), read_array(fh, "<f8", b.shape))
+                 for W, b in params.all_layers()] for _moment in range(2)]
     adam = enc.AdamState(m=m, v=v, step=step, lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
     return TrainState(params=params, adam=adam, epoch=epoch, seed=seed,
                       history=[(int(r[0]),) + r[1:] for r in history])

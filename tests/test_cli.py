@@ -179,6 +179,18 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error: cannot factorize delta")
 
+    @pytest.mark.parametrize("solver", ["pgd", "inv", "oracle"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--C", "-1", "C must be positive"), ("--beta", "-5", "beta must be nonnegative")])
+    def test_raw_kernel_instance_rejects_bad_C_and_beta(self, tmp_path, capsys, solver,
+                                                        flag, value, message):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("[k_xY]\n0.5,0.2\n[K_YY]\n1,0.1\n0.1,1\n")
+        code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver,
+                                 flag, value)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_malformed_instance_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "bad.txt"
         inst.write_text("just some text\n")
@@ -232,6 +244,14 @@ class TestEvalCommand:
         save_csv(Dataset(samples=np.random.default_rng(0).standard_normal((8, 6))), unlabeled)
         code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(unlabeled))
         assert code == 2
+
+    def test_truncated_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        _, data = self._trained(tmp_path, capsys)
+        bad = tmp_path / "short.ckpt"
+        bad.write_bytes(b"MMCL1\x01")
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(bad), "--data", str(data))
+        assert code == 2
+        assert "short.ckpt" in err and "Traceback" not in err
 
     def test_repeat_runs_identical(self, tmp_path, capsys):
         ckpt, data = self._trained(tmp_path, capsys)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
-from mmcl.config import (ConfigError, apply_overrides, build_kernel, build_solver,
-                         build_train_config, default_config, load_dataset,
-                         parse_config_text, serialize_config)
+from mmcl.config import (SCHEMA, ConfigError, apply_overrides, build_train_config,
+                         default_config, load_dataset, parse_config_text, serialize_config)
+from mmcl.training import TrainConfig
 
 
 class TestParsing:
@@ -77,11 +78,58 @@ class TestOverrides:
             apply_overrides(default_config(), ["epochs"])
 
 
+# A valid value other than the default for every training key.
+NON_DEFAULT = {
+    "model.backbone_widths": "8,16", "model.head_hidden": "7", "model.out_dim": "5",
+    "kernel.kind": "tanh", "kernel.sigma_sq": "2.0", "kernel.gamma": "0.5",
+    "kernel.bias": "0.25", "kernel.positive_gamma": "true", "loss": "nce", "C": "inf",
+    "beta": "0.5", "fn_correction": "true", "temperature": "0.2", "batch_size": "16",
+    "epochs": "3", "lr": "0.01", "seed": "7", "eval_every": "2", "eval_features": "head",
+    "eval.k": "11", "eval.probe_epochs": "50", "eval.probe_lr": "0.3",
+    "eval.test_fraction": "0.5", "schedules": "3:C:10", "solver.step_size": "0.01",
+    "solver.max_iters": "17", "solver.tol": "1e-6", "solver.nesterov": "false",
+    "solver.seed": "4", "aug.noise_sigma": "0.3", "aug.dropout_p": "0.2",
+    "aug.scale_lo": "0.5", "aug.scale_hi": "2.0",
+}
+
+
+def _field_values(tc: TrainConfig) -> dict:
+    """Every TrainConfig field, with the kernel, solver and augmentation
+    flattened to "part.field"."""
+    out = {}
+    for f in dataclasses.fields(tc):
+        value = getattr(tc, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update((f"{f.name}.{g.name}", getattr(value, g.name))
+                       for g in dataclasses.fields(value))
+        else:
+            out[f.name] = value
+    return out
+
+
+class TestTable:
+    def test_defaults_are_train_config_defaults(self):
+        assert build_train_config(default_config()) == TrainConfig()
+
+    def test_every_field_has_exactly_one_key(self):
+        named = sorted(path for _, path in SCHEMA.values())
+        assert named == sorted(_field_values(TrainConfig()))
+
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    def test_override_changes_only_its_field(self, key):
+        assert set(NON_DEFAULT) == set(SCHEMA)
+        base = _field_values(TrainConfig())
+        changed = _field_values(build_train_config(apply_overrides(default_config(),
+                                                                   [f"{key}={NON_DEFAULT[key]}"])))
+        differ = [path for path in base if base[path] != changed[path]]
+        assert differ == [SCHEMA[key][1]]
+
+
 class TestBuilders:
     def test_kernel_and_solver(self):
         cfg = parse_config_text("kernel.kind = tanh\nkernel.gamma = 2.5\nsolver.max_iters = 17\n")
-        assert build_kernel(cfg).gamma == 2.5
-        assert build_solver(cfg).max_iters == 17
+        assert build_train_config(cfg).kernel.gamma == 2.5
+        assert build_train_config(cfg).solver.max_iters == 17
 
     def test_train_config(self):
         cfg = parse_config_text("loss = nce\nbatch_size = 4\n")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.stats import binomtest
@@ -8,13 +10,13 @@ from mmcl import (AugmentationSpec, Dataset, augment, augment_batch, load_binary
 
 class TestAugment:
     def test_identity_spec(self):
-        spec = AugmentationSpec(noise_sigma=0.0, dropout_p=0.0, scale_range=(1.0, 1.0))
+        spec = AugmentationSpec(noise_sigma=0.0, dropout_p=0.0, scale_lo=1.0, scale_hi=1.0)
         x = np.array([1.5, -2.0, 0.0, 3.25])
         out = augment(spec, x, stream_rng(0, "aug"))
         assert np.array_equal(out, x)
 
     def test_same_state_same_output(self):
-        spec = AugmentationSpec(noise_sigma=0.3, dropout_p=0.2, scale_range=(0.8, 1.2))
+        spec = AugmentationSpec(noise_sigma=0.3, dropout_p=0.2, scale_lo=0.8, scale_hi=1.2)
         x = np.linspace(-1, 1, 16)
         a = augment(spec, x, stream_rng(7, "aug"))
         b = augment(spec, x, stream_rng(7, "aug"))
@@ -22,7 +24,7 @@ class TestAugment:
 
     def test_dropout_rate_binomial(self):
         # dropout_p = 0.5 zeroes about half the coordinates over many draws
-        spec = AugmentationSpec(noise_sigma=0.0, dropout_p=0.5, scale_range=(1.0, 1.0))
+        spec = AugmentationSpec(noise_sigma=0.0, dropout_p=0.5, scale_lo=1.0, scale_hi=1.0)
         d = 50
         x = np.ones(d)
         rng = stream_rng(3, "dropout")
@@ -33,7 +35,7 @@ class TestAugment:
         assert binomtest(zeros, draws * d, 0.5).pvalue > 0.01
 
     def test_no_nan_inf(self):
-        spec = AugmentationSpec(noise_sigma=2.0, dropout_p=0.4, scale_range=(0.5, 2.0))
+        spec = AugmentationSpec(noise_sigma=2.0, dropout_p=0.4, scale_lo=0.5, scale_hi=2.0)
         rng = stream_rng(5, "aug")
         for _ in range(50):
             out = augment(spec, np.random.default_rng(1).standard_normal(8), rng)
@@ -57,7 +59,7 @@ class TestAugment:
         with pytest.raises(ValueError):
             AugmentationSpec(dropout_p=1.0)
         with pytest.raises(ValueError):
-            AugmentationSpec(scale_range=(0.0, 1.0))
+            AugmentationSpec(scale_lo=0.0, scale_hi=1.0)
         with pytest.raises(ValueError):
             AugmentationSpec(noise_sigma=-0.1)
 
@@ -187,6 +189,31 @@ class TestBinary:
         p = tmp_path / "junk.mmd"
         p.write_bytes(b"WRONGxxxx")
         with pytest.raises(ValueError, match="magic"):
+            load_binary(p)
+
+    def test_truncated_file_names_it(self, tmp_path):
+        ds = Dataset(samples=np.arange(12.0).reshape(4, 3), labels=[0, 1, 0, 1])
+        p = tmp_path / "d.mmd"
+        save_binary(ds, p)
+        full = p.read_bytes()
+        for cut in (5, 21, 30, len(full) - 8, len(full) - 1):
+            p.write_bytes(full[:cut])
+            with pytest.raises(ValueError, match="d.mmd: truncated"):
+                load_binary(p)
+
+    def test_negative_shape_names_file(self, tmp_path):
+        # (-1) * (-1) * 8 bytes would pass a length check on its own
+        p = tmp_path / "n.mmd"
+        p.write_bytes(b"MMD1" + struct.pack("<qqB", -1, -1, 0) + bytes(8))
+        with pytest.raises(ValueError, match="n.mmd: corrupt: negative shape"):
+            load_binary(p)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_garbled_header_names_file(self, tmp_path, seed):
+        # random sizes are huge or negative: rejected before any allocation
+        p = tmp_path / "g.mmd"
+        p.write_bytes(b"MMD1" + np.random.default_rng(seed).bytes(64))
+        with pytest.raises(ValueError, match="g.mmd"):
             load_binary(p)
 
 

@@ -210,6 +210,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_params(buf)
 
+    def test_truncated_checkpoint_names_file(self, tmp_path):
+        params = tiny_params(7, in_dim=5, widths=(8, 6), head_hidden=6, out_dim=4)
+        p = tmp_path / "m.ckpt"
+        with open(p, "wb") as fh:
+            save_params(params, fh)
+        full = p.read_bytes()
+        for data in (b"MMCL1\x01", full[:21], full[:40], full[:-1]):
+            p.write_bytes(data)
+            with open(p, "rb") as fh, pytest.raises(ValueError, match="m.ckpt: truncated"):
+                load_params(fh)
+
 
 class TestParamsValidation:
     def test_chained_shapes_enforced(self):

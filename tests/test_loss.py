@@ -238,6 +238,19 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             batch_loss(v1, v2, KernelSpec(), 100.0, 0.1, SolverConfig())
 
+    @pytest.mark.parametrize("method", ["pgd", "inv", "oracle"])
+    @pytest.mark.parametrize("C,beta,message", [
+        (0.0, 0.1, "C must be positive"), (-1.0, 0.1, "C must be positive"),
+        (math.nan, 0.1, "C must be positive"), (100.0, -0.5, "beta must be nonnegative")])
+    def test_rejects_out_of_range_C_and_beta(self, method, C, beta, message):
+        # the same messages as build_instance, for every solver method
+        rng = np.random.default_rng(0)
+        v1, v2 = self._views(rng, 4, 4)
+        with pytest.raises(ValueError, match=message):
+            build_instance(KernelSpec(), v1[:, 0], v1[:, 1:], C, beta)
+        with pytest.raises(ValueError, match=message):
+            batch_loss(v1, v2, KernelSpec(), C, beta, SolverConfig(max_iters=3), method=method)
+
     def test_total_matches_per_anchor_recomputation(self):
         # rebuild every anchor's loss from scratch with scalar ops
         rng = np.random.default_rng(5)

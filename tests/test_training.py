@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmcl import (AugmentationSpec, KernelSpec, LossBatch, SolverConfig, TrainConfig,
+from mmcl import (KernelSpec, LossBatch, SolverConfig, TrainConfig,
                   TrainingAbort, apply_schedules, batch_loss, forward, init_state,
                   load_state, make_blobs, mmcl_loss, run_epoch, save_state, stream_rng,
                   train)
@@ -16,7 +16,6 @@ def small_config(**kw):
         batch_size=8, epochs=2, lr=1e-3, loss="mmcl_inv",
         kernel=KernelSpec(kind="rbf", sigma_sq=1.0), C=100.0, beta=0.1,
         solver=SolverConfig(max_iters=100, seed=0),
-        augmentation=AugmentationSpec(noise_sigma=0.1),
         backbone_widths=(16, 16), head_hidden=16, out_dim=8, seed=0,
     )
     base.update(kw)
@@ -57,6 +56,13 @@ class TestApplySchedules:
 
 
 class TestRunEpoch:
+    def test_default_augmentation_gives_distinct_views(self):
+        # the two views of a sample must differ, or every positive pair is trivial
+        cfg, rows = TrainConfig(), small_blobs().samples[:4]
+        v1 = augment_batch(cfg.augmentation, rows, stream_rng(cfg.seed, "aug", 0, 0, 0))
+        v2 = augment_batch(cfg.augmentation, rows, stream_rng(cfg.seed, "aug", 0, 0, 1))
+        assert not np.allclose(v1, v2)
+
     def test_zero_lr_keeps_parameters(self):
         cfg = small_config(lr=0.0)
         ds = small_blobs()
@@ -136,6 +142,15 @@ class TestTrainLoop:
         for (ma, _), (mb, _) in zip(full.adam.m, resumed.adam.m):
             assert np.array_equal(ma, mb)
 
+    def test_truncated_state_names_file(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        save_state(train(small_config(epochs=1), small_blobs()), path)
+        full = path.read_bytes()
+        for cut in (8, 30, 70, len(full) // 2, len(full) - 1):
+            path.write_bytes(full[:cut])
+            with pytest.raises(ValueError, match="state.ckpt: truncated"):
+                load_state(path)
+
     def test_sampling_streams_independent_of_loss_kind(self):
         # swapping the loss must leave shuffling and augmentation untouched:
         # recompute the nce epoch loss from the streams directly
@@ -211,8 +226,7 @@ class TestBlobsDescent:
         ds = make_blobs(num_classes=4, per_class=128, d=16, separation=6.0, seed=0)
         good = 0
         for seed in range(5):
-            cfg = TrainConfig(loss="mmcl_inv", epochs=20, seed=seed,
-                              augmentation=AugmentationSpec(noise_sigma=0.1))
+            cfg = TrainConfig(loss="mmcl_inv", epochs=20, seed=seed)
             state = init_state(cfg, ds.dim)
             descended = True
             while state.epoch < cfg.epochs:
