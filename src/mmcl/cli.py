@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import encoder as enc
-from .data import Dataset, load_binary, load_csv, stream_rng, DATASET_MAGIC
+from .data import Dataset, augment_batch, load_binary, load_csv, stream_rng, DATASET_MAGIC
 from .evaluate import knn_readout, linear_probe
 from .loss import batch_loss, nce_batch_loss
 from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
@@ -173,9 +173,11 @@ def cmd_inspect(args) -> int:
 
     if args.all_anchors:
         rng = stream_rng(args.seed, "inspect-batch")
-        idx = rng.choice(len(dataset), size=N, replace=False)
-        emb = _head_embeddings(params, dataset.samples[idx])
-        _, _, _, alphas = batch_loss(emb, emb, tc.kernel, tc.C, tc.beta, tc.solver,
+        rows = dataset.samples[rng.choice(len(dataset), size=N, replace=False)]
+        # two augmented views of the batch, as training builds them
+        view1, view2 = (_head_embeddings(params, augment_batch(
+            tc.augmentation, rows, stream_rng(args.seed, "inspect-batch", v))) for v in (0, 1))
+        _, _, _, alphas = batch_loss(view1, view2, tc.kernel, tc.C, tc.beta, tc.solver,
                                      fn_correction=tc.fn_correction, method=args.method)
         print("anchor_index,negative_index,alpha,is_support,is_margin_violator")
         for k, alpha in enumerate(alphas):

@@ -83,8 +83,8 @@ class ForwardTape:
 class AdamState:
     m: list
     v: list
+    lr: float
     step: int = 0
-    lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -191,10 +191,10 @@ def adam_step(params: EncoderParams, grads: list, state: AdamState):
     return new_params, replace(state, m=new_m, v=new_v, step=t)
 
 
-def init_adam(params: EncoderParams, **hyper) -> AdamState:
-    """Zero moments; ``hyper`` sets any of lr, beta1, beta2 and epsilon, whose
-    defaults are AdamState's."""
-    return AdamState(m=zero_grads(params), v=zero_grads(params), **hyper)
+def init_adam(params: EncoderParams, lr: float, **hyper) -> AdamState:
+    """Zero moments at learning rate ``lr``; ``hyper`` sets any of beta1,
+    beta2 and epsilon, whose defaults are AdamState's."""
+    return AdamState(m=zero_grads(params), v=zero_grads(params), lr=lr, **hyper)
 
 
 def zero_grads(params: EncoderParams) -> list:

@@ -12,7 +12,7 @@ def _normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
-def knn_readout(train_emb, train_labels, test_emb, test_labels, k: int = 200) -> float:
+def knn_readout(train_emb, train_labels, test_emb, test_labels, k: int) -> float:
     """Cosine-similarity k-nearest-neighbour accuracy with majority vote;
     ties are broken by the summed similarity of the tied classes."""
     train_emb = np.asarray(train_emb, dtype=np.float64)
@@ -47,7 +47,7 @@ def knn_readout(train_emb, train_labels, test_emb, test_labels, k: int = 200) ->
     return correct / test_emb.shape[0]
 
 
-def fit_linear_probe(train_emb, train_labels, epochs: int = 500, lr: float = 0.1):
+def fit_linear_probe(train_emb, train_labels, epochs: int, lr: float):
     """Multinomial logistic regression by full-batch gradient descent from a
     zero initialization. Returns (W, b, per-epoch loss trace)."""
     X = np.asarray(train_emb, dtype=np.float64)
@@ -74,7 +74,7 @@ def fit_linear_probe(train_emb, train_labels, epochs: int = 500, lr: float = 0.1
 
 
 def linear_probe(train_emb, train_labels, test_emb, test_labels,
-                 epochs: int = 500, lr: float = 0.1) -> float:
+                 epochs: int, lr: float) -> float:
     """Test accuracy of the probe fitted on frozen train embeddings."""
     test_emb = np.asarray(test_emb, dtype=np.float64)
     test_labels = np.asarray(test_labels, dtype=np.int64)

@@ -19,14 +19,16 @@ those of ``nce_batch_loss``. The per-anchor functions (``mmcl_loss``,
 tested against.
 
 Every anchor's dual matrix D_k is a principal submatrix of the shared
-2N x 2N matrix M = K + beta I plus a rank-2 term, so the ``inv`` method
-factorizes M once and derives each clip(2 D_k^{-1} 1, 0, C) by a
-two-index downdate and a Woodbury update (Hager 1989, "Updating the inverse
-of a matrix"), never building the (N, 2N-2, 2N-2) stack of D_k that ``pgd``
-and ``oracle`` still assemble. Its definiteness policy is that of the
-per-anchor ``svm.solve_inv``: an anchor whose D_k is not positive definite
-raises ``SingularInstanceError``, decided from the inertia of M
-(Haynsworth) rather than by factorizing D_k.
+2N x 2N matrix M = K + beta I plus a rank-2 term, and no batched method
+builds the (N, 2N-2, 2N-2) stack of D_k. ``pgd`` runs on every anchor at
+once through one operator (``_dual_operator``) whose product with the
+N x 2N block of alphas is one GEMM with M. ``inv`` factorizes M once and
+derives each clip(2 D_k^{-1} 1, 0, C) by a two-index downdate and a
+Woodbury update (Hager 1989, "Updating the inverse of a matrix"). Its
+definiteness policy is that of the per-anchor ``svm.solve_inv``: an anchor
+whose D_k is not positive definite raises ``SingularInstanceError``,
+decided from the inertia of M (Haynsworth) rather than by factorizing D_k.
+Only the slow ``oracle`` reference assembles D_k, one anchor at a time.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .kernels import KernelSpec, gram, gram_vjp, grad_wrt_each_column, grad_wrt_second, kernel_grad
-from .svm import (SingularInstanceError, SolverConfig, SvmInstance, resolve_step_sizes,
-                  solve_oracle, _check_C_beta, _draw_alpha0, _pgd_batched)
+from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
+                  resolve_step_sizes, solve_oracle, _check_C_beta, _draw_alpha0, _pgd_batched)
 
 _LINEAR = KernelSpec(kind="linear")
 
@@ -182,16 +184,53 @@ def _stack_views(embeddings_view1, embeddings_view2):
     return np.concatenate([V1, V2], axis=1), N
 
 
-def _anchor_deltas(K_full: np.ndarray, neg_idx: np.ndarray, beta: float):
-    """Per-anchor (k_xx, k_xY, K_YY, delta) slices from the full Gram matrix."""
+def _to_block(neg_idx: np.ndarray, values) -> np.ndarray:
+    """N x 2N block with row k of ``values`` at anchor k's negatives
+    ``neg_idx[k]`` and 0 at its own columns k and N+k."""
     N = neg_idx.shape[0]
-    k_xx = np.diag(K_full)[:N]
-    k_xY = np.take_along_axis(K_full[:N], neg_idx, axis=1)
-    K_YY = K_full[neg_idx[:, :, None], neg_idx[:, None, :]]
-    deltas = k_xx[:, None, None] + K_YY - k_xY[:, :, None] - k_xY[:, None, :]
-    n = neg_idx.shape[1]
-    deltas[:, np.arange(n), np.arange(n)] += beta
-    return k_xx, k_xY, K_YY, deltas
+    block = np.zeros((N, 2 * N))
+    np.put_along_axis(block, neg_idx, values, axis=1)
+    return block
+
+
+def _dual_operator(K_full: np.ndarray, beta: float):
+    """Every anchor's D_k as one ``svm._pgd_batched`` operator on an N x 2N
+    block of alphas whose row k is zero at anchor k's own columns k and N+k.
+
+    With M = K_full + beta I and R anchor k's negatives,
+    D_k a = M[R,R] a + (1'a)(k_xx - K[k,R]) - (K[k,R]'a) 1, and one GEMM
+    Q = A M holds M[R,R] a at row k's columns R and K[k,R]'a at Q[k,k],
+    in O(N^3) time and O(N^2) memory.
+    """
+    N = K_full.shape[0] // 2
+    M = K_full + beta * np.eye(2 * N)
+    P = np.diag(K_full)[:N, None] - K_full[:N]
+    # in the flattened N x 2N block, Q[k, k] sits at k (2N + 1) and Q[k, N + k] N further
+    own_k, own_Nk = slice(0, None, 2 * N + 1), slice(N, None, 2 * N + 1)
+
+    def matvec(A, rows=None):
+        Q = A @ M
+        flat = Q.reshape(-1)
+        if rows is None:
+            P_rows, at_k, at_Nk = P, own_k, own_Nk
+        else:
+            at_k = 2 * N * np.arange(rows.shape[0]) + rows
+            P_rows, at_Nk = P[rows], at_k + N
+        Q += np.sum(A, axis=1, keepdims=True) * P_rows - flat[at_k][:, None]
+        flat[at_k] = 0.0
+        flat[at_Nk] = 0.0
+        return Q
+
+    return matvec
+
+
+def _anchor_instance(K_full: np.ndarray, neg_idx: np.ndarray, k: int, C: float,
+                     beta: float) -> SvmInstance:
+    """Anchor k's dual instance, sliced from the full Gram matrix."""
+    cols = neg_idx[k]
+    k_xx, k_xY, K_YY = float(K_full[k, k]), K_full[k, cols], K_full[np.ix_(cols, cols)]
+    return SvmInstance(k_xY=k_xY, K_YY=K_YY, k_xx=k_xx,
+                       delta=assemble_delta(k_xx, k_xY, K_YY, beta), C=C, beta=beta)
 
 
 def _count_signs(det, trace, sign):
@@ -277,8 +316,7 @@ def _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas):
     positive, so the total is <W, K(E[:, N:], E)>. Matches the composition
     of ``mmcl_loss`` / ``mmcl_grad`` over anchors to float round-off."""
     N = neg_idx.shape[0]
-    W = np.zeros((N, 2 * N))
-    np.put_along_axis(W, neg_idx, alphas, axis=1)
+    W = _to_block(neg_idx, alphas)
     W[np.arange(N), np.arange(N)] = -np.sum(alphas, axis=1)
     K_anchor = K_full[N:]
     d_anchor, d_E = gram_vjp(spec, E[:, N:], E, K_anchor, W)
@@ -300,12 +338,14 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     k is anchor k's dual vector (post-correction when ``fn_correction`` is
     set).
 
-    ``method`` picks the dual solver: ``pgd`` runs one stacked PGD over
-    each anchor's assembled dual matrix D_k, ``oracle`` is the slow
-    reference, ``solve_oracle`` anchor by anchor, and ``inv`` takes every
-    anchor's clip(2 D_k^{-1} 1, 0, C) from one factorization of the
-    2N x 2N matrix K + beta I (see ``_inv_batched``) without assembling any
-    D_k, in O(N^3) time and O(N^2) memory. ``inv`` raises
+    ``method`` picks the dual solver: ``pgd`` runs one batched PGD over
+    every anchor's dual through ``_dual_operator``, from each anchor's
+    seeded ``svm._draw_alpha0`` start, ``oracle`` is the slow reference,
+    ``solve_oracle`` on each anchor's assembled D_k in turn, and ``inv``
+    takes every anchor's clip(2 D_k^{-1} 1, 0, C) from one factorization of
+    the 2N x 2N matrix K + beta I (see ``_inv_batched``). ``pgd`` and
+    ``inv`` assemble no D_k: they cost O(N^2) memory, and O(N^3) time per
+    PGD iteration or per ``inv`` call. ``inv`` raises
     ``SingularInstanceError`` naming the first anchor whose D_k is not
     positive definite, exactly the anchors ``svm.solve_inv`` rejects
     (possible with the indefinite tanh kernel), and when K + beta I is
@@ -326,18 +366,18 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     neg_idx = negative_indices(N)
     if method == "inv":
         alphas = _inv_batched(K_full, neg_idx, beta, C)
+    elif method == "pgd":
+        matvec = _dual_operator(K_full, beta)
+        b = _to_block(neg_idx, 2.0)
+        alpha0 = _to_block(neg_idx, np.stack([_draw_alpha0(2 * N - 2, C, [solver.seed, k])
+                                              for k in range(N)]))
+        eta = resolve_step_sizes(matvec, b, solver.step_size)
+        alpha_block, _, _, _ = _pgd_batched(
+            matvec, b, C, eta, alpha0, solver.max_iters, solver.tol, solver.nesterov)
+        alphas = np.take_along_axis(alpha_block, neg_idx, axis=1)
     else:
-        k_xx, k_xY, K_YY, deltas = _anchor_deltas(K_full, neg_idx, beta)
-        if method == "pgd":
-            alpha0 = np.stack([_draw_alpha0(deltas.shape[1], C, [solver.seed, k]) for k in range(N)])
-            eta = resolve_step_sizes(deltas, solver.step_size)
-            alphas, _, _, _ = _pgd_batched(
-                deltas, C, eta, alpha0, solver.max_iters, solver.tol, solver.nesterov)
-        else:
-            alphas = np.stack([
-                solve_oracle(SvmInstance(k_xY=k_xY[k], K_YY=K_YY[k], k_xx=float(k_xx[k]),
-                                         delta=deltas[k], C=C, beta=beta), tol=solver.tol).alpha
-                for k in range(N)])
+        alphas = np.stack([solve_oracle(_anchor_instance(K_full, neg_idx, k, C, beta),
+                                        tol=solver.tol).alpha for k in range(N)])
 
     if fn_correction:
         alphas = fn_correct(alphas, C)

@@ -15,7 +15,11 @@ Three solvers are provided:
 * ``solve_oracle`` -- cyclic exact coordinate minimization, run to a
   stationarity tolerance. Slowest, used as the reference optimum.
 * ``solve_pgd``    -- m-step projected gradient, optionally Nesterov
-  accelerated with restart on objective increase.
+  accelerated with restart on objective increase. Its core,
+  ``_pgd_batched``, sees D only through a matvec, so the batched ``pgd``
+  of ``loss.batch_loss`` runs every anchor of a batch through one operator
+  on the shared K + beta I (``loss._dual_operator``), and ``solve_pgd``,
+  on one dense D, is its per-anchor reference.
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
   computed with a Cholesky solve, so D must be positive definite. It is
   the per-anchor reference for the batched ``inv`` of ``loss.batch_loss``,
@@ -157,50 +161,55 @@ def dual_objective(delta, alpha) -> float:
     return float(0.5 * alpha @ (delta @ alpha) - 2.0 * np.sum(alpha))
 
 
-def spectral_norm(delta, iters: int = 50) -> np.ndarray | float:
-    """||D||_2 estimated by power iteration from the deterministic start 1/sqrt(n).
-
-    Accepts a single (n, n) matrix or a stacked (B, n, n) batch; returns a
-    scalar or a (B,) array accordingly.
-    """
-    delta = np.asarray(delta, dtype=np.float64)
-    single = delta.ndim == 2
-    D = delta[None] if single else delta
-    n = D.shape[-1]
-    v = np.full(D.shape[:-2] + (n,), 1.0 / math.sqrt(n))
+def _power_iteration(matvec, start: np.ndarray, iters: int = 50) -> np.ndarray:
+    """lambda_max of each operator of a batch, estimated by ``iters`` steps of
+    power iteration and a final Rayleigh quotient. Row i of ``start`` is
+    operator i's unit start vector; ``matvec`` is as in ``_pgd_batched``."""
+    v = start
     for _ in range(iters):
-        w = np.einsum("...ij,...j->...i", D, v)
-        nrm = np.linalg.norm(w, axis=-1, keepdims=True)
+        w = matvec(v)
+        nrm = np.linalg.norm(w, axis=1, keepdims=True)
         v = w / np.maximum(nrm, 1e-300)
-    lam = np.einsum("...i,...i->...", v, np.einsum("...ij,...j->...i", D, v))
-    lam = np.maximum(lam, 1e-300)
-    return float(lam[0]) if single else lam
+    return np.maximum(np.sum(v * matvec(v), axis=1), 1e-300)
 
 
-def _draw_alpha0(n: int, C: float, seed, size=None) -> np.ndarray:
-    hi = min(C, 1.0)
-    rng = np.random.default_rng(seed)
-    shape = (n,) if size is None else (size, n)
-    return rng.uniform(0.0, hi, size=shape)
+def _dense_matvec(delta: np.ndarray):
+    """``_pgd_batched`` operator of one dense D, for a batch of one."""
+    return lambda alpha, rows=None: (delta @ alpha.T).T
 
 
-def _matvec(deltas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    return (deltas @ alphas[..., None])[..., 0]
+def spectral_norm(delta, iters: int = 50) -> float:
+    """||D||_2 of one (n, n) matrix, estimated by power iteration from the
+    deterministic start 1/sqrt(n)."""
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
+        raise ValueError(f"delta must be square, got shape {delta.shape}")
+    n = delta.shape[0]
+    return float(_power_iteration(_dense_matvec(delta), np.full((1, n), 1.0 / math.sqrt(n)), iters)[0])
 
 
-def _obj_from_q(alphas: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 0.5 * np.sum(alphas * q, axis=-1) - 2.0 * np.sum(alphas, axis=-1)
+def _draw_alpha0(n: int, C: float, seed) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(0.0, min(C, 1.0), size=n)
 
 
-def _pgd_batched(deltas: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarray,
+def _obj_from_q(alphas: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return 0.5 * np.sum(alphas * q, axis=-1) - np.sum(b * alphas, axis=-1)
+
+
+def _pgd_batched(matvec, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarray,
                  max_iters: int, tol: float, nesterov: bool,
                  record: bool = False):
-    """Projected gradient on a stack of instances sharing C.
+    """Projected gradient on a batch of instances g_i(a) = 1/2 a' D_i a - b_i' a
+    over the box [0, C].
 
-    ``deltas`` is (B, n, n), ``alpha0`` is (B, n), ``eta`` is (B,).
-    Convergence is per instance: an instance freezes once its
-    projected-gradient norm is <= tol. Returns (alpha, iterations,
-    converged, traces) with per-instance step counts.
+    ``alpha0`` and the linear terms ``b`` are (B, n) and ``eta`` is (B,).
+    ``matvec(X, rows)`` returns the rows D_i x_i of X's rows, ``rows``
+    naming the instance of each row (None: all B in order). A coordinate
+    that the operator keeps at 0 and whose b and start are 0 stays 0, so
+    instances of fewer than n variables share one layout. Convergence is
+    per instance: an instance freezes once its projected-gradient norm is
+    <= tol. Returns (alpha, iterations, converged, traces) with
+    per-instance step counts.
     """
     B, n = alpha0.shape
     alpha = np.clip(alpha0, 0.0, C)
@@ -209,7 +218,7 @@ def _pgd_batched(deltas: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarr
     eta_col = eta[:, None]
     active = np.ones(B, dtype=bool)
     iterations = np.zeros(B, dtype=np.int64)
-    obj = _obj_from_q(alpha, _matvec(deltas, alpha)) if (nesterov or record) else None
+    obj = _obj_from_q(alpha, matvec(alpha), b) if (nesterov or record) else None
     traces = [[o] for o in obj] if record else None
 
     for k in range(max_iters):
@@ -219,8 +228,8 @@ def _pgd_batched(deltas: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarr
             # one matvec per step: the projected step from alpha doubles as
             # the stationarity measure at alpha, so converged instances
             # freeze before moving
-            q = _matvec(deltas, alpha)
-            cand = np.clip(alpha - eta_col * (q - 2.0), 0.0, C)
+            q = matvec(alpha)
+            cand = np.clip(alpha - eta_col * (q - b), 0.0, C)
             pg_norm = np.linalg.norm((alpha - cand) / eta_col, axis=1)
             stepping = active & (pg_norm > tol)
             active = stepping
@@ -229,25 +238,26 @@ def _pgd_batched(deltas: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarr
             alpha = np.where(stepping[:, None], cand, alpha)
             iterations[stepping] = k + 1
             if record:
-                obj = np.where(stepping, _obj_from_q(alpha, _matvec(deltas, alpha)), obj)
-                for b in np.nonzero(stepping)[0]:
-                    traces[b].append(obj[b])
+                obj = np.where(stepping, _obj_from_q(alpha, matvec(alpha), b), obj)
+                for i in np.nonzero(stepping)[0]:
+                    traces[i].append(obj[i])
             continue
 
         # Nesterov extrapolation with restart on objective increase
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
         momentum = ((t_mom - 1.0) / t_next)[:, None]
         y = alpha + momentum * (alpha - prev)
-        grad_y = _matvec(deltas, y) - 2.0
+        grad_y = matvec(y) - b
         cand = np.clip(y - eta_col * grad_y, 0.0, C)
-        q_cand = _matvec(deltas, cand)
-        cand_obj = _obj_from_q(cand, q_cand)
+        q_cand = matvec(cand)
+        cand_obj = _obj_from_q(cand, q_cand, b)
         worse = active & (cand_obj > obj)
         if worse.any():
-            q_a = _matvec(deltas[worse], alpha[worse])
-            cand[worse] = np.clip(alpha[worse] - eta_col[worse] * (q_a - 2.0), 0.0, C)
-            q_cand[worse] = _matvec(deltas[worse], cand[worse])
-            cand_obj[worse] = _obj_from_q(cand[worse], q_cand[worse])
+            rows = np.nonzero(worse)[0]
+            q_a = matvec(alpha[rows], rows)
+            cand[rows] = np.clip(alpha[rows] - eta_col[rows] * (q_a - b[rows]), 0.0, C)
+            q_cand[rows] = matvec(cand[rows], rows)
+            cand_obj[rows] = _obj_from_q(cand[rows], q_cand[rows], b[rows])
             t_next = np.where(worse, 1.0, t_next)
         t_mom = np.where(active, t_next, t_mom)
         prev = np.where(active[:, None], alpha, prev)
@@ -255,20 +265,23 @@ def _pgd_batched(deltas: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarr
         obj = np.where(active, cand_obj, obj)
         iterations[active] = k + 1
         if record:
-            for b in np.nonzero(active)[0]:
-                traces[b].append(obj[b])
-        # stationarity at the new iterate, reusing q_cand = D @ cand
-        pg = (cand - np.clip(cand - eta_col * (q_cand - 2.0), 0.0, C)) / eta_col
+            for i in np.nonzero(active)[0]:
+                traces[i].append(obj[i])
+        # stationarity at the new iterate, reusing q_cand = D cand
+        pg = (cand - np.clip(cand - eta_col * (q_cand - b), 0.0, C)) / eta_col
         active &= np.linalg.norm(pg, axis=1) > tol
 
     converged = ~active
     return alpha, iterations, converged, traces
 
 
-def resolve_step_sizes(deltas: np.ndarray, step_size) -> np.ndarray:
+def resolve_step_sizes(matvec, b: np.ndarray, step_size) -> np.ndarray:
+    """Each instance's PGD step: ``step_size``, or for "auto" 1 / ||D_i||_2
+    by power iteration from b_i normalized, which is 1/sqrt(n_i) on the
+    instance's own coordinates."""
     if step_size == "auto":
-        return 1.0 / np.atleast_1d(spectral_norm(deltas))
-    return np.full(deltas.shape[0], float(step_size))
+        return 1.0 / _power_iteration(matvec, b / np.linalg.norm(b, axis=1, keepdims=True))
+    return np.full(b.shape[0], float(step_size))
 
 
 def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
@@ -279,13 +292,14 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
     onto the box before the first step. With max_iters = 0 the projected
     initial point is returned unconverged.
     """
-    deltas = inst.delta[None]
+    matvec = _dense_matvec(inst.delta)
+    b = np.full((1, inst.n), 2.0)
     if alpha0 is None:
         alpha0 = _draw_alpha0(inst.n, inst.C, cfg.seed)
     a0 = np.asarray(alpha0, dtype=np.float64)[None]
-    eta = resolve_step_sizes(deltas, cfg.step_size)
+    eta = resolve_step_sizes(matvec, b, cfg.step_size)
     alpha, iters, converged, traces = _pgd_batched(
-        deltas, inst.C, eta, a0, cfg.max_iters, cfg.tol, cfg.nesterov, record=record_trace)
+        matvec, b, inst.C, eta, a0, cfg.max_iters, cfg.tol, cfg.nesterov, record=record_trace)
     return DualSolution(
         alpha=alpha[0],
         objective=dual_objective(inst.delta, alpha[0]),

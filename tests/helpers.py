@@ -3,6 +3,7 @@
 import numpy as np
 
 from mmcl import KernelSpec, build_instance
+from mmcl.loss import negative_indices
 
 
 def rel_err(a, b, floor=1e-12) -> float:
@@ -46,3 +47,14 @@ def rotated_spectrum_delta(rng, eigenvalues) -> np.ndarray:
     n = eigenvalues.size
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (Q * eigenvalues) @ Q.T
+
+
+def anchor_deltas(v1, v2, spec, beta) -> np.ndarray:
+    """(N, 2N-2, 2N-2) stack of every anchor's dual matrix D_k, each rebuilt
+    from its embeddings by ``build_instance``: anchor k's positive is
+    column k of view 1, its negatives the other columns of both views in
+    ``negative_indices`` order. A per-anchor reference for the batched
+    solvers, which never build this stack."""
+    E = np.concatenate([v1, v2], axis=1)
+    return np.stack([build_instance(spec, E[:, k], E[:, cols], 1.0, beta).delta
+                     for k, cols in enumerate(negative_indices(v1.shape[1]))])

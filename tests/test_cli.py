@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from mmcl import Dataset, make_blobs, save_binary, save_csv
+from mmcl import (Dataset, augment_batch, batch_loss, forward, load_binary, load_state,
+                  make_blobs, save_binary, save_csv, stream_rng)
 from mmcl.cli import main
+from mmcl.config import build_train_config, parse_config_file
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +328,31 @@ class TestInspectCommand:
         header, rows = parse_csv_blocks(out)[0]
         assert header == ["anchor_index", "negative_index", "alpha", "is_support", "is_margin_violator"]
         assert len(rows) == 4 * 6  # N anchors x 2(N-1) negatives
+
+    def test_all_anchors_export_solves_two_augmented_views(self, tmp_path, capsys):
+        # the exported alphas are batch_loss on the two views training would
+        # build for the drawn batch, not on one unaugmented view used twice
+        cfg, ckpt, data = self._setup(tmp_path, capsys)
+        N, seed = 4, 5
+        code, out, _ = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),
+                               "--all-anchors", "--batch-size", str(N), "--config", str(cfg),
+                               "--seed", str(seed))
+        assert code == 0
+        _, rows = parse_csv_blocks(out)[0]
+        exported = np.array([float(r[2]) for r in rows]).reshape(N, 2 * N - 2)
+
+        tc = build_train_config(parse_config_file(cfg))
+        params = load_state(ckpt).params
+        dataset = load_binary(data)
+        batch = dataset.samples[stream_rng(seed, "inspect-batch").choice(len(dataset), size=N,
+                                                                          replace=False)]
+        v1, v2 = (forward(params, augment_batch(tc.augmentation, batch,
+                                                stream_rng(seed, "inspect-batch", v)).T)[0]
+                  for v in (0, 1))
+        assert tc.augmentation.noise_sigma > 0 and not np.allclose(v1, v2)
+        _, _, _, alphas = batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver,
+                                     fn_correction=tc.fn_correction, method="inv")
+        assert np.array_equal(exported, alphas)
 
 
 class TestBenchCommand:

@@ -85,7 +85,7 @@ class TestBackward:
         params = tiny_params(2)
         X = np.zeros((3, 2))
         E, tape = forward(params, X)
-        state = init_adam(params)
+        state = init_adam(params, lr=1e-3)
         new_params, _ = adam_step(params, zero_grads(params), state)
         with pytest.raises(StaleTapeError):
             backward(new_params, tape, np.zeros_like(E))
@@ -161,7 +161,7 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = tiny_params(5)
-        state = init_adam(params)
+        state = init_adam(params, lr=1e-3)
         new_params, new_state = adam_step(params, zero_grads(params), state)
         for (W0, b0), (W1, b1) in zip(params.all_layers(), new_params.all_layers()):
             assert np.array_equal(W0, W1)
@@ -184,7 +184,7 @@ class TestAdam:
         rng = np.random.default_rng(6)
         grads = [(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
                  for W, b in params.all_layers()]
-        state = init_adam(params)
+        state = init_adam(params, lr=1e-3)
         a_params, a_state = adam_step(params, grads, state)
         b_params, b_state = adam_step(params, grads, state)
         for (Wa, ba), (Wb, bb) in zip(a_params.all_layers(), b_params.all_layers()):

@@ -101,7 +101,8 @@ class TestLinearProbe:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            linear_probe(np.eye(3), np.zeros(3, dtype=int), np.eye(3), np.zeros(3, dtype=int))
+            linear_probe(np.eye(3), np.zeros(3, dtype=int), np.eye(3), np.zeros(3, dtype=int),
+                         epochs=500, lr=0.1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

@@ -7,10 +7,10 @@ import pytest
 from mmcl import (KernelSpec, LossBatch, SingularInstanceError, SolverConfig, batch_loss,
                   build_instance, decision_function, fn_correct, gram, mmcl_grad, mmcl_loss,
                   nce_batch_loss, nce_grad, nce_loss, solve_inv, solve_oracle, solve_pgd)
-from mmcl.loss import _anchor_deltas, negative_indices
-from mmcl.svm import _draw_alpha0
+from mmcl.loss import _dual_operator, _to_block, negative_indices, resolve_step_sizes
+from mmcl.svm import _draw_alpha0, spectral_norm
 
-from helpers import central_diff, rel_err, unit_columns
+from helpers import anchor_deltas, central_diff, rel_err, unit_columns
 
 ALL_KINDS = ["linear", "rbf", "tanh"]
 
@@ -323,9 +323,7 @@ class TestBatchLoss:
         scale = max(1.0, float(np.max(np.abs(reference))))
         assert float(np.max(np.abs(np.asarray(actual) - reference))) <= rtol * scale
 
-    @pytest.mark.parametrize("method", ["pgd", "inv", "oracle"])
-    @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
-    def test_batched_matches_per_anchor(self, kernel, method):
+    def _check_matches_per_anchor(self, kernel, method, nesterov=True):
         # every anchor rebuilt from its embeddings, solved alone (PGD from
         # the same seeded start) and scored by the mmcl_loss/mmcl_grad oracle
         rng = np.random.default_rng(21)
@@ -333,7 +331,7 @@ class TestBatchLoss:
         v1, v2 = self._views(rng, 5, N)
         spec = EQUIVALENCE_KERNELS[kernel]
         C, beta = 3.0, 2.0
-        solver = SolverConfig(max_iters=2000, tol=1e-13, seed=3)
+        solver = SolverConfig(max_iters=2000, tol=1e-13, seed=3, nesterov=nesterov)
         total, g1, g2, alphas = batch_loss(v1, v2, spec, C, beta, solver, method=method)
         assert alphas.shape == (N, 2 * N - 2)
 
@@ -353,6 +351,16 @@ class TestBatchLoss:
         self._assert_close(total, ref_total, 1e-12)
         self._assert_close(g1, r1, 1e-12)
         self._assert_close(g2, r2, 1e-12)
+
+    @pytest.mark.parametrize("method", ["pgd", "inv", "oracle"])
+    @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
+    def test_batched_matches_per_anchor(self, kernel, method):
+        self._check_matches_per_anchor(kernel, method)
+
+    @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
+    def test_batched_plain_pgd_matches_per_anchor(self, kernel):
+        # PGD without Nesterov takes its own branch of _pgd_batched
+        self._check_matches_per_anchor(kernel, "pgd", nesterov=False)
 
     @pytest.mark.parametrize("tau", [0.5, 1e-3])
     def test_nce_batch_matches_per_anchor(self, tau):
@@ -401,6 +409,50 @@ class TestBatchLoss:
             assert rel_err(grads, fd) <= 1e-6
 
 
+class TestDualOperator:
+    """The N x 2N block operator that batched PGD runs on equals every
+    anchor's assembled D_k."""
+
+    @staticmethod
+    def _batch(kernel, N):
+        rng = np.random.default_rng([N, 5])
+        v1, v2 = unit_columns(rng, 5, N), unit_columns(rng, 5, N)
+        spec, beta = EQUIVALENCE_KERNELS[kernel], 2.0
+        E = np.concatenate([v1, v2], axis=1)
+        return rng, _dual_operator(gram(spec, E, E), beta), anchor_deltas(v1, v2, spec, beta)
+
+    @pytest.mark.parametrize("N", [2, 3, 32])
+    @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
+    def test_matvec_matches_assembled_delta(self, kernel, N):
+        rng, matvec, deltas = self._batch(kernel, N)
+        neg_idx = negative_indices(N)
+        A = _to_block(neg_idx, rng.uniform(-1.0, 1.0, (N, 2 * N - 2)))
+        Q = matvec(A)
+        for k, cols in enumerate(neg_idx):
+            TestBatchLoss._assert_close(Q[k, cols], deltas[k] @ A[k, cols], 1e-14)
+            assert Q[k, k] == 0.0 and Q[k, N + k] == 0.0
+        # a subset of anchors, as PGD's restart passes them
+        rows = np.array([N - 1, 0])
+        TestBatchLoss._assert_close(matvec(A[rows], rows), Q[rows], 1e-14)
+
+    @pytest.mark.parametrize("N", [2, 3, 32])
+    @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
+    def test_step_sizes_match_assembled_delta(self, kernel, N):
+        # the batched power iteration is that of spectral_norm on each D_k;
+        # it reaches lambda_max only when the top eigenvalue is well apart
+        # (tanh's cluster near beta: 0.2 % off at N = 2), so the exact
+        # eigenvalue is checked for linear and rbf
+        _, matvec, deltas = self._batch(kernel, N)
+        b = _to_block(negative_indices(N), 2.0)
+        eta = resolve_step_sizes(matvec, b, "auto")
+        assert eta.shape == (N,)
+        for k, delta in enumerate(deltas):
+            assert eta[k] == pytest.approx(1.0 / spectral_norm(delta), rel=1e-12)
+            if kernel in ("linear", "rbf"):
+                assert eta[k] == pytest.approx(1.0 / np.linalg.eigvalsh(delta).max(), rel=1e-9)
+        assert np.array_equal(resolve_step_sizes(matvec, b, 0.25), np.full(N, 0.25))
+
+
 # every anchor's D is positive definite for these kernels at beta = 0.1 and
 # N <= 128: the default (negative) tanh slope needs gamma below about
 # beta / (2N - 2), since its linear term enters D with a negative sign
@@ -413,11 +465,11 @@ SHARED_INV_KERNELS = {
 
 
 def stacked_inv_alphas(v1, v2, spec, C, beta):
-    """clip(2 D_k^{-1} 1, 0, C) from the assembled (N, 2N-2, 2N-2) stack of
-    every anchor's D, each solved by LU: the reference for the shared
-    factorization. Fails unless every D_k is positive definite."""
-    E = np.concatenate([v1, v2], axis=1)
-    _, _, _, deltas = _anchor_deltas(gram(spec, E, E), negative_indices(v1.shape[1]), beta)
+    """clip(2 D_k^{-1} 1, 0, C) from the (N, 2N-2, 2N-2) stack of every
+    anchor's D, each rebuilt from its embeddings and solved by LU: the
+    reference for the shared factorization. Fails unless every D_k is
+    positive definite."""
+    deltas = anchor_deltas(v1, v2, spec, beta)
     np.linalg.cholesky(deltas)
     return np.clip(2.0 * np.linalg.solve(deltas, np.ones(deltas.shape[1])), 0.0, C)
 
@@ -528,18 +580,20 @@ class TestSharedFactorizationInv:
         total, _, _, alphas = batch_loss(v1, v2, KernelSpec(), 3.0, 0.1, SolverConfig(), method="inv")
         assert np.all(np.isnan(alphas)) and math.isnan(total)
 
-    def test_allocation_stays_quadratic(self):
+    @pytest.mark.parametrize("method", ["inv", "pgd"])
+    def test_allocation_stays_quadratic(self, method):
         # nothing of size O(N^3): the (N, 2N-2, 2N-2) stack of every anchor's D
-        # was 66 MB at N = 128 and grew 8x per doubling of N
-        spec, solver = KernelSpec(kind="rbf"), SolverConfig()
+        # was 66 MB at N = 128 and grew 8x per doubling of N; PGD, which
+        # also iterated over it, peaked at 190 MB
+        spec, solver = KernelSpec(kind="rbf"), SolverConfig(max_iters=5)
         peaks = {}
         for N in (128, 256):
             rng = np.random.default_rng(N)
             v1, v2 = unit_columns(rng, 32, N), unit_columns(rng, 32, N)
-            batch_loss(v1, v2, spec, 100.0, 0.1, solver, method="inv")
+            batch_loss(v1, v2, spec, 100.0, 0.1, solver, method=method)
             tracemalloc.start()
             try:
-                batch_loss(v1, v2, spec, 100.0, 0.1, solver, method="inv")
+                batch_loss(v1, v2, spec, 100.0, 0.1, solver, method=method)
                 peaks[N] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

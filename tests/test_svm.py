@@ -264,12 +264,11 @@ class TestSpectralNorm:
             exact = np.linalg.eigvalsh(inst.delta).max()
             assert spectral_norm(inst.delta) == pytest.approx(exact, rel=1e-6)
 
-    def test_batched(self):
-        rng = np.random.default_rng(0)
+    def test_rejects_stacked_matrices(self):
+        # one matrix only: batched PGD takes its step sizes from an operator
         deltas = np.stack([random_instance(np.random.default_rng(s), n=6).delta for s in range(4)])
-        batched = spectral_norm(deltas)
-        for b in range(4):
-            assert batched[b] == pytest.approx(spectral_norm(deltas[b]), rel=1e-12)
+        with pytest.raises(ValueError, match="square"):
+            spectral_norm(deltas)
 
 
 class TestSolverConfig:
