@@ -134,17 +134,22 @@ def _parse_instance_file(path, C: float, beta: float) -> tuple:
     raise ValueError(f"{path}: need either a K_YY section or a Z_neg section")
 
 
+def _solve_instance(inst: SvmInstance, method: str, solver: SolverConfig):
+    """Solve one dual by ``method`` (inv, oracle or pgd); ``oracle`` runs to
+    ``solver.tol``."""
+    if method == "inv":
+        return solve_inv(inst)
+    if method == "oracle":
+        return solve_oracle(inst, tol=solver.tol)
+    return solve_pgd(inst, solver)
+
+
 def cmd_solve(args) -> int:
     C = float(args.C)
     inst, _ = _parse_instance_file(args.instance, C, args.beta)
-    if args.solver == "inv":
-        sol = solve_inv(inst)
-    elif args.solver == "oracle":
-        sol = solve_oracle(inst, tol=args.tol)
-    else:
-        cfg = SolverConfig(step_size=args.step_size, max_iters=args.max_iters,
-                           tol=args.tol, nesterov=not args.no_nesterov, seed=args.seed)
-        sol = solve_pgd(inst, cfg)
+    solver = SolverConfig(step_size=args.step_size, max_iters=args.max_iters,
+                          tol=args.tol, nesterov=not args.no_nesterov, seed=args.seed)
+    sol = _solve_instance(inst, args.solver, solver)
     cats = classify_support(sol.alpha, inst.C)
     counts = [int(np.sum(cats == c)) for c in (0, 1, 2)]
     print("solver,n,objective,iterations,converged,alpha_x,n_zero,n_support,n_margin_violators")
@@ -195,12 +200,7 @@ def cmd_inspect(args) -> int:
     chosen = rng.choice(others, size=N - 1, replace=False)
     emb = _head_embeddings(params, dataset.samples[np.concatenate([[anchor], chosen])])
     inst = build_instance(tc.kernel, emb[:, 0], emb[:, 1:], tc.C, tc.beta)
-    if args.method == "inv":
-        sol = solve_inv(inst)
-    elif args.method == "oracle":
-        sol = solve_oracle(inst, tol=tc.solver.tol)
-    else:
-        sol = solve_pgd(inst, tc.solver)
+    sol = _solve_instance(inst, args.method, tc.solver)
     cats = classify_support(sol.alpha, inst.C)
     print("anchor_index,anchor_label,n_negatives,C,alpha_x")
     print(f"{anchor},{dataset.labels[anchor]},{inst.n},{tc.C!r},{sol.alpha_x!r}")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", default="8,16,32", help="comma-separated batch sizes")
     p_bench.add_argument("--dim", type=int, default=16)
     p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--max-iters", type=int, default=200)
+    p_bench.add_argument("--max-iters", type=int, default=defaults.solver.max_iters)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -22,12 +22,13 @@ Every anchor's dual matrix D_k is a principal submatrix of the shared
 2N x 2N matrix M = K + beta I plus a rank-2 term, and no batched method
 builds the (N, 2N-2, 2N-2) stack of D_k. ``pgd`` runs on every anchor at
 once through one operator (``_dual_operator``) whose product with the
-N x 2N block of alphas is one GEMM with M. ``inv`` factorizes M once and
-derives each clip(2 D_k^{-1} 1, 0, C) by a two-index downdate and a
-Woodbury update (Hager 1989, "Updating the inverse of a matrix"). Its
-definiteness policy is that of the per-anchor ``svm.solve_inv``: an anchor
-whose D_k is not positive definite raises ``SingularInstanceError``,
-decided from the inertia of M (Haynsworth) rather than by factorizing D_k.
+N x 2N block of alphas is one GEMM with M, and each PGD step makes one
+such product. ``inv`` factorizes M once and derives each
+clip(2 D_k^{-1} 1, 0, C) by a two-index downdate and a Woodbury update
+(Hager 1989, "Updating the inverse of a matrix"). Its definiteness policy
+is that of the per-anchor ``svm.solve_inv``: an anchor whose D_k is not
+positive definite raises ``SingularInstanceError``, decided from the
+inertia of M (Haynsworth) rather than by factorizing D_k.
 Only the slow ``oracle`` reference assembles D_k, one anchor at a time.
 """
 
@@ -208,17 +209,12 @@ def _dual_operator(K_full: np.ndarray, beta: float):
     # in the flattened N x 2N block, Q[k, k] sits at k (2N + 1) and Q[k, N + k] N further
     own_k, own_Nk = slice(0, None, 2 * N + 1), slice(N, None, 2 * N + 1)
 
-    def matvec(A, rows=None):
+    def matvec(A):
         Q = A @ M
         flat = Q.reshape(-1)
-        if rows is None:
-            P_rows, at_k, at_Nk = P, own_k, own_Nk
-        else:
-            at_k = 2 * N * np.arange(rows.shape[0]) + rows
-            P_rows, at_Nk = P[rows], at_k + N
-        Q += np.sum(A, axis=1, keepdims=True) * P_rows - flat[at_k][:, None]
-        flat[at_k] = 0.0
-        flat[at_Nk] = 0.0
+        Q += np.sum(A, axis=1, keepdims=True) * P - flat[own_k][:, None]
+        flat[own_k] = 0.0
+        flat[own_Nk] = 0.0
         return Q
 
     return matvec
@@ -345,7 +341,8 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     takes every anchor's clip(2 D_k^{-1} 1, 0, C) from one factorization of
     the 2N x 2N matrix K + beta I (see ``_inv_batched``). ``pgd`` and
     ``inv`` assemble no D_k: they cost O(N^2) memory, and O(N^3) time per
-    PGD iteration or per ``inv`` call. ``inv`` raises
+    ``inv`` call or per PGD iteration, each of which is one operator
+    product (see ``svm._pgd_batched``). ``inv`` raises
     ``SingularInstanceError`` naming the first anchor whose D_k is not
     positive definite, exactly the anchors ``svm.solve_inv`` rejects
     (possible with the indefinite tanh kernel), and when K + beta I is

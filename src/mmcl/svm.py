@@ -15,11 +15,12 @@ Three solvers are provided:
 * ``solve_oracle`` -- cyclic exact coordinate minimization, run to a
   stationarity tolerance. Slowest, used as the reference optimum.
 * ``solve_pgd``    -- m-step projected gradient, optionally Nesterov
-  accelerated with restart on objective increase. Its core,
-  ``_pgd_batched``, sees D only through a matvec, so the batched ``pgd``
-  of ``loss.batch_loss`` runs every anchor of a batch through one operator
-  on the shared K + beta I (``loss._dual_operator``), and ``solve_pgd``,
-  on one dense D, is its per-anchor reference.
+  accelerated with gradient-based adaptive restart, at one product with
+  D per step. Its core, ``_pgd_batched``, sees D only through a matvec,
+  so the batched ``pgd`` of ``loss.batch_loss`` runs every anchor of a
+  batch through one operator on the shared K + beta I
+  (``loss._dual_operator``), and ``solve_pgd``, on one dense D, is its
+  per-anchor reference.
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
   computed with a Cholesky solve, so D must be positive definite. It is
   the per-anchor reference for the batched ``inv`` of ``loss.batch_loss``,
@@ -162,20 +163,22 @@ def dual_objective(delta, alpha) -> float:
 
 
 def _power_iteration(matvec, start: np.ndarray, iters: int = 50) -> np.ndarray:
-    """lambda_max of each operator of a batch, estimated by ``iters`` steps of
-    power iteration and a final Rayleigh quotient. Row i of ``start`` is
-    operator i's unit start vector; ``matvec`` is as in ``_pgd_batched``."""
+    """||D||_2 of each operator of a batch, estimated as ||D v|| after
+    ``iters`` steps of power iteration. Power iteration converges to an
+    eigenvector of largest magnitude, so this is max |eigenvalue| also
+    when D is indefinite. Row i of ``start`` is operator i's unit start
+    vector; ``matvec`` is as in ``_pgd_batched``."""
     v = start
     for _ in range(iters):
         w = matvec(v)
         nrm = np.linalg.norm(w, axis=1, keepdims=True)
         v = w / np.maximum(nrm, 1e-300)
-    return np.maximum(np.sum(v * matvec(v), axis=1), 1e-300)
+    return np.maximum(np.linalg.norm(matvec(v), axis=1), 1e-300)
 
 
 def _dense_matvec(delta: np.ndarray):
     """``_pgd_batched`` operator of one dense D, for a batch of one."""
-    return lambda alpha, rows=None: (delta @ alpha.T).T
+    return lambda alpha: (delta @ alpha.T).T
 
 
 def spectral_norm(delta, iters: int = 50) -> float:
@@ -200,79 +203,64 @@ def _pgd_batched(matvec, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.nd
                  max_iters: int, tol: float, nesterov: bool,
                  record: bool = False):
     """Projected gradient on a batch of instances g_i(a) = 1/2 a' D_i a - b_i' a
-    over the box [0, C].
+    over the box [0, C], with one operator product per step.
 
     ``alpha0`` and the linear terms ``b`` are (B, n) and ``eta`` is (B,).
-    ``matvec(X, rows)`` returns the rows D_i x_i of X's rows, ``rows``
-    naming the instance of each row (None: all B in order). A coordinate
+    ``matvec(X)`` returns the rows D_i x_i of X's B rows. A coordinate
     that the operator keeps at 0 and whose b and start are 0 stays 0, so
-    instances of fewer than n variables share one layout. Convergence is
-    per instance: an instance freezes once its projected-gradient norm is
-    <= tol. Returns (alpha, iterations, converged, traces) with
-    per-instance step counts.
+    instances of fewer than n variables share one layout.
+
+    The loop carries q = D alpha and q_prev = D prev, so the gradient at
+    the extrapolated point y = alpha + m (alpha - prev) is
+    q + m (q - q_prev) - b by linearity, and the only product of a step
+    is D cand of the new iterate. With ``nesterov`` the momentum m follows
+    FISTA's t sequence and restarts (t = 1) when the step opposes the
+    momentum, (y - cand)'(cand - alpha) > 0 (the gradient scheme of
+    O'Donoghue & Candes 2015, "Adaptive restart for accelerated gradient
+    schemes"); the step is still taken. Without it m = 0 and this is
+    plain projected gradient.
+
+    Convergence is per instance: before each step, and once after the
+    last, an instance whose projected-gradient norm at alpha is <= tol
+    freezes, so ``converged`` describes the returned alpha. Objectives are
+    computed only for ``record``. Returns (alpha, iterations, converged,
+    traces) with per-instance step counts and, for ``record``, each
+    instance's objective before its first step and after every step.
     """
     B, n = alpha0.shape
     alpha = np.clip(alpha0, 0.0, C)
-    prev = alpha.copy()
+    q = matvec(alpha)
+    prev, q_prev = alpha, q
     t_mom = np.ones(B)
     eta_col = eta[:, None]
     active = np.ones(B, dtype=bool)
     iterations = np.zeros(B, dtype=np.int64)
-    obj = _obj_from_q(alpha, matvec(alpha), b) if (nesterov or record) else None
-    traces = [[o] for o in obj] if record else None
+    traces = [[o] for o in _obj_from_q(alpha, q, b)] if record else None
 
-    for k in range(max_iters):
-        if not active.any():
+    for k in range(max_iters + 1):
+        pg = (alpha - np.clip(alpha - eta_col * (q - b), 0.0, C)) / eta_col
+        # a NaN norm (non-finite D or step) never counts as converged
+        active &= ~(np.linalg.norm(pg, axis=1) <= tol)
+        if k == max_iters or not active.any():
             break
-        if not nesterov:
-            # one matvec per step: the projected step from alpha doubles as
-            # the stationarity measure at alpha, so converged instances
-            # freeze before moving
-            q = matvec(alpha)
-            cand = np.clip(alpha - eta_col * (q - b), 0.0, C)
-            pg_norm = np.linalg.norm((alpha - cand) / eta_col, axis=1)
-            stepping = active & (pg_norm > tol)
-            active = stepping
-            if not stepping.any():
-                break
-            alpha = np.where(stepping[:, None], cand, alpha)
-            iterations[stepping] = k + 1
-            if record:
-                obj = np.where(stepping, _obj_from_q(alpha, matvec(alpha), b), obj)
-                for i in np.nonzero(stepping)[0]:
-                    traces[i].append(obj[i])
-            continue
-
-        # Nesterov extrapolation with restart on objective increase
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if nesterov else t_mom
         momentum = ((t_mom - 1.0) / t_next)[:, None]
         y = alpha + momentum * (alpha - prev)
-        grad_y = matvec(y) - b
-        cand = np.clip(y - eta_col * grad_y, 0.0, C)
+        cand = np.clip(y - eta_col * (q + momentum * (q - q_prev) - b), 0.0, C)
         q_cand = matvec(cand)
-        cand_obj = _obj_from_q(cand, q_cand, b)
-        worse = active & (cand_obj > obj)
-        if worse.any():
-            rows = np.nonzero(worse)[0]
-            q_a = matvec(alpha[rows], rows)
-            cand[rows] = np.clip(alpha[rows] - eta_col[rows] * (q_a - b[rows]), 0.0, C)
-            q_cand[rows] = matvec(cand[rows], rows)
-            cand_obj[rows] = _obj_from_q(cand[rows], q_cand[rows], b[rows])
-            t_next = np.where(worse, 1.0, t_next)
-        t_mom = np.where(active, t_next, t_mom)
-        prev = np.where(active[:, None], alpha, prev)
-        alpha = np.where(active[:, None], cand, alpha)
-        obj = np.where(active, cand_obj, obj)
+        restart = np.sum((y - cand) * (cand - alpha), axis=1) > 0.0
+        # a frozen instance never steps again, so only alpha and q need the mask
+        t_mom = np.where(restart, 1.0, t_next)
+        prev, q_prev = alpha, q
+        step = active[:, None]
+        alpha, q = np.where(step, cand, alpha), np.where(step, q_cand, q)
         iterations[active] = k + 1
         if record:
+            obj = _obj_from_q(alpha, q, b)
             for i in np.nonzero(active)[0]:
                 traces[i].append(obj[i])
-        # stationarity at the new iterate, reusing q_cand = D cand
-        pg = (cand - np.clip(cand - eta_col * (q_cand - b), 0.0, C)) / eta_col
-        active &= np.linalg.norm(pg, axis=1) > tol
 
-    converged = ~active
-    return alpha, iterations, converged, traces
+    return alpha, iterations, ~active, traces
 
 
 def resolve_step_sizes(matvec, b: np.ndarray, step_size) -> np.ndarray:
@@ -290,7 +278,7 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
 
     ``alpha0`` overrides the seeded random initial point; it is projected
     onto the box before the first step. With max_iters = 0 the projected
-    initial point is returned unconverged.
+    initial point is returned, converged only if it is already stationary.
     """
     matvec = _dense_matvec(inst.delta)
     b = np.full((1, inst.n), 2.0)

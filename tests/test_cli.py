@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from mmcl import (Dataset, augment_batch, batch_loss, forward, load_binary, load_state,
-                  make_blobs, save_binary, save_csv, stream_rng)
-from mmcl.cli import main
+from mmcl import (Dataset, TrainConfig, augment_batch, batch_loss, forward, load_binary,
+                  load_state, make_blobs, save_binary, save_csv, stream_rng)
+from mmcl.cli import build_parser, main
 from mmcl.config import build_train_config, parse_config_file
 
 
@@ -365,6 +365,10 @@ class TestBenchCommand:
         assert len(rows) == 2 * 3
         variants = {(r[0], r[1]) for r in rows}
         assert len(variants) == 6
+
+    def test_max_iters_defaults_to_training_budget(self):
+        args = build_parser().parse_args(["bench"])
+        assert args.max_iters == TrainConfig().solver.max_iters == 1000
 
     def test_bad_sizes_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--sizes", "1,4")

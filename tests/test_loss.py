@@ -7,7 +7,10 @@ import pytest
 from mmcl import (KernelSpec, LossBatch, SingularInstanceError, SolverConfig, batch_loss,
                   build_instance, decision_function, fn_correct, gram, mmcl_grad, mmcl_loss,
                   nce_batch_loss, nce_grad, nce_loss, solve_inv, solve_oracle, solve_pgd)
-from mmcl.loss import _dual_operator, _to_block, negative_indices, resolve_step_sizes
+from mmcl import config as cfgmod
+from mmcl import loss as loss_module
+from mmcl.data import stream_rng
+from mmcl.loss import _dual_operator, _pgd_batched, _to_block, negative_indices, resolve_step_sizes
 from mmcl.svm import _draw_alpha0, spectral_norm
 
 from helpers import anchor_deltas, central_diff, rel_err, unit_columns
@@ -359,7 +362,7 @@ class TestBatchLoss:
 
     @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
     def test_batched_plain_pgd_matches_per_anchor(self, kernel):
-        # PGD without Nesterov takes its own branch of _pgd_batched
+        # PGD without Nesterov is the same loop with zero momentum
         self._check_matches_per_anchor(kernel, "pgd", nesterov=False)
 
     @pytest.mark.parametrize("tau", [0.5, 1e-3])
@@ -431,9 +434,6 @@ class TestDualOperator:
         for k, cols in enumerate(neg_idx):
             TestBatchLoss._assert_close(Q[k, cols], deltas[k] @ A[k, cols], 1e-14)
             assert Q[k, k] == 0.0 and Q[k, N + k] == 0.0
-        # a subset of anchors, as PGD's restart passes them
-        rows = np.array([N - 1, 0])
-        TestBatchLoss._assert_close(matvec(A[rows], rows), Q[rows], 1e-14)
 
     @pytest.mark.parametrize("N", [2, 3, 32])
     @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
@@ -451,6 +451,54 @@ class TestDualOperator:
             if kernel in ("linear", "rbf"):
                 assert eta[k] == pytest.approx(1.0 / np.linalg.eigvalsh(delta).max(), rel=1e-9)
         assert np.array_equal(resolve_step_sizes(matvec, b, 0.25), np.full(N, 0.25))
+
+    def test_spectral_norm_of_indefinite_duals(self):
+        # every tanh D_k of this batch is indefinite (D_0 spans -4.5 to 2.0),
+        # and power iteration finds the eigenvalue of largest magnitude
+        _, _, deltas = self._batch("tanh", 32)
+        for delta in deltas:
+            exact = np.abs(np.linalg.eigvalsh(delta)).max()
+            assert spectral_norm(delta) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("max_iters", [1000, 20])
+    @pytest.mark.parametrize("nesterov", [True, False])
+    def test_pgd_makes_one_operator_product_per_step(self, nesterov, max_iters):
+        N = 32
+        rng, matvec, _ = self._batch("rbf", N)
+        neg_idx = negative_indices(N)
+        b = _to_block(neg_idx, 2.0)
+        alpha0 = _to_block(neg_idx, rng.uniform(0.0, 1.0, (N, 2 * N - 2)))
+        eta = resolve_step_sizes(matvec, b, "auto")
+        shapes = []
+
+        def counted(A):
+            shapes.append(A.shape)
+            return matvec(A)
+
+        _, iterations, _, _ = _pgd_batched(counted, b, 100.0, eta, alpha0, max_iters, 1e-8, nesterov)
+        assert len(shapes) == iterations.max() + 1
+        assert set(shapes) == {(N, 2 * N)}
+
+
+class TestPgdConvergence:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_anchor_converges_on_bench_inputs(self, monkeypatch, seed):
+        # the batch that `mmcl bench` times at N = 64, under the default config
+        tc = cfgmod.build_train_config(cfgmod.default_config())
+        assert tc.solver.max_iters == 1000
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(_pgd_batched(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(loss_module, "_pgd_batched", recording)
+        rng = stream_rng(seed, "bench", 64)
+        v1, v2 = (X / np.linalg.norm(X, axis=0) for X in
+                  (rng.standard_normal((16, 64)), rng.standard_normal((16, 64))))
+        batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
+        _, _, converged, _ = results[0]
+        assert converged.all()
 
 
 # every anchor's D is positive definite for these kernels at beta = 0.1 and

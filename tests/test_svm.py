@@ -168,6 +168,14 @@ class TestSolvePgd:
         assert not sol.converged
         assert sol.iterations == 0
 
+    def test_nonfinite_delta_is_never_converged(self):
+        inst = random_instance(np.random.default_rng(0), n=5)
+        inst.delta[0, 0] = np.nan
+        for nesterov in (False, True):
+            sol = solve_pgd(inst, SolverConfig(max_iters=50, nesterov=nesterov))
+            assert np.all(np.isnan(sol.alpha))
+            assert not sol.converged and sol.iterations == 50
+
     def test_matches_oracle_on_moderate_conditioning(self):
         count = 0
         for seed in range(30):
