@@ -221,6 +221,12 @@ def cmd_bench(args) -> int:
     if any(s < 2 for s in sizes):
         print("bench sizes must be >= 2", file=sys.stderr)
         return 2
+    if args.dim < 1:
+        print("bench --dim must be >= 1", file=sys.stderr)
+        return 2
+    if args.reps < 1:
+        print("bench --reps must be >= 1", file=sys.stderr)
+        return 2
     tc = cfgmod.build_train_config(cfgmod.default_config())
     solver = replace(tc.solver, max_iters=args.max_iters)
     print("batch_size,loss_variant,ms_per_iter")

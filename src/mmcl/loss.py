@@ -23,9 +23,11 @@ Every anchor's dual matrix D_k is a principal submatrix of the shared
 builds the (N, 2N-2, 2N-2) stack of D_k. ``pgd`` runs on every anchor at
 once through one operator (``_dual_operator``) whose product with the
 N x 2N block of alphas is one GEMM with M, and each PGD step makes one
-such product. ``inv`` factorizes M once and derives each
-clip(2 D_k^{-1} 1, 0, C) by a two-index downdate and a Woodbury update
-(Hager 1989, "Updating the inverse of a matrix"). Its definiteness policy
+such product. Its exact face steps read the blocks D_k[F,F] of the free
+coordinates F from M and the rank-2 term, a few anchors at a time.
+``inv`` factorizes M once and derives each clip(2 D_k^{-1} 1, 0, C) by a
+two-index downdate and a Woodbury update (Hager 1989, "Updating the
+inverse of a matrix"). Its definiteness policy
 is that of the per-anchor ``svm.solve_inv``: an anchor whose D_k is not
 positive definite raises ``SingularInstanceError``, decided from the
 inertia of M (Haynsworth) rather than by factorizing D_k.
@@ -201,7 +203,9 @@ def _dual_operator(K_full: np.ndarray, beta: float):
     With M = K_full + beta I and R anchor k's negatives,
     D_k a = M[R,R] a + (1'a)(k_xx - K[k,R]) - (K[k,R]'a) 1, and one GEMM
     Q = A M holds M[R,R] a at row k's columns R and K[k,R]'a at Q[k,k],
-    in O(N^3) time and O(N^2) memory.
+    in O(N^3) time and O(N^2) memory. Returns ``(matvec, gather)``; the
+    face-block gather takes D_k[i,j] = M[i,j] + P[k,i] + P[k,j] - k_xx with
+    P[k,i] = k_xx - K[k,i], for block columns i, j in R.
     """
     N = K_full.shape[0] // 2
     M = K_full + beta * np.eye(2 * N)
@@ -217,7 +221,15 @@ def _dual_operator(K_full: np.ndarray, beta: float):
         flat[own_Nk] = 0.0
         return Q
 
-    return matvec
+    def gather(rows, cols):
+        # D_k[i, j] = M[i, j] + (P[k, i] - k_xx / 2) + (P[k, j] - k_xx / 2)
+        blocks = M.take(cols[:, :, None] * (2 * N) + cols[:, None, :])
+        half = P.take(rows[:, None] * (2 * N) + cols) - 0.5 * K_full.take(rows * (2 * N + 1))[:, None]
+        blocks += half[:, :, None]
+        blocks += half[:, None, :]
+        return blocks
+
+    return matvec, gather
 
 
 def _anchor_instance(K_full: np.ndarray, neg_idx: np.ndarray, k: int, C: float,
@@ -342,7 +354,10 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     the 2N x 2N matrix K + beta I (see ``_inv_batched``). ``pgd`` and
     ``inv`` assemble no D_k: they cost O(N^2) memory, and O(N^3) time per
     ``inv`` call or per PGD iteration, each of which is one operator
-    product (see ``svm._pgd_batched``). ``inv`` raises
+    product (see ``svm._pgd_batched``). Every few iterations PGD also
+    solves, for each anchor whose free set has settled, one system in the
+    free coordinates, and steps to the face minimizer when it lies in the
+    box; ``solver.max_iters`` counts these steps too. ``inv`` raises
     ``SingularInstanceError`` naming the first anchor whose D_k is not
     positive definite, exactly the anchors ``svm.solve_inv`` rejects
     (possible with the indefinite tanh kernel), and when K + beta I is
@@ -364,13 +379,13 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     if method == "inv":
         alphas = _inv_batched(K_full, neg_idx, beta, C)
     elif method == "pgd":
-        matvec = _dual_operator(K_full, beta)
+        matvec, gather = _dual_operator(K_full, beta)
         b = _to_block(neg_idx, 2.0)
         alpha0 = _to_block(neg_idx, np.stack([_draw_alpha0(2 * N - 2, C, [solver.seed, k])
                                               for k in range(N)]))
         eta = resolve_step_sizes(matvec, b, solver.step_size)
         alpha_block, _, _, _ = _pgd_batched(
-            matvec, b, C, eta, alpha0, solver.max_iters, solver.tol, solver.nesterov)
+            matvec, gather, b, C, eta, alpha0, solver.max_iters, solver.tol, solver.nesterov)
         alphas = np.take_along_axis(alpha_block, neg_idx, axis=1)
     else:
         alphas = np.stack([solve_oracle(_anchor_instance(K_full, neg_idx, k, C, beta),

@@ -16,9 +16,12 @@ Three solvers are provided:
   stationarity tolerance. Slowest, used as the reference optimum.
 * ``solve_pgd``    -- m-step projected gradient, optionally Nesterov
   accelerated with gradient-based adaptive restart, at one product with
-  D per step. Its core, ``_pgd_batched``, sees D only through a matvec,
-  so the batched ``pgd`` of ``loss.batch_loss`` runs every anchor of a
-  batch through one operator on the shared K + beta I
+  D per step. Every few steps an instance whose free set has settled
+  steps exactly to the minimizer on that face when it lies in the box
+  (a Newton solve on the free coordinates). Its core, ``_pgd_batched``,
+  sees D only through a matvec and a gather of principal blocks, so the
+  batched ``pgd`` of ``loss.batch_loss`` runs every anchor of a batch
+  through one operator on the shared K + beta I
   (``loss._dual_operator``), and ``solve_pgd``, on one dense D, is its
   per-anchor reference.
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
@@ -102,6 +105,8 @@ class SolverConfig:
 
     ``step_size`` is a positive float or the string ``"auto"``, meaning
     1 / ||D||_2 with the spectral norm estimated by power iteration.
+    ``max_iters`` caps the steps, exact face steps included, and ``tol``
+    the projected-gradient norm at which an instance counts as converged.
     ``seed`` drives the random initial point alpha_0 ~ U[0, min(C, 1)]^n.
     """
 
@@ -176,9 +181,11 @@ def _power_iteration(matvec, start: np.ndarray, iters: int = 50) -> np.ndarray:
     return np.maximum(np.linalg.norm(matvec(v), axis=1), 1e-300)
 
 
-def _dense_matvec(delta: np.ndarray):
-    """``_pgd_batched`` operator of one dense D, for a batch of one."""
-    return lambda alpha: (delta @ alpha.T).T
+def _dense_operator(delta: np.ndarray):
+    """``_pgd_batched`` operator and face gather of one dense D, for a
+    batch of one."""
+    return (lambda alpha: (delta @ alpha.T).T,
+            lambda rows, cols: delta[cols[:, :, None], cols[:, None, :]])
 
 
 def spectral_norm(delta, iters: int = 50) -> float:
@@ -188,7 +195,8 @@ def spectral_norm(delta, iters: int = 50) -> float:
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise ValueError(f"delta must be square, got shape {delta.shape}")
     n = delta.shape[0]
-    return float(_power_iteration(_dense_matvec(delta), np.full((1, n), 1.0 / math.sqrt(n)), iters)[0])
+    matvec, _ = _dense_operator(delta)
+    return float(_power_iteration(matvec, np.full((1, n), 1.0 / math.sqrt(n)), iters)[0])
 
 
 def _draw_alpha0(n: int, C: float, seed) -> np.ndarray:
@@ -199,16 +207,76 @@ def _obj_from_q(alphas: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(alphas * q, axis=-1) - np.sum(b * alphas, axis=-1)
 
 
-def _pgd_batched(matvec, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarray,
+# Steps between exact face steps of ``_pgd_batched``, chosen by measurement
+# on recorded training batches (see CHANGES.md)
+_FACE_EVERY = 16
+
+
+def _face_of(alpha: np.ndarray, C: float) -> np.ndarray:
+    """Each coordinate's face: 0 at the lower bound, 1 free, 2 at C."""
+    return (alpha > 0.0).astype(np.int8) + (alpha >= C)
+
+
+def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, C: float):
+    """Exact minimizers of the instances ``rows`` on their free faces.
+
+    For instance i of ``rows``, with free set F = {0 < alpha_i < C} (not
+    empty) and gradient g_i at alpha_i, d_F solves D_FF d_F = -g_F and d is
+    0 off F. Faces are padded to a common size with identity blocks and zero
+    right-hand sides and solved in chunks of similar size whose
+    (rows, f, f) blocks hold at most n^2 doubles, one dense D. Since
+    D_FF d_F = -g_F, g(alpha + d) - g(alpha) = 1/2 g'd exactly, so a row
+    accepts when alpha + d lies in the box and g'd < 0: a strict descent
+    also for indefinite D. A row whose block is singular does not accept.
+    Returns the accepting rows and their new points.
+    """
+    n = alpha.shape[1]
+    new, gd = alpha[rows], np.zeros(rows.size)
+    free = (new > 0.0) & (new < C)
+    sizes = np.sum(free, axis=1)
+    order = np.argsort(~free, axis=1, kind="stable")  # each row's free coordinates first
+    by_size = np.argsort(-sizes, kind="stable")
+    start = 0
+    while start < rows.size:
+        f = int(sizes[by_size[start]])
+        chunk = by_size[start:start + max(1, n * n // (f * f))]
+        start += chunk.size
+        cols = order[chunk, :f]
+        pad = np.arange(f) >= sizes[chunk][:, None]
+        blocks = gather(rows[chunk], cols)
+        blocks[pad] = 0.0
+        blocks.transpose(0, 2, 1)[pad] = 0.0
+        i, j = np.nonzero(pad)
+        blocks[i, j, j] = 1.0
+        g_F = np.where(pad, 0.0, g[rows[chunk, None], cols])
+        try:
+            d_F = np.linalg.solve(blocks, -g_F[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            d_F = np.full(g_F.shape, np.nan)
+            for r in range(chunk.size):
+                try:
+                    d_F[r] = np.linalg.solve(blocks[r], -g_F[r])
+                except np.linalg.LinAlgError:
+                    pass
+        new[chunk[:, None], cols] += d_F
+        gd[chunk] = np.sum(g_F * d_F, axis=1)
+    accept = np.all((new >= 0.0) & (new <= C), axis=1) & (gd < 0.0)
+    return rows[accept], new[accept]
+
+
+def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarray,
                  max_iters: int, tol: float, nesterov: bool,
                  record: bool = False):
     """Projected gradient on a batch of instances g_i(a) = 1/2 a' D_i a - b_i' a
-    over the box [0, C], with one operator product per step.
+    over the box [0, C], with exact face steps and one operator product
+    per step.
 
     ``alpha0`` and the linear terms ``b`` are (B, n) and ``eta`` is (B,).
-    ``matvec(X)`` returns the rows D_i x_i of X's B rows. A coordinate
-    that the operator keeps at 0 and whose b and start are 0 stays 0, so
-    instances of fewer than n variables share one layout.
+    ``matvec(X)`` returns the rows D_i x_i of X's B rows, and
+    ``gather(rows, cols)`` the (r, f, f) blocks D_i[c, c] of the instances
+    i = rows[j] at the coordinates c = cols[j]. A coordinate that the
+    operator keeps at 0 and whose b and start are 0 stays 0, so instances
+    of fewer than n variables share one layout.
 
     The loop carries q = D alpha and q_prev = D prev, so the gradient at
     the extrapolated point y = alpha + m (alpha - prev) is
@@ -219,6 +287,16 @@ def _pgd_batched(matvec, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.nd
     O'Donoghue & Candes 2015, "Adaptive restart for accelerated gradient
     schemes"); the step is still taken. Without it m = 0 and this is
     plain projected gradient.
+
+    Every ``_FACE_EVERY``-th step, an instance whose face (the coordinates
+    at 0, the free set F = {0 < alpha < C}, those at C) is that of the
+    previous iterate takes, in place of the projected-gradient candidate,
+    the minimizer of g_i on that face when it lies in the box and descends
+    (``_face_steps``; the face minimization of Bertsekas 1982 and of More
+    & Toraldo 1991's GPCG), and restarts its momentum. That minimizer
+    depends on the face only, so an instance does not try the same face
+    twice in a row. The candidate still goes through the step's one
+    product, so a face step is a step.
 
     Convergence is per instance: before each step, and once after the
     last, an instance whose projected-gradient norm at alpha is <= tol
@@ -235,6 +313,7 @@ def _pgd_batched(matvec, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.nd
     eta_col = eta[:, None]
     active = np.ones(B, dtype=bool)
     iterations = np.zeros(B, dtype=np.int64)
+    tried = np.full((B, n), -1, dtype=np.int8)
     traces = [[o] for o in _obj_from_q(alpha, q, b)] if record else None
 
     for k in range(max_iters + 1):
@@ -247,8 +326,17 @@ def _pgd_batched(matvec, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.nd
         momentum = ((t_mom - 1.0) / t_next)[:, None]
         y = alpha + momentum * (alpha - prev)
         cand = np.clip(y - eta_col * (q + momentum * (q - q_prev) - b), 0.0, C)
-        q_cand = matvec(cand)
         restart = np.sum((y - cand) * (cand - alpha), axis=1) > 0.0
+        if (k + 1) % _FACE_EVERY == 0:
+            face = _face_of(alpha, C)
+            settled = (active & np.any(face == 1, axis=1) & np.all(face == _face_of(prev, C), axis=1)
+                       & np.any(face != tried, axis=1))
+            rows = np.nonzero(settled)[0]
+            tried[rows] = face[rows]
+            rows, points = _face_steps(gather, alpha, q - b, rows, C)
+            cand[rows] = points
+            restart[rows] = True
+        q_cand = matvec(cand)
         # a frozen instance never steps again, so only alpha and q need the mask
         t_mom = np.where(restart, 1.0, t_next)
         prev, q_prev = alpha, q
@@ -274,20 +362,21 @@ def resolve_step_sizes(matvec, b: np.ndarray, step_size) -> np.ndarray:
 
 def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
               record_trace: bool = False) -> DualSolution:
-    """Run (optionally Nesterov-accelerated) projected gradient on one instance.
+    """Run (optionally Nesterov-accelerated) projected gradient, with exact
+    face steps, on one instance: ``_pgd_batched`` on a batch of one dense D.
 
     ``alpha0`` overrides the seeded random initial point; it is projected
     onto the box before the first step. With max_iters = 0 the projected
     initial point is returned, converged only if it is already stationary.
     """
-    matvec = _dense_matvec(inst.delta)
+    matvec, gather = _dense_operator(inst.delta)
     b = np.full((1, inst.n), 2.0)
     if alpha0 is None:
         alpha0 = _draw_alpha0(inst.n, inst.C, cfg.seed)
     a0 = np.asarray(alpha0, dtype=np.float64)[None]
     eta = resolve_step_sizes(matvec, b, cfg.step_size)
     alpha, iters, converged, traces = _pgd_batched(
-        matvec, b, inst.C, eta, a0, cfg.max_iters, cfg.tol, cfg.nesterov, record=record_trace)
+        matvec, gather, b, inst.C, eta, a0, cfg.max_iters, cfg.tol, cfg.nesterov, record=record_trace)
     return DualSolution(
         alpha=alpha[0],
         objective=dual_objective(inst.delta, alpha[0]),

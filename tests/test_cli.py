@@ -373,3 +373,11 @@ class TestBenchCommand:
     def test_bad_sizes_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--sizes", "1,4")
         assert code == 2
+
+    @pytest.mark.parametrize("flag,message", [("--reps", "--reps must be >= 1"),
+                                              ("--dim", "--dim must be >= 1")])
+    def test_zero_reps_or_dim_exit_2(self, capsys, flag, message):
+        # --reps 0 had no time to take a median of; --dim 0 timed NaN embeddings
+        code, out, err = run_cli(capsys, "bench", "--sizes", "2", "--max-iters", "5", flag, "0")
+        assert code == 2
+        assert out == "" and message in err

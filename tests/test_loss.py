@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from mmcl import (KernelSpec, LossBatch, SingularInstanceError, SolverConfig, batch_loss,
-                  build_instance, decision_function, fn_correct, gram, mmcl_grad, mmcl_loss,
-                  nce_batch_loss, nce_grad, nce_loss, solve_inv, solve_oracle, solve_pgd)
+                  build_instance, decision_function, dual_objective, fn_correct, gram, mmcl_grad,
+                  mmcl_loss, nce_batch_loss, nce_grad, nce_loss, solve_inv, solve_oracle, solve_pgd)
 from mmcl import config as cfgmod
 from mmcl import loss as loss_module
+from mmcl import svm as svm_module
 from mmcl.data import stream_rng
 from mmcl.loss import _dual_operator, _pgd_batched, _to_block, negative_indices, resolve_step_sizes
 from mmcl.svm import _draw_alpha0, spectral_norm
@@ -17,8 +18,6 @@ from helpers import anchor_deltas, central_diff, rel_err, unit_columns
 
 ALL_KINDS = ["linear", "rbf", "tanh"]
 
-# beta = 2 keeps every anchor's D positive definite for both tanh slopes,
-# so solve_inv (Cholesky) and solve_oracle accept the rebuilt instances
 EQUIVALENCE_KERNELS = {
     "linear": KernelSpec(kind="linear"),
     "rbf": KernelSpec(kind="rbf", sigma_sq=0.8),
@@ -334,6 +333,9 @@ class TestBatchLoss:
         v1, v2 = self._views(rng, 5, N)
         spec = EQUIVALENCE_KERNELS[kernel]
         C, beta = 3.0, 2.0
+        # at N = 6, beta = 2 keeps every anchor's D positive definite for both
+        # tanh slopes, so solve_inv (Cholesky) and solve_oracle accept them
+        assert min(np.linalg.eigvalsh(delta).min() for delta in anchor_deltas(v1, v2, spec, beta)) > 0
         solver = SolverConfig(max_iters=2000, tol=1e-13, seed=3, nesterov=nesterov)
         total, g1, g2, alphas = batch_loss(v1, v2, spec, C, beta, solver, method=method)
         assert alphas.shape == (N, 2 * N - 2)
@@ -413,8 +415,9 @@ class TestBatchLoss:
 
 
 class TestDualOperator:
-    """The N x 2N block operator that batched PGD runs on equals every
-    anchor's assembled D_k."""
+    """The N x 2N block operator that batched PGD runs on, and its face-block
+    gather, equal every anchor's assembled D_k. The tanh D_k of these
+    batches are indefinite at N = 32."""
 
     @staticmethod
     def _batch(kernel, N):
@@ -422,12 +425,12 @@ class TestDualOperator:
         v1, v2 = unit_columns(rng, 5, N), unit_columns(rng, 5, N)
         spec, beta = EQUIVALENCE_KERNELS[kernel], 2.0
         E = np.concatenate([v1, v2], axis=1)
-        return rng, _dual_operator(gram(spec, E, E), beta), anchor_deltas(v1, v2, spec, beta)
+        return rng, *_dual_operator(gram(spec, E, E), beta), anchor_deltas(v1, v2, spec, beta)
 
     @pytest.mark.parametrize("N", [2, 3, 32])
     @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
     def test_matvec_matches_assembled_delta(self, kernel, N):
-        rng, matvec, deltas = self._batch(kernel, N)
+        rng, matvec, _, deltas = self._batch(kernel, N)
         neg_idx = negative_indices(N)
         A = _to_block(neg_idx, rng.uniform(-1.0, 1.0, (N, 2 * N - 2)))
         Q = matvec(A)
@@ -437,12 +440,27 @@ class TestDualOperator:
 
     @pytest.mark.parametrize("N", [2, 3, 32])
     @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
+    def test_face_gather_matches_assembled_delta(self, kernel, N):
+        # one face size per call, from a single coordinate to every negative,
+        # each row with its own coordinates in a random order
+        rng, _, gather, deltas = self._batch(kernel, N)
+        neg_idx = negative_indices(N)
+        for f in sorted({1, N - 1, 2 * N - 2}):
+            rows = rng.permutation(N)[:max(1, N // 2)]
+            pos = np.stack([rng.permutation(2 * N - 2)[:f] for _ in rows])
+            blocks = gather(rows, np.take_along_axis(neg_idx[rows], pos, axis=1))
+            assert blocks.shape == (rows.size, f, f)
+            for block, k, p in zip(blocks, rows, pos):
+                TestBatchLoss._assert_close(block, deltas[k][np.ix_(p, p)], 1e-14)
+
+    @pytest.mark.parametrize("N", [2, 3, 32])
+    @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
     def test_step_sizes_match_assembled_delta(self, kernel, N):
         # the batched power iteration is that of spectral_norm on each D_k;
         # it reaches lambda_max only when the top eigenvalue is well apart
         # (tanh's cluster near beta: 0.2 % off at N = 2), so the exact
         # eigenvalue is checked for linear and rbf
-        _, matvec, deltas = self._batch(kernel, N)
+        _, matvec, _, deltas = self._batch(kernel, N)
         b = _to_block(negative_indices(N), 2.0)
         eta = resolve_step_sizes(matvec, b, "auto")
         assert eta.shape == (N,)
@@ -455,35 +473,122 @@ class TestDualOperator:
     def test_spectral_norm_of_indefinite_duals(self):
         # every tanh D_k of this batch is indefinite (D_0 spans -4.5 to 2.0),
         # and power iteration finds the eigenvalue of largest magnitude
-        _, _, deltas = self._batch("tanh", 32)
+        _, _, _, deltas = self._batch("tanh", 32)
         for delta in deltas:
             exact = np.abs(np.linalg.eigvalsh(delta)).max()
             assert spectral_norm(delta) == pytest.approx(exact, rel=1e-9)
 
-    @pytest.mark.parametrize("max_iters", [1000, 20])
-    @pytest.mark.parametrize("nesterov", [True, False])
-    def test_pgd_makes_one_operator_product_per_step(self, nesterov, max_iters):
-        N = 32
-        rng, matvec, _ = self._batch("rbf", N)
+    @staticmethod
+    def _count_face_steps(monkeypatch):
+        """Rows that accept a face step, one entry per ``svm._face_steps`` call."""
+        accepted = []
+        face_steps = svm_module._face_steps
+
+        def recording(*args):
+            out = face_steps(*args)
+            accepted.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(svm_module, "_face_steps", recording)
+        return accepted
+
+    @staticmethod
+    def _pgd_inputs(rng, matvec, N):
         neg_idx = negative_indices(N)
         b = _to_block(neg_idx, 2.0)
         alpha0 = _to_block(neg_idx, rng.uniform(0.0, 1.0, (N, 2 * N - 2)))
-        eta = resolve_step_sizes(matvec, b, "auto")
+        return b, alpha0, resolve_step_sizes(matvec, b, "auto")
+
+    @pytest.mark.parametrize("max_iters", [1000, 20])
+    @pytest.mark.parametrize("nesterov", [True, False])
+    def test_pgd_makes_one_operator_product_per_step(self, monkeypatch, nesterov, max_iters):
+        # face steps included: their points go through the step's one product
+        N = 32
+        rng, matvec, gather, _ = self._batch("rbf", N)
+        b, alpha0, eta = self._pgd_inputs(rng, matvec, N)
+        accepted = self._count_face_steps(monkeypatch)
         shapes = []
 
         def counted(A):
             shapes.append(A.shape)
             return matvec(A)
 
-        _, iterations, _, _ = _pgd_batched(counted, b, 100.0, eta, alpha0, max_iters, 1e-8, nesterov)
+        _, iterations, _, _ = _pgd_batched(counted, gather, b, 100.0, eta, alpha0, max_iters, 1e-8, nesterov)
         assert len(shapes) == iterations.max() + 1
         assert set(shapes) == {(N, 2 * N)}
+        if max_iters == 1000:  # run to convergence, the batch takes face steps
+            assert sum(accepted) > 0
+
+    def test_plain_pgd_descends_on_indefinite_duals(self, monkeypatch):
+        # every tanh D_k is indefinite here: a projected-gradient step of
+        # 1 / ||D||_2 descends, and a face step descends by exactly -1/2 g'd
+        N = 32
+        rng, matvec, gather, deltas = self._batch("tanh", N)
+        assert all(np.linalg.eigvalsh(delta)[0] < 0 for delta in deltas)
+        b, alpha0, eta = self._pgd_inputs(rng, matvec, N)
+        accepted = self._count_face_steps(monkeypatch)
+        _, _, converged, traces = _pgd_batched(matvec, gather, b, 3.0, eta, alpha0, 1000, 1e-8,
+                                               nesterov=False, record=True)
+        assert converged.all() and sum(accepted) > 0
+        for trace in traces:
+            assert np.all(np.diff(trace) <= 1e-12)
+
+    def test_face_blocks_stay_within_the_size_of_M(self):
+        # faces are solved a few anchors at a time: no gathered stack of
+        # blocks holds more doubles than the 2N x 2N matrix K + beta I
+        N = 32
+        rng, matvec, gather, _ = self._batch("rbf", N)
+        b, alpha0, eta = self._pgd_inputs(rng, matvec, N)
+        shapes = []
+
+        def recording(rows, cols):
+            blocks = gather(rows, cols)
+            shapes.append(blocks.shape)
+            return blocks
+
+        _pgd_batched(matvec, recording, b, 100.0, eta, alpha0, 1000, 1e-8, True)
+        assert max(r * f * f for r, f, _ in shapes) <= (2 * N) ** 2
+        assert max(r for r, _, _ in shapes) > 1
+
+    def test_singular_face_block_skips_only_its_row(self, monkeypatch):
+        # anchor 0's face blocks are all singular: it steps without face
+        # steps, and every other anchor takes exactly the steps it takes
+        # with the true gather, also when it shares a batched solve with 0
+        N = 32
+        rng, matvec, gather, _ = self._batch("rbf", N)
+        b, alpha0, eta = self._pgd_inputs(rng, matvec, N)
+        reference = _pgd_batched(matvec, gather, b, 100.0, eta, alpha0, 1000, 1e-8, True)
+        shared = []
+
+        def singular_for_0(rows, cols):
+            blocks = gather(rows, cols)
+            blocks[rows == 0] = 0.0
+            shared.append(0 in rows and rows.size > 1)
+            return blocks
+
+        accepted = self._count_face_steps(monkeypatch)
+        alpha, iterations, converged, _ = _pgd_batched(
+            matvec, singular_for_0, b, 100.0, eta, alpha0, 1000, 1e-8, True)
+        assert any(shared) and sum(accepted) > 0
+        assert converged.all() and reference[2].all()
+        assert np.array_equal(alpha[1:], reference[0][1:])
+        assert np.array_equal(iterations[1:], reference[1][1:])
 
 
 class TestPgdConvergence:
+    """Batched PGD under the default config on the batches that `mmcl bench`
+    times."""
+
+    @staticmethod
+    def _bench_batch(seed, N):
+        rng = stream_rng(seed, "bench", N)
+        return tuple(X / np.linalg.norm(X, axis=0) for X in
+                     (rng.standard_normal((16, N)), rng.standard_normal((16, N))))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_anchor_converges_on_bench_inputs(self, monkeypatch, seed):
-        # the batch that `mmcl bench` times at N = 64, under the default config
+        # without face steps the slowest anchor of these batches needs 482 to
+        # 530 steps
         tc = cfgmod.build_train_config(cfgmod.default_config())
         assert tc.solver.max_iters == 1000
         results = []
@@ -493,12 +598,24 @@ class TestPgdConvergence:
             return results[-1]
 
         monkeypatch.setattr(loss_module, "_pgd_batched", recording)
-        rng = stream_rng(seed, "bench", 64)
-        v1, v2 = (X / np.linalg.norm(X, axis=0) for X in
-                  (rng.standard_normal((16, 64)), rng.standard_normal((16, 64))))
+        v1, v2 = self._bench_batch(seed, 64)
         batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
-        _, _, converged, _ = results[0]
+        _, iterations, converged, _ = results[0]
         assert converged.all()
+        assert iterations.max() <= 250
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_objective_matches_oracle_on_bench_inputs(self, N, seed):
+        # every 4th anchor, as the benchmark's output checks sample them
+        tc = cfgmod.build_train_config(cfgmod.default_config())
+        v1, v2 = self._bench_batch(seed, N)
+        _, _, _, alphas = batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
+        E = np.concatenate([v1, v2], axis=1)
+        for k, cols in list(enumerate(negative_indices(N)))[::4]:
+            inst = build_instance(tc.kernel, E[:, k], E[:, cols], tc.C, tc.beta)
+            star = solve_oracle(inst, tol=1e-12).objective
+            assert abs(dual_objective(inst.delta, alphas[k]) - star) <= 1e-12 * abs(star)
 
 
 # every anchor's D is positive definite for these kernels at beta = 0.1 and
@@ -628,12 +745,14 @@ class TestSharedFactorizationInv:
         total, _, _, alphas = batch_loss(v1, v2, KernelSpec(), 3.0, 0.1, SolverConfig(), method="inv")
         assert np.all(np.isnan(alphas)) and math.isnan(total)
 
-    @pytest.mark.parametrize("method", ["inv", "pgd"])
-    def test_allocation_stays_quadratic(self, method):
+    @pytest.mark.parametrize("method,max_iters", [("inv", 5), ("pgd", 5), ("pgd", 40)],
+                             ids=["inv", "pgd", "pgd-face-steps"])
+    def test_allocation_stays_quadratic(self, method, max_iters):
         # nothing of size O(N^3): the (N, 2N-2, 2N-2) stack of every anchor's D
         # was 66 MB at N = 128 and grew 8x per doubling of N; PGD, which
-        # also iterated over it, peaked at 190 MB
-        spec, solver = KernelSpec(kind="rbf"), SolverConfig(max_iters=5)
+        # also iterated over it, peaked at 190 MB. 40 PGD steps include face
+        # steps, whose gathered blocks stay within the size of K + beta I
+        spec, solver = KernelSpec(kind="rbf"), SolverConfig(max_iters=max_iters)
         peaks = {}
         for N in (128, 256):
             rng = np.random.default_rng(N)

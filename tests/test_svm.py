@@ -6,6 +6,7 @@ import pytest
 from mmcl import (KernelSpec, SolverConfig, SingularInstanceError, SvmInstance,
                   build_instance, dual_objective, kernel_eval, solve_inv,
                   solve_oracle, solve_pgd, spectral_norm)
+from mmcl.svm import _dense_operator, _face_steps
 
 from helpers import random_instance, rotated_spectrum_delta, unit_columns
 
@@ -230,6 +231,22 @@ class TestSolvePgd:
             bound = rho * gaps[0] * rate ** np.arange(len(gaps))
             mask = bound > 1e-10 * max(gaps[0], 1.0)
             assert np.all(gaps[mask] <= bound[mask])
+
+
+class TestFaceStep:
+    def test_descends_only_along_convex_directions(self):
+        # g(a) = 1/2 (a1^2 - a2^2) - a1 + a2 has one stationary point, the
+        # saddle (1, 1), in the box: the face step to it is taken from
+        # (1.5, 1), where it descends by 1/8, and refused from (1, 1.5),
+        # where it would ascend by 1/8
+        matvec, gather = _dense_operator(np.diag([1.0, -1.0]))
+        b = np.array([[1.0, -1.0]])
+        for start, taken in (([1.5, 1.0], True), ([1.0, 1.5], False)):
+            alpha = np.array([start])
+            rows, points = _face_steps(gather, alpha, matvec(alpha) - b, np.array([0]), 2.0)
+            assert rows.tolist() == ([0] if taken else [])
+            if taken:
+                assert np.array_equal(points, [[1.0, 1.0]])
 
 
 class TestOrderingChain:
