@@ -23,8 +23,9 @@ Every anchor's dual matrix D_k is a principal submatrix of the shared
 builds the (N, 2N-2, 2N-2) stack of D_k. ``pgd`` runs on every anchor at
 once through one operator (``_dual_operator``) whose product with the
 N x 2N block of alphas is one GEMM with M, and each PGD step makes one
-such product. Its exact face steps read the blocks D_k[F,F] of the free
-coordinates F from M and the rank-2 term, a few anchors at a time.
+such product. Its face steps read the blocks D_k[F,F] of the free
+coordinates F from M and the rank-2 term, a few anchors at a time, and
+search along the Newton direction on them without a further product.
 ``inv`` factorizes M once and derives each clip(2 D_k^{-1} 1, 0, C) by a
 two-index downdate and a Woodbury update (Hager 1989, "Updating the
 inverse of a matrix"). Its definiteness policy
@@ -204,27 +205,29 @@ def _dual_operator(K_full: np.ndarray, beta: float):
     D_k a = M[R,R] a + (1'a)(k_xx - K[k,R]) - (K[k,R]'a) 1, and one GEMM
     Q = A M holds M[R,R] a at row k's columns R and K[k,R]'a at Q[k,k],
     in O(N^3) time and O(N^2) memory. Returns ``(matvec, gather)``; the
-    face-block gather takes D_k[i,j] = M[i,j] + P[k,i] + P[k,j] - k_xx with
-    P[k,i] = k_xx - K[k,i], for block columns i, j in R.
+    face-block gather takes D_k[i,j] = M[i,j] + H[k,i] + H[k,j] with
+    H[k,i] = k_xx / 2 - K[k,i], for block columns i, j in R.
     """
     N = K_full.shape[0] // 2
     M = K_full + beta * np.eye(2 * N)
-    P = np.diag(K_full)[:N, None] - K_full[:N]
+    k_xx = np.diag(K_full)[:N, None]
+    P = k_xx - K_full[:N]
+    H = 0.5 * k_xx - K_full[:N]
     # in the flattened N x 2N block, Q[k, k] sits at k (2N + 1) and Q[k, N + k] N further
     own_k, own_Nk = slice(0, None, 2 * N + 1), slice(N, None, 2 * N + 1)
 
     def matvec(A):
         Q = A @ M
         flat = Q.reshape(-1)
-        Q += np.sum(A, axis=1, keepdims=True) * P - flat[own_k][:, None]
+        Q -= flat[own_k][:, None]
+        Q += np.add.reduce(A, axis=1)[:, None] * P
         flat[own_k] = 0.0
         flat[own_Nk] = 0.0
         return Q
 
     def gather(rows, cols):
-        # D_k[i, j] = M[i, j] + (P[k, i] - k_xx / 2) + (P[k, j] - k_xx / 2)
         blocks = M.take(cols[:, :, None] * (2 * N) + cols[:, None, :])
-        half = P.take(rows[:, None] * (2 * N) + cols) - 0.5 * K_full.take(rows * (2 * N + 1))[:, None]
+        half = H.take(rows[:, None] * (2 * N) + cols)
         blocks += half[:, :, None]
         blocks += half[:, None, :]
         return blocks
@@ -356,8 +359,11 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     ``inv`` call or per PGD iteration, each of which is one operator
     product (see ``svm._pgd_batched``). Every few iterations PGD also
     solves, for each anchor whose free set has settled, one system in the
-    free coordinates, and steps to the face minimizer when it lies in the
-    box; ``solver.max_iters`` counts these steps too. ``inv`` raises
+    free coordinates, and searches along its solution projected onto the
+    box, which reaches the face minimizer when it lies in the box;
+    ``solver.max_iters`` counts these steps too. An anchor whose projected
+    gradient is not finite (from non-finite embeddings) stops at once with
+    NaN alphas. ``inv`` raises
     ``SingularInstanceError`` naming the first anchor whose D_k is not
     positive definite, exactly the anchors ``svm.solve_inv`` rejects
     (possible with the indefinite tanh kernel), and when K + beta I is

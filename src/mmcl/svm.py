@@ -17,8 +17,9 @@ Three solvers are provided:
 * ``solve_pgd``    -- m-step projected gradient, optionally Nesterov
   accelerated with gradient-based adaptive restart, at one product with
   D per step. Every few steps an instance whose free set has settled
-  steps exactly to the minimizer on that face when it lies in the box
-  (a Newton solve on the free coordinates). Its core, ``_pgd_batched``,
+  takes a face step instead: a Newton solve on the free coordinates and a
+  projected search along its direction, which steps to the minimizer on
+  that face when it lies in the box. Its core, ``_pgd_batched``,
   sees D only through a matvec and a gather of principal blocks, so the
   batched ``pgd`` of ``loss.batch_loss`` runs every anchor of a batch
   through one operator on the shared K + beta I
@@ -105,8 +106,10 @@ class SolverConfig:
 
     ``step_size`` is a positive float or the string ``"auto"``, meaning
     1 / ||D||_2 with the spectral norm estimated by power iteration.
-    ``max_iters`` caps the steps, exact face steps included, and ``tol``
-    the projected-gradient norm at which an instance counts as converged.
+    ``max_iters`` caps the steps, face steps included, and ``tol`` the
+    projected-gradient norm at which an instance counts as converged; an
+    instance whose projected gradient is not finite stops at once,
+    unconverged, with NaN alphas.
     ``seed`` drives the random initial point alpha_0 ~ U[0, min(C, 1)]^n.
     """
 
@@ -207,9 +210,14 @@ def _obj_from_q(alphas: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(alphas * q, axis=-1) - np.sum(b * alphas, axis=-1)
 
 
-# Steps between exact face steps of ``_pgd_batched``, chosen by measurement
-# on recorded training batches (see CHANGES.md)
-_FACE_EVERY = 16
+# Steps between face steps of ``_pgd_batched``, chosen by measurement on
+# recorded training batches (see CHANGES.md)
+_FACE_EVERY = 4
+
+# The step lengths t that a face step's projected search tries, longest
+# first, and its sufficient-decrease factor
+_SEARCH_STEPS = 0.5 ** np.arange(10)
+_SUFFICIENT_DECREASE = 1e-4
 
 
 def _face_of(alpha: np.ndarray, C: float) -> np.ndarray:
@@ -217,23 +225,39 @@ def _face_of(alpha: np.ndarray, C: float) -> np.ndarray:
     return (alpha > 0.0).astype(np.int8) + (alpha >= C)
 
 
+def _project(x: np.ndarray, C: float) -> np.ndarray:
+    """x projected onto the box [0, C], in place."""
+    np.maximum(x, 0.0, out=x)
+    return np.minimum(x, C, out=x)
+
+
 def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, C: float):
-    """Exact minimizers of the instances ``rows`` on their free faces.
+    """Projected searches along the Newton directions of the instances
+    ``rows`` on their free faces.
 
     For instance i of ``rows``, with free set F = {0 < alpha_i < C} (not
     empty) and gradient g_i at alpha_i, d_F solves D_FF d_F = -g_F and d is
-    0 off F. Faces are padded to a common size with identity blocks and zero
+    0 off F. The step of length t is s(t) = P(alpha_F + t d_F) - alpha_F,
+    P the projection onto [0, C], and it changes the objective by exactly
+    g_F's + 1/2 s'D_FF s, evaluated on the block the solve gathered. A row
+    takes the first t of ``_SEARCH_STEPS`` whose change is at most
+    ``_SUFFICIENT_DECREASE`` times g_F's < 0: the projected search of More
+    & Toraldo 1991 along the direction of Bertsekas 1982's projected
+    Newton. When alpha + d lies in the box, t = 1 passes and the row steps
+    to the minimizer on its face, a descent of exactly -1/2 g'd. A row
+    refuses only when no t passes, as when d ascends toward a saddle of an
+    indefinite D, or when its block is singular.
+
+    Faces are padded to a common size with identity blocks and zero
     right-hand sides and solved in chunks of similar size whose
-    (rows, f, f) blocks hold at most n^2 doubles, one dense D. Since
-    D_FF d_F = -g_F, g(alpha + d) - g(alpha) = 1/2 g'd exactly, so a row
-    accepts when alpha + d lies in the box and g'd < 0: a strict descent
-    also for indefinite D. A row whose block is singular does not accept.
-    Returns the accepting rows and their new points.
+    (rows, f, f) blocks hold at most n^2 doubles, one dense D; a chunk whose
+    stacked solve fails is solved row by row. Returns the accepting rows and
+    their new points.
     """
     n = alpha.shape[1]
-    new, gd = alpha[rows], np.zeros(rows.size)
+    new, accept = alpha[rows], np.zeros(rows.size, dtype=bool)
     free = (new > 0.0) & (new < C)
-    sizes = np.sum(free, axis=1)
+    sizes = np.add.reduce(free, axis=1)
     order = np.argsort(~free, axis=1, kind="stable")  # each row's free coordinates first
     by_size = np.argsort(-sizes, kind="stable")
     start = 0
@@ -244,10 +268,7 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, C: f
         cols = order[chunk, :f]
         pad = np.arange(f) >= sizes[chunk][:, None]
         blocks = gather(rows[chunk], cols)
-        blocks[pad] = 0.0
-        blocks.transpose(0, 2, 1)[pad] = 0.0
-        i, j = np.nonzero(pad)
-        blocks[i, j, j] = 1.0
+        np.copyto(blocks, np.eye(f), where=pad[:, :, None] | pad[:, None, :])
         g_F = np.where(pad, 0.0, g[rows[chunk, None], cols])
         try:
             d_F = np.linalg.solve(blocks, -g_F[..., None])[..., 0]
@@ -258,9 +279,15 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, C: f
                     d_F[r] = np.linalg.solve(blocks[r], -g_F[r])
                 except np.linalg.LinAlgError:
                     pass
-        new[chunk[:, None], cols] += d_F
-        gd[chunk] = np.sum(g_F * d_F, axis=1)
-    accept = np.all((new >= 0.0) & (new <= C), axis=1) & (gd < 0.0)
+        # (rows, steps, f): every trial point and step, padding steps 0
+        a_F = new[chunk[:, None], cols][:, None, :]
+        points = _project(a_F + _SEARCH_STEPS[:, None] * d_F[:, None, :], C)
+        s = points - a_F
+        gs = np.einsum("rtf,rf->rt", s, g_F)
+        change = gs + 0.5 * np.einsum("rtf,rtf->rt", s, s @ blocks)
+        passes = (change <= _SUFFICIENT_DECREASE * gs) & (gs < 0.0)
+        accept[chunk] = passes.any(axis=1)
+        new[chunk[:, None], cols] = points[np.arange(chunk.size), passes.argmax(axis=1)]
     return rows[accept], new[accept]
 
 
@@ -268,8 +295,7 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
                  max_iters: int, tol: float, nesterov: bool,
                  record: bool = False):
     """Projected gradient on a batch of instances g_i(a) = 1/2 a' D_i a - b_i' a
-    over the box [0, C], with exact face steps and one operator product
-    per step.
+    over the box [0, C], with face steps and one operator product per step.
 
     ``alpha0`` and the linear terms ``b`` are (B, n) and ``eta`` is (B,).
     ``matvec(X)`` returns the rows D_i x_i of X's B rows, and
@@ -291,64 +317,84 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
     Every ``_FACE_EVERY``-th step, an instance whose face (the coordinates
     at 0, the free set F = {0 < alpha < C}, those at C) is that of the
     previous iterate takes, in place of the projected-gradient candidate,
-    the minimizer of g_i on that face when it lies in the box and descends
-    (``_face_steps``; the face minimization of Bertsekas 1982 and of More
-    & Toraldo 1991's GPCG), and restarts its momentum. That minimizer
-    depends on the face only, so an instance does not try the same face
-    twice in a row. The candidate still goes through the step's one
+    the projected search along the Newton direction on that face when it
+    descends (``_face_steps``: Bertsekas 1982's projected Newton direction,
+    searched as in More & Toraldo 1991's GPCG), and restarts its momentum.
+    The search starts from alpha, so an instance may take several face
+    steps on one face. The candidate still goes through the step's one
     product, so a face step is a step.
 
     Convergence is per instance: before each step, and once after the
-    last, an instance whose projected-gradient norm at alpha is <= tol
-    freezes, so ``converged`` describes the returned alpha. Objectives are
-    computed only for ``record``. Returns (alpha, iterations, converged,
-    traces) with per-instance step counts and, for ``record``, each
-    instance's objective before its first step and after every step.
+    last, an instance whose projected-gradient norm pg at alpha has
+    ||pg||^2 <= tol^2 freezes, so ``converged`` describes the returned
+    alpha. An instance whose ||pg||^2 is not finite (NaN, or past the
+    float range) freezes as well, unconverged, and returns NaN alphas.
+    Objectives are computed only for ``record``. Returns (alpha,
+    iterations, converged, traces) with per-instance step counts and, for
+    ``record``, each instance's objective before its first step and after
+    every step.
     """
     B, n = alpha0.shape
-    alpha = np.clip(alpha0, 0.0, C)
+    alpha = _project(np.array(alpha0, dtype=np.float64), C)
     q = matvec(alpha)
     prev, q_prev = alpha, q
     t_mom = np.ones(B)
     eta_col = eta[:, None]
+    tol2 = tol * tol
     active = np.ones(B, dtype=bool)
+    failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=np.int64)
-    tried = np.full((B, n), -1, dtype=np.int8)
     traces = [[o] for o in _obj_from_q(alpha, q, b)] if record else None
 
-    for k in range(max_iters + 1):
-        pg = (alpha - np.clip(alpha - eta_col * (q - b), 0.0, C)) / eta_col
-        # a NaN norm (non-finite D or step) never counts as converged
-        active &= ~(np.linalg.norm(pg, axis=1) <= tol)
-        if k == max_iters or not active.any():
-            break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if nesterov else t_mom
-        momentum = ((t_mom - 1.0) / t_next)[:, None]
-        y = alpha + momentum * (alpha - prev)
-        cand = np.clip(y - eta_col * (q + momentum * (q - q_prev) - b), 0.0, C)
-        restart = np.sum((y - cand) * (cand - alpha), axis=1) > 0.0
-        if (k + 1) % _FACE_EVERY == 0:
-            face = _face_of(alpha, C)
-            settled = (active & np.any(face == 1, axis=1) & np.all(face == _face_of(prev, C), axis=1)
-                       & np.any(face != tried, axis=1))
-            rows = np.nonzero(settled)[0]
-            tried[rows] = face[rows]
-            rows, points = _face_steps(gather, alpha, q - b, rows, C)
-            cand[rows] = points
-            restart[rows] = True
-        q_cand = matvec(cand)
-        # a frozen instance never steps again, so only alpha and q need the mask
-        t_mom = np.where(restart, 1.0, t_next)
-        prev, q_prev = alpha, q
-        step = active[:, None]
-        alpha, q = np.where(step, cand, alpha), np.where(step, q_cand, q)
-        iterations[active] = k + 1
-        if record:
-            obj = _obj_from_q(alpha, q, b)
-            for i in np.nonzero(active)[0]:
-                traces[i].append(obj[i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iters + 1):
+            g = q - b
+            # pg = (alpha - P(alpha - eta g)) / eta, built in place
+            pg = _project(alpha - eta_col * g, C)
+            np.subtract(alpha, pg, out=pg)
+            pg /= eta_col
+            pg2 = np.einsum("ij,ij->i", pg, pg)
+            failed |= ~np.isfinite(pg2)
+            active &= (pg2 > tol2) & ~failed
+            if k == max_iters or not active.any():
+                break
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if nesterov else t_mom
+            momentum = ((t_mom - 1.0) / t_next)[:, None]
+            # y = alpha + m (alpha - prev) and cand = P(y - eta (g + m (q - q_prev))),
+            # built in place; y then holds y - cand for the restart test
+            y = alpha - prev
+            y *= momentum
+            y += alpha
+            cand = q - q_prev
+            cand *= momentum
+            cand += g
+            cand *= eta_col
+            _project(np.subtract(y, cand, out=cand), C)
+            y -= cand
+            restart = np.einsum("ij,ij->i", y, cand - alpha) > 0.0
+            if (k + 1) % _FACE_EVERY == 0:
+                face = _face_of(alpha, C)
+                settled = active & np.any(face == 1, axis=1) & np.all(face == _face_of(prev, C), axis=1)
+                rows, points = _face_steps(gather, alpha, g, np.nonzero(settled)[0], C)
+                cand[rows] = points
+                restart[rows] = True
+            q_cand = matvec(cand)
+            t_mom = np.where(restart, 1.0, t_next)
+            prev, q_prev = alpha, q
+            # a frozen instance never steps again, so only alpha and q need the mask
+            if active.all():
+                alpha, q = cand, q_cand
+            else:
+                step = active[:, None]
+                alpha, q = np.where(step, cand, alpha), np.where(step, q_cand, q)
+            iterations += active
+            if record:
+                obj = _obj_from_q(alpha, q, b)
+                for i in np.nonzero(active)[0]:
+                    traces[i].append(obj[i])
 
-    return alpha, iterations, ~active, traces
+    alpha[failed] = np.nan
+    return alpha, iterations, ~active & ~failed, traces
 
 
 def resolve_step_sizes(matvec, b: np.ndarray, step_size) -> np.ndarray:
@@ -362,8 +408,8 @@ def resolve_step_sizes(matvec, b: np.ndarray, step_size) -> np.ndarray:
 
 def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
               record_trace: bool = False) -> DualSolution:
-    """Run (optionally Nesterov-accelerated) projected gradient, with exact
-    face steps, on one instance: ``_pgd_batched`` on a batch of one dense D.
+    """Run (optionally Nesterov-accelerated) projected gradient, with face
+    steps, on one instance: ``_pgd_batched`` on a batch of one dense D.
 
     ``alpha0`` overrides the seeded random initial point; it is projected
     onto the box before the first step. With max_iters = 0 the projected

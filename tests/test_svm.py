@@ -6,8 +6,10 @@ import pytest
 from mmcl import (KernelSpec, SolverConfig, SingularInstanceError, SvmInstance,
                   build_instance, dual_objective, kernel_eval, solve_inv,
                   solve_oracle, solve_pgd, spectral_norm)
+from mmcl.loss import _to_block, negative_indices
 from mmcl.svm import _dense_operator, _face_steps
 
+import test_loss
 from helpers import random_instance, rotated_spectrum_delta, unit_columns
 
 
@@ -170,12 +172,21 @@ class TestSolvePgd:
         assert sol.iterations == 0
 
     def test_nonfinite_delta_is_never_converged(self):
+        # the NaN gradient at the start freezes the instance before its first step
         inst = random_instance(np.random.default_rng(0), n=5)
         inst.delta[0, 0] = np.nan
         for nesterov in (False, True):
             sol = solve_pgd(inst, SolverConfig(max_iters=50, nesterov=nesterov))
             assert np.all(np.isnan(sol.alpha))
-            assert not sol.converged and sol.iterations == 50
+            assert not sol.converged and sol.iterations == 0
+
+    def test_divergent_step_overflows_without_warnings(self):
+        # with C = inf a step of 1e300 jumps between 0 and about 2e300, where
+        # eta * gradient overflows: the run reads unconverged, and no
+        # RuntimeWarning escapes (tier-1 turns them into errors)
+        inst = random_instance(np.random.default_rng(4), n=6, C=math.inf)
+        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False))
+        assert not sol.converged and sol.iterations == 50
 
     def test_matches_oracle_on_moderate_conditioning(self):
         count = 0
@@ -247,6 +258,55 @@ class TestFaceStep:
             assert rows.tolist() == ([0] if taken else [])
             if taken:
                 assert np.array_equal(points, [[1.0, 1.0]])
+
+    def test_searches_back_into_the_box(self):
+        # g(a) = 1/2 a'Da - b'a with D = [[6, -3], [-3, 2]] (positive
+        # definite) and b = (-7, 7) on [0, 2]^2. At (1, 1) the gradient is
+        # (10, -8) and the face minimizer (1, 1) + d = (7/3, 7) leaves the
+        # box. Projected, t = 1 lands on the corner (2, 2), an ascent
+        # (gradient's = 2); t = 1/2 gives (5/3, 2), where g falls from 1 to 0
+        delta = np.array([[6.0, -3.0], [-3.0, 2.0]])
+        matvec, gather = _dense_operator(delta)
+        b = np.array([[-7.0, 7.0]])
+        alpha = np.array([[1.0, 1.0]])
+        rows, points = _face_steps(gather, alpha, matvec(alpha) - b, np.array([0]), 2.0)
+        assert rows.tolist() == [0]
+        assert points[0] == pytest.approx([5.0 / 3.0, 2.0], abs=1e-15)
+        assert np.all((points >= 0.0) & (points <= 2.0))
+        obj = [0.5 * a @ delta @ a - b[0] @ a for a in (alpha[0], points[0])]
+        assert obj[0] == pytest.approx(1.0, abs=1e-14) and obj[1] == pytest.approx(0.0, abs=1e-14)
+
+    def test_refuses_at_the_face_minimizer(self):
+        # at the interior minimizer (1, 1) of D = [[2, 1], [1, 2]], b = (3, 3)
+        # the gradient is 0, so no step length decreases the objective
+        matvec, gather = _dense_operator(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        alpha = np.array([[1.0, 1.0]])
+        rows, _ = _face_steps(gather, alpha, matvec(alpha) - 3.0, np.array([0]), 2.0)
+        assert rows.size == 0
+
+    def test_steps_descend_on_indefinite_duals(self):
+        # every tanh D_k of this batch is indefinite; from a start with about
+        # 13 free coordinates per row and the rest at the bounds, every row
+        # the search takes stays in the box, keeps its own columns at 0 and
+        # lowers the objective of its assembled D_k, and some of them were
+        # projected back into the box (from starts with about 36 free
+        # coordinates, every Newton direction here ascends)
+        N, C = 32, 3.0
+        rng, matvec, gather, deltas = test_loss.TestDualOperator._batch("tanh", N)
+        neg_idx = negative_indices(N)
+        alpha = _to_block(neg_idx, np.clip(rng.uniform(-10.0, 4.0, (N, 2 * N - 2)), 0.0, C))
+        g = matvec(alpha) - _to_block(neg_idx, 2.0)
+        rows, points = _face_steps(gather, alpha, g, np.arange(N), C)
+        assert rows.size > N // 2
+        free = (alpha > 0.0) & (alpha < C)
+        projected = 0
+        for k, point in zip(rows, points):
+            cols = neg_idx[k]
+            assert np.all((point >= 0.0) & (point <= C))
+            assert point[k] == 0.0 and point[N + k] == 0.0
+            assert dual_objective(deltas[k], point[cols]) < dual_objective(deltas[k], alpha[k, cols])
+            projected += np.any(free[k] & ((point == 0.0) | (point == C)))
+        assert projected > 0
 
 
 class TestOrderingChain:
