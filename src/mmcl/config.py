@@ -111,7 +111,6 @@ SCHEMA = {
     "solver.max_iters": (int, "solver.max_iters"),
     "solver.tol": (float, "solver.tol"),
     "solver.nesterov": (_parse_bool, "solver.nesterov"),
-    "solver.seed": (int, "solver.seed"),
     "aug.noise_sigma": (float, "augmentation.noise_sigma"),
     "aug.dropout_p": (float, "augmentation.dropout_p"),
     "aug.scale_lo": (float, "augmentation.scale_lo"),

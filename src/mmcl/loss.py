@@ -20,18 +20,22 @@ tested against.
 
 Every anchor's dual matrix D_k is a principal submatrix of the shared
 2N x 2N matrix M = K + beta I plus a rank-2 term, and no batched method
-builds the (N, 2N-2, 2N-2) stack of D_k. ``pgd`` runs on every anchor at
-once through one operator (``_dual_operator``) whose product with the
-N x 2N block of alphas is one GEMM with M, and each PGD step makes one
-such product. Its face steps read the blocks D_k[F,F] of the free
+builds the (N, 2N-2, 2N-2) stack of D_k. ``inv`` factorizes M once and
+derives each clip(2 D_k^{-1} 1, 0, C) by a two-index downdate and a
+Woodbury update (Hager 1989, "Updating the inverse of a matrix"). Its
+definiteness policy is that of the per-anchor ``svm.solve_inv``: an
+anchor whose D_k is not positive definite raises
+``SingularInstanceError``, decided from the inertia of M (Haynsworth)
+rather than by factorizing D_k. ``pgd`` starts every anchor at that
+``inv`` solution, the paper's truncated least-squares approximation (the
+"alpha seeding" of DeCoste & Wagstaff 2000), and an anchor that ``inv``
+rejects at 0. It takes each anchor's step from a closed-form bound on
+||D_k||_2 (``resolve_step_sizes``) and then runs on every anchor at once
+through one operator (``_dual_operator``) whose product with the
+N x 2N block of alphas is one GEMM with M; each PGD step makes one such
+product. Its face steps read the blocks D_k[F,F] of the free
 coordinates F from M and the rank-2 term, a few anchors at a time, and
 search along the Newton direction on them without a further product.
-``inv`` factorizes M once and derives each clip(2 D_k^{-1} 1, 0, C) by a
-two-index downdate and a Woodbury update (Hager 1989, "Updating the
-inverse of a matrix"). Its definiteness policy
-is that of the per-anchor ``svm.solve_inv``: an anchor whose D_k is not
-positive definite raises ``SingularInstanceError``, decided from the
-inertia of M (Haynsworth) rather than by factorizing D_k.
 Only the slow ``oracle`` reference assembles D_k, one anchor at a time.
 """
 
@@ -45,8 +49,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .kernels import KernelSpec, gram, gram_vjp, grad_wrt_each_column, grad_wrt_second, kernel_grad
-from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
-                  resolve_step_sizes, solve_oracle, _check_C_beta, _draw_alpha0, _pgd_batched)
+from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta, solve_oracle,
+                  _check_C_beta, _pgd_batched)
 
 _LINEAR = KernelSpec(kind="linear")
 
@@ -250,9 +254,9 @@ def _count_signs(det, trace, sign):
     return (det < 0) + 2 * ((det > 0) & (sign * trace > 0))
 
 
-def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float) -> np.ndarray:
+def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float):
     """clip(2 D_k^{-1} 1, 0, C) for every anchor k from one LDL' factorization
-    of M = K_full + beta I.
+    of M = K_full + beta I, with each anchor's definiteness verdict.
 
     Anchor k's dual matrix is a principal submatrix of M plus a rank-2
     term: D_k = M[R,R] + U W U' with S = {k, N+k}, R the other indices,
@@ -263,17 +267,22 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
     D_k^{-1} 1 = M[R,R]^{-1} U cap^{-1} W^{-1} e_1, so past the inverse
     every anchor costs O(N) scalars and one combination of columns of P.
 
-    D_k must be positive definite, as ``svm.solve_inv``'s Cholesky
-    requires. By Haynsworth inertia additivity
+    The clip is defined where D_k is positive definite, as
+    ``svm.solve_inv``'s Cholesky requires. By Haynsworth inertia additivity
     n_neg(D_k) = n_neg(M) - n_neg(Q) + n_pos(cap) - 1, and D_k is singular
     exactly when cap is. M need not be definite, only nonsingular; its
     inertia is that of the block-diagonal factor (Sylvester), where every
-    2x2 Bunch-Kaufman pivot has one negative eigenvalue. Non-finite kernel
-    values give NaN alphas, as the iterative solvers do.
+    2x2 Bunch-Kaufman pivot has one negative eigenvalue.
+
+    Returns ``(alphas, definite)``: the (N, 2N-2) alphas and the (N,) mask
+    of anchors whose D_k is positive definite. A rejected anchor's row is
+    0. When M is singular to working precision no anchor has a verdict:
+    ``definite`` is None and every row is 0. Non-finite kernel values give
+    NaN alphas and reject no anchor, as the iterative solvers do.
     """
     N = neg_idx.shape[0]
     if not np.all(np.isfinite(K_full)):
-        return np.full(neg_idx.shape, np.nan)
+        return np.full(neg_idx.shape, np.nan), np.ones(N, dtype=bool)
     M = K_full + beta * np.eye(2 * N)
     ldu, ipiv, info = lapack.dsytrf(M, lower=1)
     if info == 0:
@@ -282,42 +291,81 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
     # singular to working precision: 1-norm condition number >= 1 / (2N eps)
     if info != 0 or not (2 * N * np.finfo(np.float64).eps * np.max(np.sum(np.abs(M), axis=0))
                          * np.max(np.sum(np.abs(P), axis=0)) < 1.0):
-        raise SingularInstanceError(
-            f"K + beta I of the batch of {N} is singular (beta = {beta}), "
-            "so the inv duals cannot be solved")
+        return np.zeros(neg_idx.shape), None
     k = np.arange(N)
     r = np.sum(P, axis=1)
     q_aa, q_ab, q_bb = P[k, k], P[k, N + k], P[N + k, N + k]
-    q_det = q_aa * q_bb - q_ab * q_ab
-    # s = P[R,S]' 1 and t = Q^{-1} s
-    s_a = r[k] - q_aa - q_ab
-    s_b = r[N + k] - q_ab - q_bb
-    t_a = (q_bb * s_a - q_ab * s_b) / q_det
-    t_b = (q_aa * s_b - q_ab * s_a) / q_det
-    # cap = W^{-1} + H with W^{-1} = [[0, -1], [-1, -k_xx]]; H11 = 1' M[R,R]^{-1} 1,
-    # H12 = -t_a, and H22 = M_kk - (Q^{-1})_11 by the Schur complement
-    cap11 = np.sum(r) - 2.0 * (r[k] + r[N + k]) + q_aa + 2.0 * q_ab + q_bb - (s_a * t_a + s_b * t_b)
-    cap12 = -t_a - 1.0
-    cap22 = beta - q_bb / q_det
-    cap_det = cap11 * cap22 - cap12 * cap12
+    # a rejected anchor may divide by a zero determinant; its row is dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_det = q_aa * q_bb - q_ab * q_ab
+        # s = P[R,S]' 1 and t = Q^{-1} s
+        s_a = r[k] - q_aa - q_ab
+        s_b = r[N + k] - q_ab - q_bb
+        t_a = (q_bb * s_a - q_ab * s_b) / q_det
+        t_b = (q_aa * s_b - q_ab * s_a) / q_det
+        # cap = W^{-1} + H with W^{-1} = [[0, -1], [-1, -k_xx]]; H11 = 1' M[R,R]^{-1} 1,
+        # H12 = -t_a, and H22 = M_kk - (Q^{-1})_11 by the Schur complement
+        cap11 = (np.sum(r) - 2.0 * (r[k] + r[N + k]) + q_aa + 2.0 * q_ab + q_bb
+                 - (s_a * t_a + s_b * t_b))
+        cap12 = -t_a - 1.0
+        cap22 = beta - q_bb / q_det
+        cap_det = cap11 * cap22 - cap12 * cap12
 
-    n_neg_M = np.count_nonzero(np.diag(ldu)[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2
-    n_neg = (n_neg_M - _count_signs(q_det, q_aa + q_bb, -1)
-             + _count_signs(cap_det, cap11 + cap22, 1) - 1)
-    definite = (n_neg == 0) & (q_det != 0) & (cap_det != 0) & np.isfinite(cap_det)
-    if not np.all(definite):
-        bad = int(np.argmin(definite))
-        raise SingularInstanceError(
-            f"anchor {bad} of {N}: D is not positive definite (beta = {beta}), "
-            "so its inv dual clip(2 D^-1 1, 0, C) is not defined")
+        n_neg_M = np.count_nonzero(np.diag(ldu)[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2
+        n_neg = (n_neg_M - _count_signs(q_det, q_aa + q_bb, -1)
+                 + _count_signs(cap_det, cap11 + cap22, 1) - 1)
+        definite = (n_neg == 0) & (q_det != 0) & (cap_det != 0) & np.isfinite(cap_det)
 
-    # D^{-1} 1 = c1 M[R,R]^{-1} 1 + c2 M[R,R]^{-1} M[R,k] with c = cap^{-1} (0, -1)',
-    # column k of X over the rows R
-    c1, c2 = cap12 / cap_det, -cap11 / cap_det
-    w_a = c1 * t_a + c2 * q_bb / q_det
-    w_b = c1 * t_b - c2 * q_ab / q_det
-    X = r[:, None] * c1 - P[:, :N] * (c1 + w_a) - P[:, N:] * (c1 + w_b)
-    return np.clip(2.0 * np.take_along_axis(X.T, neg_idx, axis=1), 0.0, C)
+        # D^{-1} 1 = c1 M[R,R]^{-1} 1 + c2 M[R,R]^{-1} M[R,k] with c = cap^{-1} (0, -1)',
+        # column k of X over the rows R
+        c1, c2 = cap12 / cap_det, -cap11 / cap_det
+        w_a = c1 * t_a + c2 * q_bb / q_det
+        w_b = c1 * t_b - c2 * q_ab / q_det
+        X = r[:, None] * c1 - P[:, :N] * (c1 + w_a) - P[:, N:] * (c1 + w_b)
+    alphas = np.clip(2.0 * np.take_along_axis(X.T, neg_idx, axis=1), 0.0, C)
+    alphas[~definite] = 0.0
+    return alphas, definite
+
+
+def resolve_step_sizes(K_full: np.ndarray, beta: float, step_size) -> np.ndarray:
+    """Each anchor's PGD step on its D_k: ``step_size``, or for "auto" the
+    reciprocal of an upper bound on ||D_k||_2 from one symmetric
+    eigenvalue solve of the batch and O(N) scalars per anchor.
+
+    Centre the kernel at the mean of the batch's 2N points: with m the row
+    means of K and m_ the mean of m, M_c = K - m1' - 1m' + m_ 11' + beta I.
+    Then D_k = M_c[R,R] + T_k, R anchor k's negatives, where the rank-2
+    term T_k = a 11' - u1' - 1u' has a = k_xx - m_ and u = K[k,R] - m[R].
+    By Cauchy interlacing the spectrum of M_c[R,R] lies within that of
+    M_c, and by Weyl lambda_max(D_k) <= lambda_max(M_c) + lambda_+(T_k) and
+    lambda_min(D_k) >= lambda_min(M_c) + lambda_-(T_k). T_k = U W U' with
+    U = [1, u] and W = [[a, -1], [-1, 0]] has, past zeros, the eigenvalues
+    lambda_+ >= 0 >= lambda_- of the 2x2 matrix W U'U, of trace a n - 2 s
+    and determinant s^2 - n p, with n = |R|, s = 1'u and p = u'u. Centring
+    keeps the bound close also when D_k is indefinite (tanh), where the
+    uncentred ||K + beta I|| + ||T_k|| can exceed ||D_k|| several times.
+    Non-finite kernel values give NaN steps, so PGD stops at once with
+    NaN alphas.
+    """
+    N = K_full.shape[0] // 2
+    if step_size != "auto":
+        return np.full(N, float(step_size))
+    if not np.all(np.isfinite(K_full)):
+        return np.full(N, np.nan)
+    m = np.mean(K_full, axis=1)
+    m_mean = np.mean(m)
+    centred = K_full - m[:, None]
+    centred -= m[None, :] - m_mean
+    centred.flat[::2 * N + 1] += beta
+    eig = np.linalg.eigvalsh(centred)
+    k, n = np.arange(N), 2 * N - 2
+    U = K_full[:N] - m
+    own_a, own_b = U[k, k], U[k, N + k]
+    s = np.add.reduce(U, axis=1) - own_a - own_b
+    p = np.einsum("ij,ij->i", U, U) - own_a * own_a - own_b * own_b
+    half_trace = 0.5 * ((K_full[k, k] - m_mean) * n - 2.0 * s)
+    root = np.sqrt(half_trace * half_trace + np.maximum(n * p - s * s, 0.0))
+    return 1.0 / np.maximum(eig[-1] + half_trace + root, root - half_trace - eig[0])
 
 
 def _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas):
@@ -349,12 +397,17 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     k is anchor k's dual vector (post-correction when ``fn_correction`` is
     set).
 
-    ``method`` picks the dual solver: ``pgd`` runs one batched PGD over
-    every anchor's dual through ``_dual_operator``, from each anchor's
-    seeded ``svm._draw_alpha0`` start, ``oracle`` is the slow reference,
-    ``solve_oracle`` on each anchor's assembled D_k in turn, and ``inv``
-    takes every anchor's clip(2 D_k^{-1} 1, 0, C) from one factorization of
-    the 2N x 2N matrix K + beta I (see ``_inv_batched``). ``pgd`` and
+    ``method`` picks the dual solver: ``inv`` takes every anchor's
+    clip(2 D_k^{-1} 1, 0, C) from one factorization of the 2N x 2N matrix
+    K + beta I (see ``_inv_batched``), ``pgd`` runs one batched PGD over
+    every anchor's dual through ``_dual_operator``, and ``oracle`` is the
+    slow reference, ``solve_oracle`` on each anchor's assembled D_k in
+    turn. ``pgd`` starts each anchor at its ``inv`` solution, which
+    ``max_iters = 0`` returns; an anchor whose D_k is not positive definite
+    starts at 0, and so does every anchor when K + beta I is singular.
+    Its steps are 1 / a closed-form bound on each ||D_k||_2, or
+    ``solver.step_size`` when that is a number (see
+    ``resolve_step_sizes``). ``pgd`` and
     ``inv`` assemble no D_k: they cost O(N^2) memory, and O(N^3) time per
     ``inv`` call or per PGD iteration, each of which is one operator
     product (see ``svm._pgd_batched``). Every few iterations PGD also
@@ -383,15 +436,22 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     K_full = gram(spec, E, E)
     neg_idx = negative_indices(N)
     if method == "inv":
-        alphas = _inv_batched(K_full, neg_idx, beta, C)
+        alphas, definite = _inv_batched(K_full, neg_idx, beta, C)
+        if definite is None:
+            raise SingularInstanceError(
+                f"K + beta I of the batch of {N} is singular (beta = {beta}), "
+                "so the inv duals cannot be solved")
+        if not definite.all():
+            raise SingularInstanceError(
+                f"anchor {int(np.argmin(definite))} of {N}: D is not positive definite "
+                f"(beta = {beta}), so its inv dual clip(2 D^-1 1, 0, C) is not defined")
     elif method == "pgd":
+        alpha0, _ = _inv_batched(K_full, neg_idx, beta, C)
         matvec, gather = _dual_operator(K_full, beta)
-        b = _to_block(neg_idx, 2.0)
-        alpha0 = _to_block(neg_idx, np.stack([_draw_alpha0(2 * N - 2, C, [solver.seed, k])
-                                              for k in range(N)]))
-        eta = resolve_step_sizes(matvec, b, solver.step_size)
+        eta = resolve_step_sizes(K_full, beta, solver.step_size)
         alpha_block, _, _, _ = _pgd_batched(
-            matvec, gather, b, C, eta, alpha0, solver.max_iters, solver.tol, solver.nesterov)
+            matvec, gather, _to_block(neg_idx, 2.0), C, eta, _to_block(neg_idx, alpha0),
+            solver.max_iters, solver.tol, solver.nesterov)
         alphas = np.take_along_axis(alpha_block, neg_idx, axis=1)
     else:
         alphas = np.stack([solve_oracle(_anchor_instance(K_full, neg_idx, k, C, beta),

@@ -24,7 +24,10 @@ Three solvers are provided:
   batched ``pgd`` of ``loss.batch_loss`` runs every anchor of a batch
   through one operator on the shared K + beta I
   (``loss._dual_operator``), and ``solve_pgd``, on one dense D, is its
-  per-anchor reference.
+  per-anchor reference. ``solve_pgd`` starts from a seeded random point
+  and steps 1 / ||D||_2; the batched ``pgd`` starts every anchor at its
+  ``inv`` solution and takes its step sizes from a closed-form bound
+  (``loss.resolve_step_sizes``).
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
   computed with a Cholesky solve, so D must be positive definite. It is
   the per-anchor reference for the batched ``inv`` of ``loss.batch_loss``,
@@ -104,13 +107,18 @@ class DualSolution:
 class SolverConfig:
     """Projected-gradient settings.
 
-    ``step_size`` is a positive float or the string ``"auto"``, meaning
-    1 / ||D||_2 with the spectral norm estimated by power iteration.
+    ``step_size`` is a positive float or the string ``"auto"``: for one
+    dense D (``solve_pgd``) 1 / ||D||_2, its largest |eigenvalue|, and in
+    the batched ``pgd`` of ``loss.batch_loss`` the reciprocal of a
+    closed-form upper bound on each anchor's ||D_k||_2
+    (``loss.resolve_step_sizes``), so no step is longer than 1 / ||D||_2.
     ``max_iters`` caps the steps, face steps included, and ``tol`` the
     projected-gradient norm at which an instance counts as converged; an
     instance whose projected gradient is not finite stops at once,
     unconverged, with NaN alphas.
-    ``seed`` drives the random initial point alpha_0 ~ U[0, min(C, 1)]^n.
+    ``seed`` drives the random initial point alpha_0 ~ U[0, min(C, 1)]^n
+    of ``solve_pgd`` only; the batched ``pgd`` starts at the ``inv``
+    solution and uses no seed.
     """
 
     step_size: float | str = "auto"
@@ -170,20 +178,6 @@ def dual_objective(delta, alpha) -> float:
     return float(0.5 * alpha @ (delta @ alpha) - 2.0 * np.sum(alpha))
 
 
-def _power_iteration(matvec, start: np.ndarray, iters: int = 50) -> np.ndarray:
-    """||D||_2 of each operator of a batch, estimated as ||D v|| after
-    ``iters`` steps of power iteration. Power iteration converges to an
-    eigenvector of largest magnitude, so this is max |eigenvalue| also
-    when D is indefinite. Row i of ``start`` is operator i's unit start
-    vector; ``matvec`` is as in ``_pgd_batched``."""
-    v = start
-    for _ in range(iters):
-        w = matvec(v)
-        nrm = np.linalg.norm(w, axis=1, keepdims=True)
-        v = w / np.maximum(nrm, 1e-300)
-    return np.maximum(np.linalg.norm(matvec(v), axis=1), 1e-300)
-
-
 def _dense_operator(delta: np.ndarray):
     """``_pgd_batched`` operator and face gather of one dense D, for a
     batch of one."""
@@ -191,15 +185,15 @@ def _dense_operator(delta: np.ndarray):
             lambda rows, cols: delta[cols[:, :, None], cols[:, None, :]])
 
 
-def spectral_norm(delta, iters: int = 50) -> float:
-    """||D||_2 of one (n, n) matrix, estimated by power iteration from the
-    deterministic start 1/sqrt(n)."""
+def spectral_norm(delta) -> float:
+    """||D||_2 of one symmetric (n, n) matrix: its largest |eigenvalue|,
+    which is also that of an indefinite D. NaN when D is not finite."""
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise ValueError(f"delta must be square, got shape {delta.shape}")
-    n = delta.shape[0]
-    matvec, _ = _dense_operator(delta)
-    return float(_power_iteration(matvec, np.full((1, n), 1.0 / math.sqrt(n)), iters)[0])
+    if not np.all(np.isfinite(delta)):
+        return math.nan
+    return float(np.max(np.abs(np.linalg.eigvalsh(delta))))
 
 
 def _draw_alpha0(n: int, C: float, seed) -> np.ndarray:
@@ -212,12 +206,16 @@ def _obj_from_q(alphas: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # Steps between face steps of ``_pgd_batched``, chosen by measurement on
 # recorded training batches (see CHANGES.md)
-_FACE_EVERY = 4
+_FACE_EVERY = 2
 
 # The step lengths t that a face step's projected search tries, longest
 # first, and its sufficient-decrease factor
 _SEARCH_STEPS = 0.5 ** np.arange(10)
 _SUFFICIENT_DECREASE = 1e-4
+
+# Face sizes are padded to a multiple of this, which of 4 to 12 gives the
+# fewest stacked solves on recorded training batches
+_PAD_TO = 8
 
 
 def _face_of(alpha: np.ndarray, C: float) -> np.ndarray:
@@ -248,22 +246,26 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, C: f
     refuses only when no t passes, as when d ascends toward a saddle of an
     indefinite D, or when its block is singular.
 
-    Faces are padded to a common size with identity blocks and zero
-    right-hand sides and solved in chunks of similar size whose
-    (rows, f, f) blocks hold at most n^2 doubles, one dense D; a chunk whose
-    stacked solve fails is solved row by row. Returns the accepting rows and
-    their new points.
+    Each face is padded with an identity block and zero right-hand side
+    to the multiple of ``_PAD_TO`` at or above its size (at most n). The
+    rounding of a solve depends on the padded size, so a row's solve and
+    search then do not depend on the rows it shares them with. Faces of
+    one padded size f are solved in chunks whose (rows, f, f) blocks hold
+    at most n^2 doubles, one dense D; a chunk whose stacked solve fails is
+    solved row by row. Returns the accepting rows and their new points.
     """
     n = alpha.shape[1]
     new, accept = alpha[rows], np.zeros(rows.size, dtype=bool)
     free = (new > 0.0) & (new < C)
     sizes = np.add.reduce(free, axis=1)
+    padded = np.minimum(-(-sizes // _PAD_TO) * _PAD_TO, n)
     order = np.argsort(~free, axis=1, kind="stable")  # each row's free coordinates first
-    by_size = np.argsort(-sizes, kind="stable")
+    by_size = np.argsort(-padded, kind="stable")
     start = 0
     while start < rows.size:
-        f = int(sizes[by_size[start]])
-        chunk = by_size[start:start + max(1, n * n // (f * f))]
+        f = int(padded[by_size[start]])
+        group = np.count_nonzero(padded[by_size[start:]] == f)
+        chunk = by_size[start:start + min(group, max(1, n * n // (f * f)))]
         start += chunk.size
         cols = order[chunk, :f]
         pad = np.arange(f) >= sizes[chunk][:, None]
@@ -397,19 +399,11 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
     return alpha, iterations, ~active & ~failed, traces
 
 
-def resolve_step_sizes(matvec, b: np.ndarray, step_size) -> np.ndarray:
-    """Each instance's PGD step: ``step_size``, or for "auto" 1 / ||D_i||_2
-    by power iteration from b_i normalized, which is 1/sqrt(n_i) on the
-    instance's own coordinates."""
-    if step_size == "auto":
-        return 1.0 / _power_iteration(matvec, b / np.linalg.norm(b, axis=1, keepdims=True))
-    return np.full(b.shape[0], float(step_size))
-
-
 def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
               record_trace: bool = False) -> DualSolution:
     """Run (optionally Nesterov-accelerated) projected gradient, with face
-    steps, on one instance: ``_pgd_batched`` on a batch of one dense D.
+    steps, on one instance: ``_pgd_batched`` on a batch of one dense D,
+    with the step 1 / ``spectral_norm(D)`` for "auto".
 
     ``alpha0`` overrides the seeded random initial point; it is projected
     onto the box before the first step. With max_iters = 0 the projected
@@ -420,7 +414,8 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
     if alpha0 is None:
         alpha0 = _draw_alpha0(inst.n, inst.C, cfg.seed)
     a0 = np.asarray(alpha0, dtype=np.float64)[None]
-    eta = resolve_step_sizes(matvec, b, cfg.step_size)
+    step = 1.0 / max(spectral_norm(inst.delta), 1e-300) if cfg.step_size == "auto" else cfg.step_size
+    eta = np.array([float(step)])
     alpha, iters, converged, traces = _pgd_batched(
         matvec, gather, b, inst.C, eta, a0, cfg.max_iters, cfg.tol, cfg.nesterov, record=record_trace)
     return DualSolution(

@@ -126,20 +126,12 @@ def apply_schedules(config: TrainConfig, epoch: int):
     return C, spec
 
 
-def _batch_seed(seed: int, epoch: int, batch_index: int, solver_seed: int) -> int:
-    # SeedSequence pads its entropy with zero words up to four, so
-    # solver_seed = 0 keeps the seed of (seed, epoch, batch_index) when
-    # each fits in 32 bits
-    return int(np.random.SeedSequence([seed, epoch, batch_index, solver_seed]).generate_state(1)[0])
-
-
 def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
     """Train one epoch in place of ``state``; returns (state, mean batch loss).
 
-    Shuffling, the two augmentation streams, and the solver initial points
-    are all derived from (config.seed, epoch index), the initial points
-    also from config.solver.seed, so a given epoch is reproducible in
-    isolation.
+    Shuffling and the two augmentation streams are derived from
+    (config.seed, epoch index), and the dual solves are deterministic, so
+    a given epoch is reproducible in isolation.
 
     For the max-margin losses each batch loss uses alpha re-solved for that
     batch (see ``batch_loss``), so the mean scales with alpha_x = alpha' 1.
@@ -166,10 +158,8 @@ def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
             total, g1, g2 = nce_batch_loss(emb1, emb2, config.temperature)
             alphas = None
         else:
-            solver = replace(config.solver,
-                             seed=_batch_seed(config.seed, epoch, b, config.solver.seed))
             total, g1, g2, alphas = batch_loss(
-                emb1, emb2, spec, C, config.beta, solver,
+                emb1, emb2, spec, C, config.beta, config.solver,
                 fn_correction=config.fn_correction, method=method)
         if not math.isfinite(total):
             raise TrainingAbort(

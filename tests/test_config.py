@@ -88,7 +88,7 @@ NON_DEFAULT = {
     "eval.k": "11", "eval.probe_epochs": "50", "eval.probe_lr": "0.3",
     "eval.test_fraction": "0.5", "schedules": "3:C:10", "solver.step_size": "0.01",
     "solver.max_iters": "17", "solver.tol": "1e-6", "solver.nesterov": "false",
-    "solver.seed": "4", "aug.noise_sigma": "0.3", "aug.dropout_p": "0.2",
+    "aug.noise_sigma": "0.3", "aug.dropout_p": "0.2",
     "aug.scale_lo": "0.5", "aug.scale_hi": "2.0",
 }
 
@@ -112,8 +112,10 @@ class TestTable:
         assert build_train_config(default_config()) == TrainConfig()
 
     def test_every_field_has_exactly_one_key(self):
+        # but solver.seed, which seeds only the start of a lone solve_pgd
+        # (`mmcl solve`); training starts PGD at the inv solution
         named = sorted(path for _, path in SCHEMA.values())
-        assert named == sorted(_field_values(TrainConfig()))
+        assert named == sorted(set(_field_values(TrainConfig())) - {"solver.seed"})
 
     @pytest.mark.parametrize("key", sorted(SCHEMA))
     def test_override_changes_only_its_field(self, key):

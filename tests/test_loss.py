@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mmcl import loss as loss_module
 from mmcl import svm as svm_module
 from mmcl.data import stream_rng
 from mmcl.loss import _dual_operator, _pgd_batched, _to_block, negative_indices, resolve_step_sizes
-from mmcl.svm import _draw_alpha0, spectral_norm
+from mmcl.svm import spectral_norm
 
 from helpers import anchor_deltas, central_diff, rel_err, unit_columns
 
@@ -327,7 +328,8 @@ class TestBatchLoss:
 
     def _check_matches_per_anchor(self, kernel, method, nesterov=True):
         # every anchor rebuilt from its embeddings, solved alone (PGD from
-        # the same seeded start) and scored by the mmcl_loss/mmcl_grad oracle
+        # the same inv start with the same step) and scored by the
+        # mmcl_loss/mmcl_grad oracle
         rng = np.random.default_rng(21)
         N = 6
         v1, v2 = self._views(rng, 5, N)
@@ -336,14 +338,17 @@ class TestBatchLoss:
         # at N = 6, beta = 2 keeps every anchor's D positive definite for both
         # tanh slopes, so solve_inv (Cholesky) and solve_oracle accept them
         assert min(np.linalg.eigvalsh(delta).min() for delta in anchor_deltas(v1, v2, spec, beta)) > 0
-        solver = SolverConfig(max_iters=2000, tol=1e-13, seed=3, nesterov=nesterov)
+        solver = SolverConfig(max_iters=2000, tol=1e-13, nesterov=nesterov)
         total, g1, g2, alphas = batch_loss(v1, v2, spec, C, beta, solver, method=method)
         assert alphas.shape == (N, 2 * N - 2)
+        E = np.concatenate([v1, v2], axis=1)
+        eta = resolve_step_sizes(gram(spec, E, E), beta, "auto")
 
         def anchor_terms(z, z_pos, Z_neg, k):
             inst = build_instance(spec, z_pos, Z_neg, C, beta)
             if method == "pgd":
-                sol = solve_pgd(inst, solver, alpha0=_draw_alpha0(inst.n, C, [solver.seed, k]))
+                sol = solve_pgd(inst, replace(solver, step_size=float(eta[k])),
+                                alpha0=solve_inv(inst).alpha)
             elif method == "inv":
                 sol = solve_inv(inst)
             else:
@@ -419,13 +424,20 @@ class TestDualOperator:
     gather, equal every anchor's assembled D_k. The tanh D_k of these
     batches are indefinite at N = 32."""
 
+    BETA = 2.0
+
     @staticmethod
-    def _batch(kernel, N):
+    def _gram(kernel, N):
         rng = np.random.default_rng([N, 5])
         v1, v2 = unit_columns(rng, 5, N), unit_columns(rng, 5, N)
-        spec, beta = EQUIVALENCE_KERNELS[kernel], 2.0
         E = np.concatenate([v1, v2], axis=1)
-        return rng, *_dual_operator(gram(spec, E, E), beta), anchor_deltas(v1, v2, spec, beta)
+        return rng, v1, v2, gram(EQUIVALENCE_KERNELS[kernel], E, E)
+
+    @classmethod
+    def _batch(cls, kernel, N):
+        rng, v1, v2, K = cls._gram(kernel, N)
+        return (rng, *_dual_operator(K, cls.BETA),
+                anchor_deltas(v1, v2, EQUIVALENCE_KERNELS[kernel], cls.BETA))
 
     @pytest.mark.parametrize("N", [2, 3, 32])
     @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
@@ -456,19 +468,25 @@ class TestDualOperator:
     @pytest.mark.parametrize("N", [2, 3, 32])
     @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
     def test_step_sizes_match_assembled_delta(self, kernel, N):
-        # the batched power iteration is that of spectral_norm on each D_k;
-        # it reaches lambda_max only when the top eigenvalue is well apart
-        # (tanh's cluster near beta: 0.2 % off at N = 2), so the exact
-        # eigenvalue is checked for linear and rbf
-        _, matvec, _, deltas = self._batch(kernel, N)
-        b = _to_block(negative_indices(N), 2.0)
-        eta = resolve_step_sizes(matvec, b, "auto")
+        # the closed-form step is the reciprocal of an upper bound on each
+        # ||D_k||_2, so a projected-gradient step never overshoots, and the
+        # bound stays close: at most 1.50x here (linear, N = 3) and 1.36x on
+        # the indefinite tanh D_k of N = 32, where the uncentred
+        # ||K + beta I|| + ||T_k|| reaches 4.8x
+        _, _, _, K = self._gram(kernel, N)
+        _, _, _, deltas = self._batch(kernel, N)
+        eta = resolve_step_sizes(K, self.BETA, "auto")
         assert eta.shape == (N,)
         for k, delta in enumerate(deltas):
-            assert eta[k] == pytest.approx(1.0 / spectral_norm(delta), rel=1e-12)
-            if kernel in ("linear", "rbf"):
-                assert eta[k] == pytest.approx(1.0 / np.linalg.eigvalsh(delta).max(), rel=1e-9)
-        assert np.array_equal(resolve_step_sizes(matvec, b, 0.25), np.full(N, 0.25))
+            norm = np.abs(np.linalg.eigvalsh(delta)).max()
+            assert norm <= 1.0 / eta[k] <= 1.55 * norm
+        assert np.array_equal(resolve_step_sizes(K, self.BETA, 0.25), np.full(N, 0.25))
+
+    def test_nonfinite_kernel_gives_nan_steps(self):
+        # as NaN alphas do, instead of the LinAlgError of an eigenvalue solve
+        _, _, _, K = self._gram("rbf", 4)
+        K[2, 5] = K[5, 2] = np.nan
+        assert np.all(np.isnan(resolve_step_sizes(K, self.BETA, "auto")))
 
     def test_spectral_norm_of_indefinite_duals(self):
         # every tanh D_k of this batch is indefinite (D_0 spans -4.5 to 2.0),
@@ -492,12 +510,12 @@ class TestDualOperator:
         monkeypatch.setattr(svm_module, "_face_steps", recording)
         return accepted
 
-    @staticmethod
-    def _pgd_inputs(rng, matvec, N):
+    @classmethod
+    def _pgd_inputs(cls, rng, kernel, N):
         neg_idx = negative_indices(N)
         b = _to_block(neg_idx, 2.0)
         alpha0 = _to_block(neg_idx, rng.uniform(0.0, 1.0, (N, 2 * N - 2)))
-        return b, alpha0, resolve_step_sizes(matvec, b, "auto")
+        return b, alpha0, resolve_step_sizes(cls._gram(kernel, N)[3], cls.BETA, "auto")
 
     @pytest.mark.parametrize("max_iters", [1000, 20])
     @pytest.mark.parametrize("nesterov", [True, False])
@@ -505,7 +523,7 @@ class TestDualOperator:
         # face steps included: their points go through the step's one product
         N = 32
         rng, matvec, gather, _ = self._batch("rbf", N)
-        b, alpha0, eta = self._pgd_inputs(rng, matvec, N)
+        b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
         accepted = self._count_face_steps(monkeypatch)
         shapes = []
 
@@ -520,12 +538,12 @@ class TestDualOperator:
             assert sum(accepted) > 0
 
     def test_plain_pgd_descends_on_indefinite_duals(self, monkeypatch):
-        # every tanh D_k is indefinite here: a projected-gradient step of
-        # 1 / ||D||_2 descends, and a face step descends by exactly -1/2 g'd
+        # every tanh D_k is indefinite here: a projected-gradient step of at
+        # most 1 / ||D||_2 descends, and a face step descends by exactly -1/2 g'd
         N = 32
         rng, matvec, gather, deltas = self._batch("tanh", N)
         assert all(np.linalg.eigvalsh(delta)[0] < 0 for delta in deltas)
-        b, alpha0, eta = self._pgd_inputs(rng, matvec, N)
+        b, alpha0, eta = self._pgd_inputs(rng, "tanh", N)
         accepted = self._count_face_steps(monkeypatch)
         _, _, converged, traces = _pgd_batched(matvec, gather, b, 3.0, eta, alpha0, 1000, 1e-8,
                                                nesterov=False, record=True)
@@ -538,7 +556,7 @@ class TestDualOperator:
         # blocks holds more doubles than the 2N x 2N matrix K + beta I
         N = 32
         rng, matvec, gather, _ = self._batch("rbf", N)
-        b, alpha0, eta = self._pgd_inputs(rng, matvec, N)
+        b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
         shapes = []
 
         def recording(rows, cols):
@@ -556,7 +574,7 @@ class TestDualOperator:
         # with the true gather, also when it shares a batched solve with 0
         N = 32
         rng, matvec, gather, _ = self._batch("rbf", N)
-        b, alpha0, eta = self._pgd_inputs(rng, matvec, N)
+        b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
         reference = _pgd_batched(matvec, gather, b, 100.0, eta, alpha0, 1000, 1e-8, True)
         shared = []
 
@@ -589,7 +607,9 @@ class TestPgdConvergence:
     def test_every_anchor_converges_on_bench_inputs(self, monkeypatch, seed):
         # the slowest anchor of these batches needs 482 to 530 steps without
         # face steps, 128 to 176 with face steps taken only inside the box,
-        # and 48 to 52 with the projected search
+        # 48 to 52 with the projected search from random starts, and 26 to
+        # 30 from the inv solution with closed-form steps and a face step
+        # every second step
         tc = cfgmod.build_train_config(cfgmod.default_config())
         assert tc.solver.max_iters == 1000
         results = []
@@ -603,7 +623,35 @@ class TestPgdConvergence:
         batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
         _, iterations, converged, _ = results[0]
         assert converged.all()
-        assert iterations.max() <= 64
+        assert iterations.max() <= 40
+
+    def test_operator_products_are_pgd_steps_only(self, monkeypatch):
+        # neither the start nor the step sizes take a product with the
+        # operator: the PGD loop makes one before its first step and one per step
+        tc = cfgmod.build_train_config(cfgmod.default_config())
+        products, results = [], []
+        dual_operator = loss_module._dual_operator
+
+        def counting(*args):
+            matvec, gather = dual_operator(*args)
+
+            def counted(A):
+                products.append(A.shape)
+                return matvec(A)
+
+            return counted, gather
+
+        def recording(*args, **kwargs):
+            results.append(_pgd_batched(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(loss_module, "_dual_operator", counting)
+        monkeypatch.setattr(loss_module, "_pgd_batched", recording)
+        v1, v2 = self._bench_batch(0, 32)
+        batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
+        _, iterations, converged, _ = results[0]
+        assert converged.all()
+        assert len(products) == iterations.max() + 1
 
     def test_nonfinite_embedding_stops_at_once(self, monkeypatch):
         # one NaN embedding makes the gradient of every anchor NaN at the
@@ -761,6 +809,68 @@ class TestSharedFactorizationInv:
         v2[:, 3] = v1[:, 1]
         with pytest.raises(SingularInstanceError, match="singular"):
             batch_loss(v1, v2, KernelSpec(kind="rbf"), 3.0, 0.0, SolverConfig(), method="inv")
+
+    @pytest.mark.parametrize("N", [2, 3, 32])
+    @pytest.mark.parametrize("kernel", sorted(SHARED_INV_KERNELS))
+    def test_pgd_starts_at_the_inv_solution(self, kernel, N):
+        # every D_k is positive definite: with no step, pgd returns inv's alphas
+        rng = np.random.default_rng([N, 7])
+        v1, v2 = unit_columns(rng, 6, N), unit_columns(rng, 6, N)
+        spec = SHARED_INV_KERNELS[kernel]
+        _, _, _, inv = batch_loss(v1, v2, spec, 3.0, 0.1, SolverConfig(), method="inv")
+        _, _, _, start = batch_loss(v1, v2, spec, 3.0, 0.1, SolverConfig(max_iters=0), method="pgd")
+        assert np.array_equal(start, inv)
+        assert np.any(start > 0.0)
+
+    def test_pgd_starts_rejected_anchors_at_zero(self):
+        # the tanh batches of test_definiteness_verdict_matches_solve_inv:
+        # pgd starts an anchor that inv rejects at 0 and every other anchor
+        # at its inv solution, and solves the batch from there
+        mixed = 0
+        for seed in range(80):
+            rng = np.random.default_rng([seed, 11])
+            N, d = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            spec = KernelSpec(kind="tanh", gamma=float(rng.uniform(0.2, 3.0)),
+                              bias=float(rng.uniform(-1.0, 1.0)),
+                              positive_gamma=bool(rng.integers(2)))
+            beta = float(rng.uniform(0.05, 1.0))
+            v1, v2 = unit_columns(rng, d, N), unit_columns(rng, d, N)
+            _, _, _, start = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(max_iters=0))
+            E = np.concatenate([v1, v2], axis=1)
+            rejected = 0
+            for k, cols in enumerate(negative_indices(N)):
+                inst = build_instance(spec, E[:, k], E[:, cols], 3.0, beta)
+                try:
+                    ref = solve_inv(inst).alpha
+                except SingularInstanceError:
+                    ref = np.zeros(inst.n)
+                    rejected += 1
+                    assert np.array_equal(start[k], ref)
+                TestBatchLoss._assert_close(start[k], ref, 1e-10)
+            mixed += 0 < rejected < N
+            _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig())
+            assert np.all(np.isfinite(alphas)) and np.all((alphas >= 0.0) & (alphas <= 3.0))
+        assert mixed > 0
+
+    def test_pgd_starts_at_zero_when_shared_matrix_is_singular(self):
+        # the batch of test_singular_shared_matrix_raises: no anchor has an
+        # inv solution, so every row starts at 0, and PGD still converges
+        rng = np.random.default_rng(12)
+        v1, v2 = unit_columns(rng, 6, 5), unit_columns(rng, 6, 5)
+        v2[:, 3] = v1[:, 1]
+        spec = KernelSpec(kind="rbf")
+        _, _, _, start = batch_loss(v1, v2, spec, 3.0, 0.0, SolverConfig(max_iters=0))
+        assert np.array_equal(start, np.zeros((5, 8)))
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(_pgd_batched(*args, **kwargs))
+            return results[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loss_module, "_pgd_batched", recording)
+            _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, 0.0, SolverConfig())
+        assert results[0][2].all() and np.any(alphas > 0.0)
 
     def test_nonfinite_embeddings_give_nan_alphas(self):
         # as the iterative solvers do, so that training aborts with diagnostics

@@ -344,13 +344,22 @@ class TestSparsity:
 
 class TestSpectralNorm:
     def test_matches_eigvalsh(self):
+        # the largest |eigenvalue|, also when it is negative
         for seed in range(5):
             inst = random_instance(np.random.default_rng(seed), n=20)
             exact = np.linalg.eigvalsh(inst.delta).max()
-            assert spectral_norm(inst.delta) == pytest.approx(exact, rel=1e-6)
+            assert spectral_norm(inst.delta) == pytest.approx(exact, rel=1e-12)
+        assert spectral_norm(np.diag([2.0, -3.0, 1.0])) == pytest.approx(3.0, rel=1e-15)
+
+    def test_nonfinite_matrix_gives_nan(self):
+        # instead of the LinAlgError of an eigenvalue solve, so that
+        # solve_pgd returns NaN alphas
+        delta = random_instance(np.random.default_rng(6), n=5).delta
+        delta[1, 3] = np.inf
+        assert math.isnan(spectral_norm(delta))
 
     def test_rejects_stacked_matrices(self):
-        # one matrix only: batched PGD takes its step sizes from an operator
+        # one matrix only: batched PGD bounds its step sizes from K + beta I
         deltas = np.stack([random_instance(np.random.default_rng(s), n=6).delta for s in range(4)])
         with pytest.raises(ValueError, match="square"):
             spectral_norm(deltas)
