@@ -88,9 +88,12 @@ def gram(spec: KernelSpec, A, B) -> np.ndarray:
     if spec.kind == "linear":
         return inner
     if spec.kind == "rbf":
-        sq = np.sum(A * A, axis=0)[:, None] + np.sum(B * B, axis=0)[None, :] - 2.0 * inner
+        sq = np.add.outer(np.sum(A * A, axis=0), np.sum(B * B, axis=0))
+        inner *= 2.0
+        sq -= inner
         np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.sigma_sq))
+        np.divide(sq, -2.0 * spec.sigma_sq, out=sq)
+        return np.exp(sq, out=sq)
     return np.tanh(_tanh_slope(spec) * inner + spec.bias)
 
 

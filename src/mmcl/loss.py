@@ -33,9 +33,11 @@ rejects at 0. It takes each anchor's step from a closed-form bound on
 ||D_k||_2 (``resolve_step_sizes``) and then runs on every anchor at once
 through one operator (``_dual_operator``) whose product with the
 N x 2N block of alphas is one GEMM with M; each PGD step makes one such
-product. Its face steps read the blocks D_k[F,F] of the free
-coordinates F from M and the rank-2 term, a few anchors at a time, and
-search along the Newton direction on them without a further product.
+product. Its face steps read the blocks D_k[F,F] of each anchor's
+binding free set F (the free coordinates and those at a bound whose
+gradient points into the box) from M and the rank-2 term, stacked by
+size, and search along the Newton direction on them without a further
+product.
 Only the slow ``oracle`` reference assembles D_k, one anchor at a time.
 """
 
@@ -192,6 +194,15 @@ def _stack_views(embeddings_view1, embeddings_view2):
     return np.concatenate([V1, V2], axis=1), N
 
 
+@lru_cache(maxsize=32)
+def _lower_mask(n: int) -> np.ndarray:
+    """(n, n) mask of the lower triangle, diagonal included. The cached
+    array is read-only."""
+    mask = np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def _to_block(neg_idx: np.ndarray, values) -> np.ndarray:
     """N x 2N block with row k of ``values`` at anchor k's negatives
     ``neg_idx[k]`` and 0 at its own columns k and N+k."""
@@ -287,7 +298,7 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
     ldu, ipiv, info = lapack.dsytrf(M, lower=1)
     if info == 0:
         P, info = lapack.dsytri(ldu, ipiv, lower=1)
-        P = np.tril(P) + np.tril(P, -1).T
+        P = np.where(_lower_mask(2 * N), P, P.T)
     # singular to working precision: 1-norm condition number >= 1 / (2N eps)
     if info != 0 or not (2 * N * np.finfo(np.float64).eps * np.max(np.sum(np.abs(M), axis=0))
                          * np.max(np.sum(np.abs(P), axis=0)) < 1.0):
@@ -410,10 +421,17 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     ``resolve_step_sizes``). ``pgd`` and
     ``inv`` assemble no D_k: they cost O(N^2) memory, and O(N^3) time per
     ``inv`` call or per PGD iteration, each of which is one operator
-    product (see ``svm._pgd_batched``). Every few iterations PGD also
-    solves, for each anchor whose free set has settled, one system in the
-    free coordinates, and searches along its solution projected onto the
-    box, which reaches the face minimizer when it lies in the box;
+    product (see ``svm._pgd_batched``). From its second iteration on, PGD
+    also solves, for each anchor, one system in its binding free set (the
+    free coordinates and those at a bound whose gradient points into the
+    box), and searches along its solution projected onto the box, which
+    reaches the face minimizer when it lies in the box, so the optimal
+    face is found in a few iterations. An anchor whose binding set is too
+    large for a cheap solve (|F|^2 > ``svm._BINDING_GUARD`` 2N, as at
+    small C early on) instead solves on its free coordinates every second
+    iteration, once they have settled. The systems of one padded size are
+    solved in stacks of at most max((2N)^2, ``svm._CHUNK_FLOOR``) doubles,
+    O(N^2) memory.
     ``solver.max_iters`` counts these steps too. An anchor whose projected
     gradient is not finite (from non-finite embeddings) stops at once with
     NaN alphas. ``inv`` raises

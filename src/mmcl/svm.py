@@ -16,10 +16,13 @@ Three solvers are provided:
   stationarity tolerance. Slowest, used as the reference optimum.
 * ``solve_pgd``    -- m-step projected gradient, optionally Nesterov
   accelerated with gradient-based adaptive restart, at one product with
-  D per step. Every few steps an instance whose free set has settled
-  takes a face step instead: a Newton solve on the free coordinates and a
+  D per step. From the second step on, an instance takes a face step
+  instead: a Newton solve on its binding free set (the free coordinates
+  and those at a bound whose gradient points into the box) and a
   projected search along its direction, which steps to the minimizer on
-  that face when it lies in the box. Its core, ``_pgd_batched``,
+  that face when it lies in the box (Bertsekas 1982's projected Newton).
+  An instance whose binding set is too large for a cheap solve steps
+  only on a settled face, every second step. Its core, ``_pgd_batched``,
   sees D only through a matvec and a gather of principal blocks, so the
   batched ``pgd`` of ``loss.batch_loss`` runs every anchor of a batch
   through one operator on the shared K + beta I
@@ -204,8 +207,9 @@ def _obj_from_q(alphas: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(alphas * q, axis=-1) - np.sum(b * alphas, axis=-1)
 
 
-# Steps between face steps of ``_pgd_batched``, chosen by measurement on
-# recorded training batches (see CHANGES.md)
+# The step from which ``_pgd_batched`` takes face steps, and the steps
+# between its settled-face steps, chosen by measurement on recorded
+# training batches (see CHANGES.md)
 _FACE_EVERY = 2
 
 # The step lengths t that a face step's projected search tries, longest
@@ -217,10 +221,27 @@ _SUFFICIENT_DECREASE = 1e-4
 # fewest stacked solves on recorded training batches
 _PAD_TO = 8
 
+# A face step's stacked blocks may hold max(n^2, this) doubles (256 KiB), so
+# that at small n one solve takes every face of one padded size
+_CHUNK_FLOOR = 2 ** 15
+
+# An instance takes a face step on its binding free set F each step while
+# |F|^2 <= _BINDING_GUARD * n (see ``_pgd_batched``). Of 8, 12, 16 and 24,
+# 12 balances recorded training batches, where 16 and 24 are up to 8 %
+# faster and 8 is 21 % slower, against C = 0.05, where 16 and 24 are up to
+# 48 % slower (see CHANGES.md)
+_BINDING_GUARD = 12
+
 
 def _face_of(alpha: np.ndarray, C: float) -> np.ndarray:
     """Each coordinate's face: 0 at the lower bound, 1 free, 2 at C."""
     return (alpha > 0.0).astype(np.int8) + (alpha >= C)
+
+
+def _binding_free(alpha: np.ndarray, g: np.ndarray, C: float) -> np.ndarray:
+    """The binding free set at alpha with gradient g: the free coordinates
+    and those at a bound that the sign of their gradient moves off it."""
+    return ((alpha > 0.0) & (alpha < C)) | ((alpha == 0.0) & (g < 0.0)) | ((alpha == C) & (g > 0.0))
 
 
 def _project(x: np.ndarray, C: float) -> np.ndarray:
@@ -229,12 +250,16 @@ def _project(x: np.ndarray, C: float) -> np.ndarray:
     return np.minimum(x, C, out=x)
 
 
-def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, C: float):
+def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free: np.ndarray,
+                C: float):
     """Projected searches along the Newton directions of the instances
-    ``rows`` on their free faces.
+    ``rows`` on the coordinates ``free`` leaves free.
 
-    For instance i of ``rows``, with free set F = {0 < alpha_i < C} (not
-    empty) and gradient g_i at alpha_i, d_F solves D_FF d_F = -g_F and d is
+    For instance i of ``rows``, with free set F given by row i of the
+    (B, n) mask ``free`` (not empty; the interior {0 < alpha_i < C}, or
+    the binding free set of ``_pgd_batched``, which also holds the
+    coordinates that the sign of their gradient moves off a bound) and
+    gradient g_i at alpha_i, d_F solves D_FF d_F = -g_F and d is
     0 off F. The step of length t is s(t) = P(alpha_F + t d_F) - alpha_F,
     P the projection onto [0, C], and it changes the objective by exactly
     g_F's + 1/2 s'D_FF s, evaluated on the block the solve gathered. A row
@@ -251,12 +276,15 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, C: f
     rounding of a solve depends on the padded size, so a row's solve and
     search then do not depend on the rows it shares them with. Faces of
     one padded size f are solved in chunks whose (rows, f, f) blocks hold
-    at most n^2 doubles, one dense D; a chunk whose stacked solve fails is
-    solved row by row. Returns the accepting rows and their new points.
+    at most max(n^2, ``_CHUNK_FLOOR``) doubles: one dense D, or at small n
+    a floor that puts every face of one padded size in one stacked solve.
+    A chunk whose stacked solve fails is solved row by row. Returns the
+    accepting rows and their new points.
     """
     n = alpha.shape[1]
     new, accept = alpha[rows], np.zeros(rows.size, dtype=bool)
-    free = (new > 0.0) & (new < C)
+    free = free[rows]
+    chunk_doubles = max(n * n, _CHUNK_FLOOR)
     sizes = np.add.reduce(free, axis=1)
     padded = np.minimum(-(-sizes // _PAD_TO) * _PAD_TO, n)
     order = np.argsort(~free, axis=1, kind="stable")  # each row's free coordinates first
@@ -265,7 +293,7 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, C: f
     while start < rows.size:
         f = int(padded[by_size[start]])
         group = np.count_nonzero(padded[by_size[start:]] == f)
-        chunk = by_size[start:start + min(group, max(1, n * n // (f * f)))]
+        chunk = by_size[start:start + min(group, max(1, chunk_doubles // (f * f)))]
         start += chunk.size
         cols = order[chunk, :f]
         pad = np.arange(f) >= sizes[chunk][:, None]
@@ -316,15 +344,25 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
     schemes"); the step is still taken. Without it m = 0 and this is
     plain projected gradient.
 
-    Every ``_FACE_EVERY``-th step, an instance whose face (the coordinates
-    at 0, the free set F = {0 < alpha < C}, those at C) is that of the
-    previous iterate takes, in place of the projected-gradient candidate,
-    the projected search along the Newton direction on that face when it
-    descends (``_face_steps``: Bertsekas 1982's projected Newton direction,
-    searched as in More & Toraldo 1991's GPCG), and restarts its momentum.
-    The search starts from alpha, so an instance may take several face
-    steps on one face. The candidate still goes through the step's one
-    product, so a face step is a step.
+    From step ``_FACE_EVERY`` on, an instance takes face steps: in place
+    of the projected-gradient candidate, the projected search along the
+    Newton direction on a set F of free coordinates when it descends
+    (``_face_steps``: Bertsekas 1982's projected Newton step, searched as
+    in More & Toraldo 1991's GPCG), and it restarts its momentum. F is
+    the binding free set F = {0 < alpha < C} u {alpha = 0, g < 0} u
+    {alpha = C, g > 0} (``_binding_free``), the coordinates that no bound
+    holds by the sign of their gradient, so a step can free a coordinate
+    as well as bind one, and the optimal face is found in a few steps. F
+    is not empty while an instance is active. Each step an instance
+    solves on its F while |F|^2 <= ``_BINDING_GUARD`` n, which keeps the
+    O(|F|^3) = O(n^1.5) solve below the O(n^2) share of an operator
+    product as n grows. An instance whose F is larger, as at small C
+    early on, keeps to the settled face: every ``_FACE_EVERY``-th step,
+    if its face (the coordinates at 0, the interior {0 < alpha < C},
+    those at C) is that of the previous iterate and its interior is not
+    empty, it steps on that interior. The search starts from alpha, so an
+    instance may take several face steps on one face. The candidate still
+    goes through the step's one product, so a face step is a step.
 
     Convergence is per instance: before each step, and once after the
     last, an instance whose projected-gradient norm pg at alpha has
@@ -374,10 +412,17 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
             _project(np.subtract(y, cand, out=cand), C)
             y -= cand
             restart = np.einsum("ij,ij->i", y, cand - alpha) > 0.0
-            if (k + 1) % _FACE_EVERY == 0:
-                face = _face_of(alpha, C)
-                settled = active & np.any(face == 1, axis=1) & np.all(face == _face_of(prev, C), axis=1)
-                rows, points = _face_steps(gather, alpha, g, np.nonzero(settled)[0], C)
+            if k + 1 >= _FACE_EVERY:
+                free = _binding_free(alpha, g, C)
+                size = np.add.reduce(free, axis=1)
+                take = active & (size * size <= _BINDING_GUARD * n)
+                large = active & ~take
+                if (k + 1) % _FACE_EVERY == 0 and large.any():
+                    face = _face_of(alpha, C)
+                    settled = large & np.any(face == 1, axis=1) & np.all(face == _face_of(prev, C), axis=1)
+                    free[settled] = face[settled] == 1
+                    take |= settled
+                rows, points = _face_steps(gather, alpha, g, np.nonzero(take)[0], free, C)
                 cand[rows] = points
                 restart[rows] = True
             q_cand = matvec(cand)

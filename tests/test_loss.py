@@ -553,20 +553,27 @@ class TestDualOperator:
 
     def test_face_blocks_stay_within_the_size_of_M(self):
         # faces are solved a few anchors at a time: no gathered stack of
-        # blocks holds more doubles than the 2N x 2N matrix K + beta I
-        N = 32
-        rng, matvec, gather, _ = self._batch("rbf", N)
-        b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
-        shapes = []
+        # blocks holds more doubles than the 2N x 2N matrix K + beta I, or
+        # at small N than the floor of 2^15 under which every face of one
+        # padded size goes into one stacked solve (N = 32; at N = 128 the
+        # floor does not apply)
+        for N in (32, 128):
+            rng, _, _, K = self._gram("rbf", N)
+            matvec, gather = _dual_operator(K, self.BETA)
+            b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
+            shapes = []
 
-        def recording(rows, cols):
-            blocks = gather(rows, cols)
-            shapes.append(blocks.shape)
-            return blocks
+            def recording(rows, cols):
+                blocks = gather(rows, cols)
+                shapes.append(blocks.shape)
+                return blocks
 
-        _pgd_batched(matvec, recording, b, 100.0, eta, alpha0, 1000, 1e-8, True)
-        assert max(r * f * f for r, f, _ in shapes) <= (2 * N) ** 2
-        assert max(r for r, _, _ in shapes) > 1
+            _pgd_batched(matvec, recording, b, 100.0, eta, alpha0, 1000, 1e-8, True)
+            largest = max(r * f * f for r, f, _ in shapes)
+            assert largest <= max((2 * N) ** 2, 2 ** 15)
+            assert max(r for r, _, _ in shapes) > 1
+            if N == 32:  # the floor is used
+                assert largest > (2 * N) ** 2
 
     def test_singular_face_block_skips_only_its_row(self, monkeypatch):
         # anchor 0's face blocks are all singular: it steps without face
@@ -607,9 +614,10 @@ class TestPgdConvergence:
     def test_every_anchor_converges_on_bench_inputs(self, monkeypatch, seed):
         # the slowest anchor of these batches needs 482 to 530 steps without
         # face steps, 128 to 176 with face steps taken only inside the box,
-        # 48 to 52 with the projected search from random starts, and 26 to
-        # 30 from the inv solution with closed-form steps and a face step
-        # every second step
+        # 48 to 52 with the projected search from random starts, 26 to 30
+        # from the inv solution with closed-form steps and a face step on
+        # the settled face every second step, and 7 with a face step on the
+        # binding free set every step
         tc = cfgmod.build_train_config(cfgmod.default_config())
         assert tc.solver.max_iters == 1000
         results = []
@@ -623,7 +631,31 @@ class TestPgdConvergence:
         batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
         _, iterations, converged, _ = results[0]
         assert converged.all()
-        assert iterations.max() <= 40
+        assert iterations.max() <= 12
+
+    def test_face_steps_solve_small_binding_sets_or_settled_faces(self, monkeypatch):
+        # an anchor solves on its binding free set only while
+        # |F|^2 <= _BINDING_GUARD n, and otherwise on its interior once its
+        # face has settled; at C = 0.2 both occur on this batch
+        tc = cfgmod.build_train_config(cfgmod.default_config())
+        kinds = set()
+        face_steps = svm_module._face_steps
+
+        def checking(gather, alpha, g, rows, free, C):
+            binding = svm_module._binding_free(alpha, g, C)
+            limit = svm_module._BINDING_GUARD * alpha.shape[1]
+            for i in rows:
+                if np.array_equal(free[i], binding[i]) and np.sum(free[i]) ** 2 <= limit:
+                    kinds.add("binding")
+                else:
+                    assert np.array_equal(free[i], (alpha[i] > 0.0) & (alpha[i] < C))
+                    kinds.add("settled")
+            return face_steps(gather, alpha, g, rows, free, C)
+
+        monkeypatch.setattr(svm_module, "_face_steps", checking)
+        v1, v2 = self._bench_batch(0, 64)
+        batch_loss(v1, v2, tc.kernel, 0.2, tc.beta, tc.solver, method="pgd")
+        assert kinds == {"binding", "settled"}
 
     def test_operator_products_are_pgd_steps_only(self, monkeypatch):
         # neither the start nor the step sizes take a product with the
@@ -680,15 +712,19 @@ class TestPgdConvergence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("N", [32, 64])
     def test_objective_matches_oracle_on_bench_inputs(self, N, seed):
-        # every 4th anchor, as the benchmark's output checks sample them
+        # every 4th anchor, as the benchmark's output checks sample them; at
+        # the default C = 100 no coordinate sits at C, and at C = 0.05 about
+        # half of them do
         tc = cfgmod.build_train_config(cfgmod.default_config())
         v1, v2 = self._bench_batch(seed, N)
-        _, _, _, alphas = batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
         E = np.concatenate([v1, v2], axis=1)
-        for k, cols in list(enumerate(negative_indices(N)))[::4]:
-            inst = build_instance(tc.kernel, E[:, k], E[:, cols], tc.C, tc.beta)
-            star = solve_oracle(inst, tol=1e-12).objective
-            assert abs(dual_objective(inst.delta, alphas[k]) - star) <= 1e-12 * abs(star)
+        for C in (tc.C, 0.05):
+            _, _, _, alphas = batch_loss(v1, v2, tc.kernel, C, tc.beta, tc.solver, method="pgd")
+            assert np.any(alphas == C) == (C < tc.C)
+            for k, cols in list(enumerate(negative_indices(N)))[::4]:
+                inst = build_instance(tc.kernel, E[:, k], E[:, cols], C, tc.beta)
+                star = solve_oracle(inst, tol=1e-12).objective
+                assert abs(dual_objective(inst.delta, alphas[k]) - star) <= 1e-12 * abs(star)
 
 
 # every anchor's D is positive definite for these kernels at beta = 0.1 and

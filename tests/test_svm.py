@@ -7,7 +7,7 @@ from mmcl import (KernelSpec, SolverConfig, SingularInstanceError, SvmInstance,
                   build_instance, dual_objective, kernel_eval, solve_inv,
                   solve_oracle, solve_pgd, spectral_norm)
 from mmcl.loss import _to_block, negative_indices
-from mmcl.svm import _dense_operator, _face_steps
+from mmcl.svm import _binding_free, _dense_operator, _face_steps
 
 import test_loss
 from helpers import random_instance, rotated_spectrum_delta, unit_columns
@@ -181,11 +181,19 @@ class TestSolvePgd:
             assert not sol.converged and sol.iterations == 0
 
     def test_divergent_step_overflows_without_warnings(self):
-        # with C = inf a step of 1e300 jumps between 0 and about 2e300, where
-        # eta * gradient overflows: the run reads unconverged, and no
-        # RuntimeWarning escapes (tier-1 turns them into errors)
-        inst = random_instance(np.random.default_rng(4), n=6, C=math.inf)
-        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False))
+        # an indefinite tanh D with C = inf has no minimizer: a step of 1e300
+        # jumps from 0 to about 1e300, where eta * gradient overflows and the
+        # next step falls back to 0. The face steps cannot end the cycle: the
+        # one at 1e300 overflows and is refused, and from 0 they reach a
+        # point whose Newton direction ascends. The run reads unconverged,
+        # and no RuntimeWarning escapes (tier-1 turns them into errors). A
+        # positive definite D would be solved here by its face steps
+        rng = np.random.default_rng(7)
+        spec = KernelSpec(kind="tanh", gamma=1.0, bias=0.1, positive_gamma=True)
+        inst = build_instance(spec, unit_columns(rng, 4, 1)[:, 0], unit_columns(rng, 4, 6), math.inf, 0.1)
+        assert np.linalg.eigvalsh(inst.delta)[0] < 0
+        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
+                        alpha0=np.zeros(6))
         assert not sol.converged and sol.iterations == 50
 
     def test_matches_oracle_on_moderate_conditioning(self):
@@ -244,6 +252,11 @@ class TestSolvePgd:
             assert np.all(gaps[mask] <= bound[mask])
 
 
+def interior(alpha, C):
+    """The free set of the settled-face steps: 0 < alpha < C."""
+    return (alpha > 0.0) & (alpha < C)
+
+
 class TestFaceStep:
     def test_descends_only_along_convex_directions(self):
         # g(a) = 1/2 (a1^2 - a2^2) - a1 + a2 has one stationary point, the
@@ -254,7 +267,7 @@ class TestFaceStep:
         b = np.array([[1.0, -1.0]])
         for start, taken in (([1.5, 1.0], True), ([1.0, 1.5], False)):
             alpha = np.array([start])
-            rows, points = _face_steps(gather, alpha, matvec(alpha) - b, np.array([0]), 2.0)
+            rows, points = _face_steps(gather, alpha, matvec(alpha) - b, np.array([0]), interior(alpha, 2.0), 2.0)
             assert rows.tolist() == ([0] if taken else [])
             if taken:
                 assert np.array_equal(points, [[1.0, 1.0]])
@@ -269,7 +282,7 @@ class TestFaceStep:
         matvec, gather = _dense_operator(delta)
         b = np.array([[-7.0, 7.0]])
         alpha = np.array([[1.0, 1.0]])
-        rows, points = _face_steps(gather, alpha, matvec(alpha) - b, np.array([0]), 2.0)
+        rows, points = _face_steps(gather, alpha, matvec(alpha) - b, np.array([0]), interior(alpha, 2.0), 2.0)
         assert rows.tolist() == [0]
         assert points[0] == pytest.approx([5.0 / 3.0, 2.0], abs=1e-15)
         assert np.all((points >= 0.0) & (points <= 2.0))
@@ -281,8 +294,26 @@ class TestFaceStep:
         # the gradient is 0, so no step length decreases the objective
         matvec, gather = _dense_operator(np.array([[2.0, 1.0], [1.0, 2.0]]))
         alpha = np.array([[1.0, 1.0]])
-        rows, _ = _face_steps(gather, alpha, matvec(alpha) - 3.0, np.array([0]), 2.0)
+        rows, _ = _face_steps(gather, alpha, matvec(alpha) - 3.0, np.array([0]), interior(alpha, 2.0), 2.0)
         assert rows.size == 0
+
+    def test_binding_set_frees_a_coordinate_at_zero(self):
+        # at (3/2, 0) with D = [[2, 1], [1, 2]] and b = (3, 3) the gradient
+        # is (0, -3/2): the free coordinate is stationary, so the step on the
+        # interior has no direction, but the coordinate at 0 is pulled into
+        # the box and the binding set frees it. Its Newton step reaches the
+        # minimizer (1, 1) on the free face in one step
+        matvec, gather = _dense_operator(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        alpha = np.array([[1.5, 0.0]])
+        g = matvec(alpha) - 3.0
+        assert np.array_equal(g, [[0.0, -1.5]])
+        rows, _ = _face_steps(gather, alpha, g, np.array([0]), interior(alpha, 2.0), 2.0)
+        assert rows.size == 0
+        free = _binding_free(alpha, g, 2.0)
+        assert free.tolist() == [[True, True]]
+        rows, points = _face_steps(gather, alpha, g, np.array([0]), free, 2.0)
+        assert rows.tolist() == [0]
+        assert points[0] == pytest.approx([1.0, 1.0], abs=1e-15)
 
     def test_steps_descend_on_indefinite_duals(self):
         # every tanh D_k of this batch is indefinite; from a start with about
@@ -296,9 +327,9 @@ class TestFaceStep:
         neg_idx = negative_indices(N)
         alpha = _to_block(neg_idx, np.clip(rng.uniform(-10.0, 4.0, (N, 2 * N - 2)), 0.0, C))
         g = matvec(alpha) - _to_block(neg_idx, 2.0)
-        rows, points = _face_steps(gather, alpha, g, np.arange(N), C)
+        free = interior(alpha, C)
+        rows, points = _face_steps(gather, alpha, g, np.arange(N), free, C)
         assert rows.size > N // 2
-        free = (alpha > 0.0) & (alpha < C)
         projected = 0
         for k, point in zip(rows, points):
             cols = neg_idx[k]

@@ -96,8 +96,9 @@ class TestRunEpoch:
             run_epoch(init_state(cfg, ds.dim), cfg, ds)
 
     def test_abort_on_nonfinite_loss(self):
-        # a divergent step size with an unbounded box overflows alpha
-        cfg = small_config(loss="mmcl_pgd", C=math.inf,
+        # the indefinite tanh duals with an unbounded box have no minimizer,
+        # and a divergent step size overflows alpha
+        cfg = small_config(loss="mmcl_pgd", C=math.inf, kernel=KernelSpec(kind="tanh"),
                            solver=SolverConfig(step_size=1e30, max_iters=60,
                                                nesterov=False, seed=0))
         ds = small_blobs()
