@@ -119,7 +119,7 @@ def _parse_instance_file(path, C: float, beta: float) -> tuple:
         K_YY = np.array([[float(v) for v in row.split(",")] for row in sections["K_YY"]])
         k_xx = float(sections["k_xx"][0]) if "k_xx" in sections else 1.0
         delta = assemble_delta(k_xx, k_xY, K_YY, beta)
-        return SvmInstance(k_xY=k_xY, K_YY=K_YY, k_xx=k_xx, delta=delta, C=C, beta=beta), None
+        return SvmInstance(delta=delta, C=C, beta=beta), None
     if "Z_neg" in sections:
         cfg = cfgmod.default_config()
         for line in sections.get("kernel", []):
@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--all-anchors", action="store_true",
                            help="dump every anchor of a two-view batch instead")
     p_inspect.add_argument("--batch-size", type=int, default=defaults.batch_size)
-    p_inspect.add_argument("--method", choices=("pgd", "inv", "oracle"), default="inv")
+    p_inspect.add_argument("--method", choices=("pgd", "inv", "oracle"), default="inv",
+                           help="dual solver; oracle is for a single anchor only")
     p_inspect.add_argument("--config", default=None, help="config file for kernel/C/beta/solver")
     p_inspect.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_inspect.add_argument("--seed", type=int, default=0)

@@ -37,8 +37,8 @@ product. Its face steps read the blocks D_k[F,F] of each anchor's
 binding free set F (the free coordinates and those at a bound whose
 gradient points into the box) from M and the rank-2 term, stacked by
 size, and search along the Newton direction on them without a further
-product.
-Only the slow ``oracle`` reference assembles D_k, one anchor at a time.
+product. Nothing in this module assembles a D_k; the per-anchor
+references of ``svm`` do, one anchor at a time.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .kernels import KernelSpec, gram, gram_vjp, grad_wrt_each_column, grad_wrt_second, kernel_grad
-from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta, solve_oracle,
-                  _check_C_beta, _pgd_batched)
+from .svm import SingularInstanceError, SolverConfig, _check_C_beta, _pgd_batched
 
 _LINEAR = KernelSpec(kind="linear")
 
@@ -250,15 +249,6 @@ def _dual_operator(K_full: np.ndarray, beta: float):
     return matvec, gather
 
 
-def _anchor_instance(K_full: np.ndarray, neg_idx: np.ndarray, k: int, C: float,
-                     beta: float) -> SvmInstance:
-    """Anchor k's dual instance, sliced from the full Gram matrix."""
-    cols = neg_idx[k]
-    k_xx, k_xY, K_YY = float(K_full[k, k]), K_full[k, cols], K_full[np.ix_(cols, cols)]
-    return SvmInstance(k_xY=k_xY, K_YY=K_YY, k_xx=k_xx,
-                       delta=assemble_delta(k_xx, k_xY, K_YY, beta), C=C, beta=beta)
-
-
 def _count_signs(det, trace, sign):
     """Eigenvalues of the given sign of symmetric 2x2 matrices, from their
     determinants and traces (a zero determinant counts as neither)."""
@@ -408,39 +398,28 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     k is anchor k's dual vector (post-correction when ``fn_correction`` is
     set).
 
-    ``method`` picks the dual solver: ``inv`` takes every anchor's
-    clip(2 D_k^{-1} 1, 0, C) from one factorization of the 2N x 2N matrix
-    K + beta I (see ``_inv_batched``), ``pgd`` runs one batched PGD over
-    every anchor's dual through ``_dual_operator``, and ``oracle`` is the
-    slow reference, ``solve_oracle`` on each anchor's assembled D_k in
-    turn. ``pgd`` starts each anchor at its ``inv`` solution, which
-    ``max_iters = 0`` returns; an anchor whose D_k is not positive definite
-    starts at 0, and so does every anchor when K + beta I is singular.
-    Its steps are 1 / a closed-form bound on each ||D_k||_2, or
-    ``solver.step_size`` when that is a number (see
-    ``resolve_step_sizes``). ``pgd`` and
-    ``inv`` assemble no D_k: they cost O(N^2) memory, and O(N^3) time per
-    ``inv`` call or per PGD iteration, each of which is one operator
-    product (see ``svm._pgd_batched``). From its second iteration on, PGD
-    also solves, for each anchor, one system in its binding free set (the
-    free coordinates and those at a bound whose gradient points into the
-    box), and searches along its solution projected onto the box, which
-    reaches the face minimizer when it lies in the box, so the optimal
-    face is found in a few iterations. An anchor whose binding set is too
-    large for a cheap solve (|F|^2 > ``svm._BINDING_GUARD`` 2N, as at
-    small C early on) instead solves on its free coordinates every second
-    iteration, once they have settled. The systems of one padded size are
-    solved in stacks of at most max((2N)^2, ``svm._CHUNK_FLOOR``) doubles,
-    O(N^2) memory.
-    ``solver.max_iters`` counts these steps too. An anchor whose projected
+    ``method`` picks the dual solver, one of the paper's two: ``inv`` takes
+    every anchor's clip(2 D_k^{-1} 1, 0, C) from one factorization of the
+    2N x 2N matrix K + beta I (see ``_inv_batched``), and ``pgd`` runs one
+    batched PGD over every anchor's dual through ``_dual_operator`` (see
+    ``svm._pgd_batched`` for its face steps and convergence rule). ``pgd``
+    starts each anchor at its ``inv`` solution, which ``max_iters = 0``
+    returns; an anchor whose D_k is not positive definite starts at 0, and
+    so does every anchor when K + beta I is singular. Its steps are
+    ``solver.step_size``, or for "auto" 1 / a closed-form bound on each
+    ||D_k||_2 (see ``resolve_step_sizes``). An anchor whose projected
     gradient is not finite (from non-finite embeddings) stops at once with
-    NaN alphas. ``inv`` raises
-    ``SingularInstanceError`` naming the first anchor whose D_k is not
-    positive definite, exactly the anchors ``svm.solve_inv`` rejects
+    NaN alphas. Both methods cost O(N^2) memory, and O(N^3) time per
+    ``inv`` call or per PGD step.
+
+    Any other ``method`` raises ValueError; the exact per-anchor
+    ``svm.solve_oracle`` is a reference, not a batch method. ``inv``
+    raises ``SingularInstanceError`` naming the first anchor whose D_k is
+    not positive definite, exactly the anchors ``svm.solve_inv`` rejects
     (possible with the indefinite tanh kernel), and when K + beta I is
-    singular to working precision (beta = 0 with a repeated column, or
-    by chance with tanh). Every method rejects C <= 0 and beta < 0 with
-    the ValueError an ``SvmInstance`` raises.
+    singular to working precision (beta = 0 with a repeated column, or by
+    chance with tanh). Both methods reject C <= 0 and beta < 0 with the
+    ValueError an ``SvmInstance`` raises.
 
     ``total_loss`` uses the alphas solved here for this batch. It scales
     with each anchor's alpha_x = alpha' 1, which shrinks as the margin
@@ -448,8 +427,8 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     fixed alpha, which the gradients describe, still falls.
     """
     E, N = _stack_views(embeddings_view1, embeddings_view2)
-    if method not in ("pgd", "inv", "oracle"):
-        raise ValueError(f"unknown solver method {method!r}")
+    if method not in ("pgd", "inv"):
+        raise ValueError(f"unknown solver method {method!r}: batch_loss solves with 'pgd' or 'inv'")
     _check_C_beta(C, beta)
     K_full = gram(spec, E, E)
     neg_idx = negative_indices(N)
@@ -463,17 +442,14 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
             raise SingularInstanceError(
                 f"anchor {int(np.argmin(definite))} of {N}: D is not positive definite "
                 f"(beta = {beta}), so its inv dual clip(2 D^-1 1, 0, C) is not defined")
-    elif method == "pgd":
+    else:
         alpha0, _ = _inv_batched(K_full, neg_idx, beta, C)
         matvec, gather = _dual_operator(K_full, beta)
         eta = resolve_step_sizes(K_full, beta, solver.step_size)
-        alpha_block, _, _, _ = _pgd_batched(
+        alpha_block, _, _ = _pgd_batched(
             matvec, gather, _to_block(neg_idx, 2.0), C, eta, _to_block(neg_idx, alpha0),
             solver.max_iters, solver.tol, solver.nesterov)
         alphas = np.take_along_axis(alpha_block, neg_idx, axis=1)
-    else:
-        alphas = np.stack([solve_oracle(_anchor_instance(K_full, neg_idx, k, C, beta),
-                                        tol=solver.tol).alpha for k in range(N)])
 
     if fn_correction:
         alphas = fn_correct(alphas, C)

@@ -43,7 +43,7 @@ The objectives satisfy g(2 D^{-1} 1) <= g(oracle) <= min(g(pgd), g(inv)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -72,9 +72,6 @@ class SvmInstance:
     ``math.inf`` for the unbounded (no upper box) variant.
     """
 
-    k_xY: np.ndarray
-    K_YY: np.ndarray
-    k_xx: float
     delta: np.ndarray
     C: float
     beta: float
@@ -97,8 +94,6 @@ class DualSolution:
     iterations: int
     solver: str
     converged: bool
-    # per-iteration objective values, populated only when requested
-    trace: list = field(default=None, repr=False)
 
     @property
     def alpha_x(self) -> float:
@@ -116,9 +111,10 @@ class SolverConfig:
     closed-form upper bound on each anchor's ||D_k||_2
     (``loss.resolve_step_sizes``), so no step is longer than 1 / ||D||_2.
     ``max_iters`` caps the steps, face steps included, and ``tol`` the
-    projected-gradient norm at which an instance counts as converged; an
-    instance whose projected gradient is not finite stops at once,
-    unconverged, with NaN alphas.
+    norm of the projected gradient alpha - P(alpha - g), P the projection
+    onto the box, at which an instance counts as converged; it takes a
+    unit step whatever ``step_size`` is. An instance whose projected
+    gradient is not finite stops at once, unconverged, with NaN alphas.
     ``seed`` drives the random initial point alpha_0 ~ U[0, min(C, 1)]^n
     of ``solve_pgd`` only; the batched ``pgd`` starts at the ``inv``
     solution and uses no seed.
@@ -169,7 +165,7 @@ def build_instance(spec: KernelSpec, z_pos, Z_neg, C: float, beta: float) -> Svm
     k_xY = gram(spec, z_pos[:, None], Z_neg)[0]
     K_YY = gram(spec, Z_neg, Z_neg)
     delta = assemble_delta(k_xx, k_xY, K_YY, beta)
-    return SvmInstance(k_xY=k_xY, K_YY=K_YY, k_xx=k_xx, delta=delta, C=C, beta=beta)
+    return SvmInstance(delta=delta, C=C, beta=beta)
 
 
 def dual_objective(delta, alpha) -> float:
@@ -201,10 +197,6 @@ def spectral_norm(delta) -> float:
 
 def _draw_alpha0(n: int, C: float, seed) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.0, min(C, 1.0), size=n)
-
-
-def _obj_from_q(alphas: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 0.5 * np.sum(alphas * q, axis=-1) - np.sum(b * alphas, axis=-1)
 
 
 # The step from which ``_pgd_batched`` takes face steps, and the steps
@@ -322,8 +314,7 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
 
 
 def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarray,
-                 max_iters: int, tol: float, nesterov: bool,
-                 record: bool = False):
+                 max_iters: int, tol: float, nesterov: bool):
     """Projected gradient on a batch of instances g_i(a) = 1/2 a' D_i a - b_i' a
     over the box [0, C], with face steps and one operator product per step.
 
@@ -365,14 +356,14 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
     goes through the step's one product, so a face step is a step.
 
     Convergence is per instance: before each step, and once after the
-    last, an instance whose projected-gradient norm pg at alpha has
-    ||pg||^2 <= tol^2 freezes, so ``converged`` describes the returned
-    alpha. An instance whose ||pg||^2 is not finite (NaN, or past the
-    float range) freezes as well, unconverged, and returns NaN alphas.
-    Objectives are computed only for ``record``. Returns (alpha,
-    iterations, converged, traces) with per-instance step counts and, for
-    ``record``, each instance's objective before its first step and after
-    every step.
+    last, an instance whose projected gradient pg = alpha - P(alpha - g)
+    has ||pg||^2 <= tol^2 freezes, so ``converged`` describes the returned
+    alpha. pg takes a unit step, not eta: (alpha - P(alpha - eta g)) / eta
+    shrinks as alpha / eta where a long step projects a coordinate onto 0,
+    whatever its gradient. An instance whose ||pg||^2 is not finite (NaN,
+    or past the float range) freezes as well, unconverged, and returns NaN
+    alphas. Returns (alpha, iterations, converged) with per-instance step
+    counts.
     """
     B, n = alpha0.shape
     alpha = _project(np.array(alpha0, dtype=np.float64), C)
@@ -384,15 +375,13 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
     active = np.ones(B, dtype=bool)
     failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=np.int64)
-    traces = [[o] for o in _obj_from_q(alpha, q, b)] if record else None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters + 1):
             g = q - b
-            # pg = (alpha - P(alpha - eta g)) / eta, built in place
-            pg = _project(alpha - eta_col * g, C)
+            # pg = alpha - P(alpha - g), built in place
+            pg = _project(alpha - g, C)
             np.subtract(alpha, pg, out=pg)
-            pg /= eta_col
             pg2 = np.einsum("ij,ij->i", pg, pg)
             failed |= ~np.isfinite(pg2)
             active &= (pg2 > tol2) & ~failed
@@ -435,17 +424,12 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
                 step = active[:, None]
                 alpha, q = np.where(step, cand, alpha), np.where(step, q_cand, q)
             iterations += active
-            if record:
-                obj = _obj_from_q(alpha, q, b)
-                for i in np.nonzero(active)[0]:
-                    traces[i].append(obj[i])
 
     alpha[failed] = np.nan
-    return alpha, iterations, ~active & ~failed, traces
+    return alpha, iterations, ~active & ~failed
 
 
-def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
-              record_trace: bool = False) -> DualSolution:
+def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution:
     """Run (optionally Nesterov-accelerated) projected gradient, with face
     steps, on one instance: ``_pgd_batched`` on a batch of one dense D,
     with the step 1 / ``spectral_norm(D)`` for "auto".
@@ -461,15 +445,14 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None,
     a0 = np.asarray(alpha0, dtype=np.float64)[None]
     step = 1.0 / max(spectral_norm(inst.delta), 1e-300) if cfg.step_size == "auto" else cfg.step_size
     eta = np.array([float(step)])
-    alpha, iters, converged, traces = _pgd_batched(
-        matvec, gather, b, inst.C, eta, a0, cfg.max_iters, cfg.tol, cfg.nesterov, record=record_trace)
+    alpha, iters, converged = _pgd_batched(
+        matvec, gather, b, inst.C, eta, a0, cfg.max_iters, cfg.tol, cfg.nesterov)
     return DualSolution(
         alpha=alpha[0],
         objective=dual_objective(inst.delta, alpha[0]),
         iterations=int(iters[0]),
         solver="pgd",
         converged=bool(converged[0]),
-        trace=traces[0] if record_trace else None,
     )
 
 

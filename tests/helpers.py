@@ -58,3 +58,24 @@ def anchor_deltas(v1, v2, spec, beta) -> np.ndarray:
     E = np.concatenate([v1, v2], axis=1)
     return np.stack([build_instance(spec, E[:, k], E[:, cols], 1.0, beta).delta
                      for k, cols in enumerate(negative_indices(v1.shape[1]))])
+
+
+class RecordingOperator:
+    """A ``svm._pgd_batched`` operator that keeps every input A and product
+    D A it makes, from which each instance's objective trace is rebuilt."""
+
+    def __init__(self, matvec):
+        self.matvec = matvec
+        self.calls = []
+
+    def __call__(self, A):
+        Q = self.matvec(A)
+        self.calls.append((A.copy(), Q.copy()))
+        return Q
+
+    def traces(self, b, iterations):
+        """Row i's objectives 1/2 a'Da - b_i'a at its first iterations[i] + 1
+        operator inputs: its start, then the point of every step it took
+        (an instance steps on every product until it freezes)."""
+        objectives = np.stack([0.5 * np.sum(A * Q, axis=1) - np.sum(b * A, axis=1) for A, Q in self.calls])
+        return [objectives[:m + 1, i] for i, m in enumerate(iterations)]

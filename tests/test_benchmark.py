@@ -1,10 +1,26 @@
 """The benchmark's own self-test, run against the program under test."""
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from mmcl import KernelSpec, SolverConfig, batch_loss
+from mmcl import loss as loss_module
+
+from helpers import unit_columns
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_self_test_passes():
@@ -14,3 +30,32 @@ def test_benchmark_self_test_passes():
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-test: all cases behave" in proc.stdout
+
+
+def test_traced_hooks_resolve(monkeypatch):
+    # a traced run reports the span of a hook that no longer resolves as
+    # absent, so a refactor that renames a hooked function shows here, not
+    # as a metric gone silent. mmcl.loss._anchor_deltas is the known stale
+    # hook of loss.assemble_ms
+    hooked = [(module, attr) for module, attr, _ in _tracing().LAYER_SPANS]
+    hooked.append(("mmcl.loss", "_pgd_batched"))
+    missing = {f"{module}.{attr}" for module, attr in hooked
+               if not hasattr(importlib.import_module(module), attr)}
+    assert missing == {"mmcl.loss._anchor_deltas"}
+
+    # svm.pgd_iters_* read the per-anchor step counts at index 1 of the result
+    results = []
+    pgd_batched = loss_module._pgd_batched
+
+    def recording(*args, **kwargs):
+        results.append(pgd_batched(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(loss_module, "_pgd_batched", recording)
+    rng = np.random.default_rng(0)
+    N = 6
+    batch_loss(unit_columns(rng, 4, N), unit_columns(rng, 4, N), KernelSpec(), 100.0, 0.1,
+               SolverConfig(), method="pgd")
+    iterations = results[0][1]
+    assert iterations.shape == (N,) and np.issubdtype(iterations.dtype, np.integer)
+    assert 0 < iterations.max() <= SolverConfig().max_iters

@@ -320,6 +320,22 @@ class TestInspectCommand:
         assert err.startswith("error: ")
         assert "not positive definite" in err or "cannot factorize" in err
 
+    def test_oracle_is_for_a_single_anchor_only(self, tmp_path, capsys):
+        # batch_loss solves with the paper's pgd or inv; the exact oracle
+        # solves one anchor's dual, so a whole batch asked of it exits 2
+        cfg, ckpt, data = self._setup(tmp_path, capsys)
+        tc = build_train_config(parse_config_file(cfg))
+        with pytest.raises(ValueError, match="'pgd' or 'inv'"):
+            batch_loss(np.eye(4)[:, :3], np.eye(4)[:, 1:], tc.kernel, tc.C, tc.beta, tc.solver,
+                       method="oracle")
+        common = ("inspect", "--checkpoint", str(ckpt), "--data", str(data), "--config", str(cfg),
+                  "--batch-size", "4", "--method", "oracle")
+        code, out, err = run_cli(capsys, *common, "--all-anchors")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'pgd' or 'inv'" in err
+        code, out, _ = run_cli(capsys, *common, "--anchor", "0")
+        assert code == 0 and out.startswith("anchor_index,")
+
     def test_all_anchors_export(self, tmp_path, capsys):
         cfg, ckpt, data = self._setup(tmp_path, capsys)
         code, out, _ = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),

@@ -6,18 +6,17 @@ import pytest
 from mmcl import (KernelSpec, SolverConfig, SingularInstanceError, SvmInstance,
                   build_instance, dual_objective, kernel_eval, solve_inv,
                   solve_oracle, solve_pgd, spectral_norm)
+from mmcl import svm as svm_module
 from mmcl.loss import _to_block, negative_indices
 from mmcl.svm import _binding_free, _dense_operator, _face_steps
 
 import test_loss
-from helpers import random_instance, rotated_spectrum_delta, unit_columns
+from helpers import RecordingOperator, random_instance, rotated_spectrum_delta, unit_columns
 
 
 def make_instance(delta, C=100.0, beta=0.0):
     delta = np.asarray(delta, dtype=np.float64)
-    n = delta.shape[0]
-    return SvmInstance(k_xY=np.zeros(n), K_YY=np.zeros((n, n)), k_xx=1.0,
-                       delta=delta, C=C, beta=beta)
+    return SvmInstance(delta=delta, C=C, beta=beta)
 
 
 class TestBuildInstance:
@@ -182,19 +181,32 @@ class TestSolvePgd:
 
     def test_divergent_step_overflows_without_warnings(self):
         # an indefinite tanh D with C = inf has no minimizer: a step of 1e300
-        # jumps from 0 to about 1e300, where eta * gradient overflows and the
-        # next step falls back to 0. The face steps cannot end the cycle: the
-        # one at 1e300 overflows and is refused, and from 0 they reach a
-        # point whose Newton direction ascends. The run reads unconverged,
-        # and no RuntimeWarning escapes (tier-1 turns them into errors). A
-        # positive definite D would be solved here by its face steps
+        # jumps from 0 to about 1e300, where the gradient, and so the
+        # projected gradient, overflows. The instance freezes there after one
+        # step, as failed, with NaN alphas. The run reads unconverged, and no
+        # RuntimeWarning escapes (tier-1 turns them into errors)
         rng = np.random.default_rng(7)
         spec = KernelSpec(kind="tanh", gamma=1.0, bias=0.1, positive_gamma=True)
         inst = build_instance(spec, unit_columns(rng, 4, 1)[:, 0], unit_columns(rng, 4, 6), math.inf, 0.1)
         assert np.linalg.eigvalsh(inst.delta)[0] < 0
         sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
                         alpha0=np.zeros(6))
-        assert not sol.converged and sol.iterations == 50
+        assert not sol.converged and sol.iterations == 1
+        assert np.all(np.isnan(sol.alpha))
+
+    def test_long_step_does_not_read_converged(self):
+        # the step-scaled mapping (alpha - P(alpha - eta g)) / eta read this
+        # random start converged before any step at eta = 1e300, with the
+        # objective 7.37 against the optimum -13.15. The unit-step projected
+        # gradient does not shrink with eta: the run diverges, unconverged,
+        # and the default step solves the same instance
+        inst = random_instance(np.random.default_rng(4), n=32, C=math.inf)
+        star = solve_oracle(inst, tol=1e-12).objective
+        assert star == pytest.approx(-13.15, abs=0.01)
+        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False))
+        assert not sol.converged and sol.iterations > 0
+        sol = solve_pgd(inst, SolverConfig(max_iters=50, nesterov=False))
+        assert sol.converged and sol.objective == pytest.approx(star, rel=1e-12)
 
     def test_matches_oracle_on_moderate_conditioning(self):
         count = 0
@@ -210,12 +222,27 @@ class TestSolvePgd:
             assert abs(sol.objective - star.objective) / abs(star.objective) <= 1e-6
         assert count >= 5  # the conditioning filter must leave real cases
 
-    def test_monotone_descent_plain(self):
+    @staticmethod
+    def _objective_trace(monkeypatch, inst, cfg):
+        """``solve_pgd``'s objective before its first step and after every
+        step, rebuilt from the inputs of the operator it runs on."""
+        recordings = []
+        dense_operator = svm_module._dense_operator
+
+        def recording(delta):
+            matvec, gather = dense_operator(delta)
+            recordings.append(RecordingOperator(matvec))
+            return recordings[-1], gather
+
+        monkeypatch.setattr(svm_module, "_dense_operator", recording)
+        sol = solve_pgd(inst, cfg)
+        return recordings[-1].traces(np.full((1, inst.n), 2.0), [sol.iterations])[0]
+
+    def test_monotone_descent_plain(self, monkeypatch):
         for seed in range(5):
             inst = random_instance(np.random.default_rng(300 + seed), n=12)
             cfg = SolverConfig(step_size="auto", max_iters=200, tol=1e-14, nesterov=False, seed=seed)
-            sol = solve_pgd(inst, cfg, record_trace=True)
-            trace = np.asarray(sol.trace)
+            trace = self._objective_trace(monkeypatch, inst, cfg)
             assert np.all(np.diff(trace) <= 1e-12)
 
     def test_iterates_stay_in_box(self):
@@ -232,7 +259,7 @@ class TestSolvePgd:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kappa", [2.0, 10.0, 100.0])
-    def test_linear_convergence_rate(self, kappa):
+    def test_linear_convergence_rate(self, monkeypatch, kappa):
         # objective gap after m plain-PGD steps with eta = 1/lambda_max is
         # bounded by 10 (1 - lambda_min/lambda_max)^m times the initial gap
         rho = 10.0
@@ -243,8 +270,7 @@ class TestSolvePgd:
             inst = make_instance(delta, C=math.inf)
             star = solve_oracle(inst, tol=1e-13, max_sweeps=200000)
             cfg = SolverConfig(step_size=1.0 / kappa, max_iters=300, tol=1e-16, nesterov=False, seed=seed)
-            sol = solve_pgd(inst, cfg, record_trace=True)
-            gaps = np.asarray(sol.trace) - star.objective
+            gaps = self._objective_trace(monkeypatch, inst, cfg) - star.objective
             assert gaps.min() >= -1e-12
             rate = 1.0 - 1.0 / kappa
             bound = rho * gaps[0] * rate ** np.arange(len(gaps))
