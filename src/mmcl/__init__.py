@@ -15,7 +15,7 @@ from .loss import (LossBatch, LossGrads, mmcl_loss, mmcl_grad, decision_function
 from .encoder import (EncoderParams, AdamState, ForwardTape, StaleTapeError,
                       forward, forward_features, backward, adam_step, init_params,
                       init_adam, save_params, load_params)
-from .data import (Dataset, AugmentationSpec, augment, augment_batch, make_blobs,
+from .data import (Dataset, AugmentationSpec, augment_batch, make_blobs,
                    make_moons, load_csv, save_csv, load_binary, save_binary, stream_rng)
 from .evaluate import knn_readout, linear_probe, fit_linear_probe
 from .training import (TrainConfig, TrainState, TrainingAbort, apply_schedules,

@@ -24,8 +24,8 @@ from .loss import batch_loss, nce_batch_loss
 from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
                   build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
 from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort,
-                       eval_embeddings, eval_split, format_metrics_row, load_state, save_state,
-                       train)
+                       check_eval_settings, eval_embeddings, eval_split, format_metrics_row,
+                       load_state, save_state, train)
 
 CATEGORY_NAMES = {0: "non-support", 1: "support", 2: "margin-violator"}
 
@@ -75,6 +75,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_eval_settings(args.k, args.probe_epochs, args.probe_lr, args.test_fraction)
     params = _load_checkpoint_params(args.checkpoint)
     dataset = _load_any_dataset(args.data)
     if dataset.labels is None:

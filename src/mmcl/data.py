@@ -78,24 +78,15 @@ class AugmentationSpec:
             raise ValueError(f"need 0 < scale_lo <= scale_hi, got {self.scale_lo}, {self.scale_hi}")
 
 
-def augment(spec: AugmentationSpec, x, rng: np.random.Generator) -> np.ndarray:
-    """One augmented view of x; a fixed rng state gives a fixed output.
-
-    Draws happen in a fixed order (scale, noise, dropout mask) regardless of
-    the spec values, so the identity spec reproduces x exactly while
-    consuming the same stream positions.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
-    scale = rng.uniform(spec.scale_lo, spec.scale_hi)
-    noise = rng.standard_normal(d)
-    keep = rng.random(d) >= spec.dropout_p
-    return (x * scale + spec.noise_sigma * noise) * keep
-
-
 def augment_batch(spec: AugmentationSpec, X, rng: np.random.Generator) -> np.ndarray:
-    """Augment each row of X (N x d) from one stream; the whole-batch draws
-    make this faster than per-sample calls but equally deterministic."""
+    """One augmented view of each row of X (N x d); a fixed rng state gives
+    a fixed output.
+
+    Draws happen in a fixed order (every row's scale, then the noise, then
+    the dropout mask) regardless of the spec values, so the identity spec
+    reproduces X exactly while consuming the same stream positions. One
+    sample x is the batch ``x[None]``.
+    """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     scale = rng.uniform(spec.scale_lo, spec.scale_hi, size=(n, 1))

@@ -42,12 +42,8 @@ class EncoderParams:
 
     layers: list
     head: list
-    activation: str = "relu"
-    out_dim: int = 0
 
     def __post_init__(self):
-        if self.activation != "relu":
-            raise ValueError(f"only relu is supported, got {self.activation!r}")
         expected_in = None
         for W, b in self.layers + self.head:
             if W.ndim != 2 or b.shape != (W.shape[0],):
@@ -57,8 +53,6 @@ class EncoderParams:
             expected_in = W.shape[0]
         if len(self.head) != 2:
             raise ValueError(f"projection head must have exactly 2 layers, got {len(self.head)}")
-        if not self.out_dim:
-            self.out_dim = self.head[-1][0].shape[0]
 
     def all_layers(self) -> list:
         return self.layers + self.head
@@ -106,7 +100,7 @@ def init_params(in_dim: int, backbone_widths, head_hidden: int, out_dim: int,
     dims = [in_dim] + list(backbone_widths)
     layers = [_init_layer(rng, d_in, d_out) for d_in, d_out in zip(dims[:-1], dims[1:])]
     head = [_init_layer(rng, dims[-1], head_hidden), _init_layer(rng, head_hidden, out_dim)]
-    return EncoderParams(layers=layers, head=head, out_dim=out_dim)
+    return EncoderParams(layers=layers, head=head)
 
 
 def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
@@ -186,8 +180,7 @@ def adam_step(params: EncoderParams, grads: list, state: AdamState):
         new_m.append((mW, mb))
         new_v.append((vW, vb))
     n_backbone = len(params.layers)
-    new_params = EncoderParams(layers=new_layers[:n_backbone], head=new_layers[n_backbone:],
-                               activation=params.activation, out_dim=params.out_dim)
+    new_params = EncoderParams(layers=new_layers[:n_backbone], head=new_layers[n_backbone:])
     return new_params, replace(state, m=new_m, v=new_v, step=t)
 
 

@@ -112,47 +112,29 @@ def _grad_scale(spec: KernelSpec, kvals):
     return np.ones_like(kvals)
 
 
-def _pair_grad(spec: KernelSpec, a, b, kvals) -> np.ndarray:
-    """dk(a, b)/db from stored kernel values, broadcasting over columns."""
-    c = _grad_scale(spec, kvals)
-    return c * (a - b) if spec.kind == "rbf" else c * a
-
-
 def kernel_grad(spec: KernelSpec, a, b) -> np.ndarray:
     """Gradient of k(a, b) with respect to the second argument b.
+
+    a and b are two d-vectors, or a d x m matrix and a d-vector in either
+    order. With a matrix, pair i is its column i with the vector, and
+    column i of the d x m result is that pair's gradient in its second
+    member.
 
     linear: a
     rbf:    k(a, b) * (a - b) / sigma_sq
     tanh:   slope * (1 - tanh(slope * a.b + bias)^2) * a
     """
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    _check_same_dim(a, b)
-    return _pair_grad(spec, a, b, kernel_eval(spec, a, b))
-
-
-def grad_wrt_second(spec: KernelSpec, A, b) -> np.ndarray:
-    """Column i is the gradient of k(A[:, i], b) with respect to b.
-
-    Vectorized form of ``kernel_grad`` over the columns of A (d x m);
-    returns a d x m matrix.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    b = _as_vector(b, "b")
-    _check_same_dim(A, b)
-    return _pair_grad(spec, A, b[:, None], gram(spec, b[:, None], A))
-
-
-def grad_wrt_each_column(spec: KernelSpec, a, B) -> np.ndarray:
-    """Column i is the gradient of k(a, B[:, i]) with respect to B[:, i].
-
-    The first argument is shared; the derivative is taken in each column of
-    B separately. Returns a matrix shaped like B.
-    """
-    a = _as_vector(a, "a")
-    B = np.asarray(B, dtype=np.float64)
-    _check_same_dim(a, B)
-    return _pair_grad(spec, a[:, None], B, gram(spec, a[:, None], B))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == b.ndim == 1:
+        c = _grad_scale(spec, kernel_eval(spec, a, b))
+    elif {a.ndim, b.ndim} == {1, 2}:
+        a, b = a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)
+        c = _grad_scale(spec, gram(spec, a, b).ravel())
+    else:
+        raise ValueError(f"kernel_grad takes two d-vectors, or a d x m matrix and a d-vector, "
+                         f"got shapes {a.shape} and {b.shape}")
+    return c * (a - b) if spec.kind == "rbf" else c * a
 
 
 def gram_vjp(spec: KernelSpec, A, B, K, W):

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .kernels import KernelSpec, gram, gram_vjp, grad_wrt_each_column, grad_wrt_second, kernel_grad
+from .kernels import KernelSpec, gram, gram_vjp, kernel_grad
 from .svm import SingularInstanceError, SolverConfig, _check_C_beta, _pgd_batched
 
 _LINEAR = KernelSpec(kind="linear")
@@ -106,12 +106,12 @@ def mmcl_grad(batch: LossBatch, spec: KernelSpec) -> LossGrads:
     alpha = batch.alpha
     alpha_sum = float(np.sum(alpha))
     # d/dz: sum_i alpha_i dk(z_i-, z)/dz - (sum alpha) dk(z+, z)/dz
-    d_z = grad_wrt_second(spec, batch.Z_neg, batch.z) @ alpha
+    d_z = kernel_grad(spec, batch.Z_neg, batch.z) @ alpha
     d_z -= alpha_sum * kernel_grad(spec, batch.z_pos, batch.z)
     # d/dz+: -(sum alpha) dk(z, z+)/dz+  (kernels are symmetric)
     d_z_pos = -alpha_sum * kernel_grad(spec, batch.z, batch.z_pos)
     # d/dz_i-: alpha_i dk(z, z_i-)/dz_i-
-    d_Z_neg = grad_wrt_each_column(spec, batch.z, batch.Z_neg) * alpha[None, :]
+    d_Z_neg = kernel_grad(spec, batch.z, batch.Z_neg) * alpha[None, :]
     return LossGrads(d_z=d_z, d_z_pos=d_z_pos, d_Z_neg=d_Z_neg)
 
 

@@ -21,11 +21,11 @@ Three solvers are provided:
   and those at a bound whose gradient points into the box) and a
   projected search along its direction, which steps to the minimizer on
   that face when it lies in the box (Bertsekas 1982's projected Newton).
-  An instance whose binding set is too large for a cheap solve steps
-  only on a settled face, every second step. Its core, ``_pgd_batched``,
-  sees D only through a matvec and a gather of principal blocks, so the
-  batched ``pgd`` of ``loss.batch_loss`` runs every anchor of a batch
-  through one operator on the shared K + beta I
+  An instance whose binding set is too large for a cheap solve takes
+  that step only once its face has settled, every second step. Its
+  core, ``_pgd_batched``, sees D only through a matvec and a gather of
+  principal blocks, so the batched ``pgd`` of ``loss.batch_loss`` runs
+  every anchor of a batch through one operator on the shared K + beta I
   (``loss._dual_operator``), and ``solve_pgd``, on one dense D, is its
   per-anchor reference. ``solve_pgd`` starts from a seeded random point
   and steps 1 / ||D||_2; the batched ``pgd`` starts every anchor at its
@@ -248,17 +248,16 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
     ``rows`` on the coordinates ``free`` leaves free.
 
     For instance i of ``rows``, with free set F given by row i of the
-    (B, n) mask ``free`` (not empty; the interior {0 < alpha_i < C}, or
-    the binding free set of ``_pgd_batched``, which also holds the
-    coordinates that the sign of their gradient moves off a bound) and
-    gradient g_i at alpha_i, d_F solves D_FF d_F = -g_F and d is
-    0 off F. The step of length t is s(t) = P(alpha_F + t d_F) - alpha_F,
-    P the projection onto [0, C], and it changes the objective by exactly
-    g_F's + 1/2 s'D_FF s, evaluated on the block the solve gathered. A row
-    takes the first t of ``_SEARCH_STEPS`` whose change is at most
-    ``_SUFFICIENT_DECREASE`` times g_F's < 0: the projected search of More
-    & Toraldo 1991 along the direction of Bertsekas 1982's projected
-    Newton. When alpha + d lies in the box, t = 1 passes and the row steps
+    (B, n) mask ``free`` (not empty; its binding free set
+    ``_binding_free``, the free coordinates and those that the sign of
+    their gradient moves off a bound) and gradient g_i at alpha_i, d_F
+    solves D_FF d_F = -g_F and d is 0 off F. The step of length t is
+    s(t) = P(alpha_F + t d_F) - alpha_F, P the projection onto [0, C],
+    and it changes the objective by exactly g_F's + 1/2 s'D_FF s,
+    evaluated on the block the solve gathered. A row takes the first t of
+    ``_SEARCH_STEPS`` whose change is at most ``_SUFFICIENT_DECREASE``
+    times g_F's < 0: the projected search of More & Toraldo 1991 along
+    the direction of Bertsekas 1982's projected Newton. When alpha + d lies in the box, t = 1 passes and the row steps
     to the minimizer on its face, a descent of exactly -1/2 g'd. A row
     refuses only when no t passes, as when d ascends toward a saddle of an
     indefinite D, or when its block is singular.
@@ -348,12 +347,12 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
     solves on its F while |F|^2 <= ``_BINDING_GUARD`` n, which keeps the
     O(|F|^3) = O(n^1.5) solve below the O(n^2) share of an operator
     product as n grows. An instance whose F is larger, as at small C
-    early on, keeps to the settled face: every ``_FACE_EVERY``-th step,
-    if its face (the coordinates at 0, the interior {0 < alpha < C},
-    those at C) is that of the previous iterate and its interior is not
-    empty, it steps on that interior. The search starts from alpha, so an
-    instance may take several face steps on one face. The candidate still
-    goes through the step's one product, so a face step is a step.
+    early on, takes its face step on F only once its face has settled:
+    every ``_FACE_EVERY``-th step, if its face (the coordinates at 0, the
+    interior {0 < alpha < C}, those at C) is that of the previous
+    iterate. The search starts from alpha, so an instance may take
+    several face steps on one face. The candidate still goes through the
+    step's one product, so a face step is a step.
 
     Convergence is per instance: before each step, and once after the
     last, an instance whose projected gradient pg = alpha - P(alpha - g)
@@ -407,10 +406,7 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
                 take = active & (size * size <= _BINDING_GUARD * n)
                 large = active & ~take
                 if (k + 1) % _FACE_EVERY == 0 and large.any():
-                    face = _face_of(alpha, C)
-                    settled = large & np.any(face == 1, axis=1) & np.all(face == _face_of(prev, C), axis=1)
-                    free[settled] = face[settled] == 1
-                    take |= settled
+                    take |= large & np.all(_face_of(alpha, C) == _face_of(prev, C), axis=1)
                 rows, points = _face_steps(gather, alpha, g, np.nonzero(take)[0], free, C)
                 cand[rows] = points
                 restart[rows] = True

@@ -92,6 +92,20 @@ class TrainConfig:
             if epoch <= last:
                 raise ValueError(f"schedule epochs must be strictly increasing, got {self.schedules}")
             last = epoch
+        check_eval_settings(self.eval_k, self.probe_epochs, self.probe_lr, self.test_fraction)
+
+
+def check_eval_settings(k: int, probe_epochs: int, probe_lr: float, test_fraction: float) -> None:
+    """Reject evaluation settings that no evaluation can use, naming the
+    config key, so that a run fails before it trains rather than after."""
+    if k < 1:
+        raise ValueError(f"eval.k must be >= 1, got {k}")
+    if probe_epochs < 1:
+        raise ValueError(f"eval.probe_epochs must be >= 1, got {probe_epochs}")
+    if not probe_lr > 0:
+        raise ValueError(f"eval.probe_lr must be positive, got {probe_lr}")
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"eval.test_fraction must be in (0, 1), got {test_fraction}")
 
 
 @dataclass
@@ -203,6 +217,9 @@ def eval_split(dataset: Dataset, seed: int, test_fraction: float):
     """Deterministic train/test index split for in-training evaluation."""
     perm = stream_rng(seed, "evalsplit").permutation(len(dataset))
     n_test = max(1, int(round(test_fraction * len(dataset))))
+    if n_test >= len(dataset):
+        raise ValueError(f"eval.test_fraction = {test_fraction} leaves none of "
+                         f"{len(dataset)} samples to train on")
     return perm[n_test:], perm[:n_test]
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,17 @@ def test_benchmark_self_test_passes():
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-test: all cases behave" in proc.stdout
+
+
+def test_traced_run_passes():
+    # --self-test never takes the traced path: the scaling sweep's own
+    # SolverConfig and the hooks on the encoder and _pgd_batched
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "pgd_b32",
+                           "--seed", "1", "--seconds", "1", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
 
 
 def test_traced_hooks_resolve(monkeypatch):

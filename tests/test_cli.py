@@ -64,6 +64,16 @@ class TestTrainCommand:
         assert code == 2
         assert "foo" in err
 
+    @pytest.mark.parametrize("key,value", [("eval.test_fraction", 1.0), ("eval.probe_epochs", 0),
+                                           ("eval.k", 0), ("eval.probe_lr", 0.0)])
+    def test_unusable_eval_setting_exits_2_before_training(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "blobs.cfg"
+        write_blobs_config(cfg, tmp_path, eval_every=1, **{key: value})
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert key in err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_threads_option_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "blobs.cfg"
         write_blobs_config(cfg, tmp_path)
@@ -246,6 +256,16 @@ class TestEvalCommand:
         save_csv(Dataset(samples=np.random.default_rng(0).standard_normal((8, 6))), unlabeled)
         code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(unlabeled))
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--test-fraction", "1", "eval.test_fraction"), ("--probe-epochs", "0", "eval.probe_epochs"),
+        ("--k", "0", "eval.k"), ("--probe-lr", "0", "eval.probe_lr")])
+    def test_unusable_eval_setting_exits_2(self, tmp_path, capsys, flag, value, key):
+        ckpt, data = self._trained(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+                                 flag, value)
+        assert code == 2
+        assert key in err and out == ""
 
     def test_truncated_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
         _, data = self._trained(tmp_path, capsys)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -141,6 +142,14 @@ class TestBuilders:
     def test_invalid_train_config_is_config_error(self):
         cfg = parse_config_text("batch_size = 1\n")
         with pytest.raises(ConfigError):
+            build_train_config(cfg)
+
+    @pytest.mark.parametrize("key,value", [
+        ("eval.test_fraction", "1"), ("eval.test_fraction", "1.5"), ("eval.test_fraction", "0"),
+        ("eval.probe_epochs", "0"), ("eval.k", "0"), ("eval.probe_lr", "0")])
+    def test_unusable_eval_setting_is_config_error_naming_it(self, key, value):
+        cfg = parse_config_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(key)):
             build_train_config(cfg)
 
     def test_load_dataset_kinds(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from mmcl import (AugmentationSpec, Dataset, augment, augment_batch, load_binary,
+from mmcl import (AugmentationSpec, Dataset, augment_batch, load_binary,
                   load_csv, make_blobs, make_moons, save_binary, save_csv, stream_rng)
 
 
@@ -12,14 +12,14 @@ class TestAugment:
     def test_identity_spec(self):
         spec = AugmentationSpec(noise_sigma=0.0, dropout_p=0.0, scale_lo=1.0, scale_hi=1.0)
         x = np.array([1.5, -2.0, 0.0, 3.25])
-        out = augment(spec, x, stream_rng(0, "aug"))
+        out = augment_batch(spec, x[None], stream_rng(0, "aug"))[0]
         assert np.array_equal(out, x)
 
     def test_same_state_same_output(self):
         spec = AugmentationSpec(noise_sigma=0.3, dropout_p=0.2, scale_lo=0.8, scale_hi=1.2)
         x = np.linspace(-1, 1, 16)
-        a = augment(spec, x, stream_rng(7, "aug"))
-        b = augment(spec, x, stream_rng(7, "aug"))
+        a = augment_batch(spec, x[None], stream_rng(7, "aug"))[0]
+        b = augment_batch(spec, x[None], stream_rng(7, "aug"))[0]
         assert np.array_equal(a, b)
 
     def test_dropout_rate_binomial(self):
@@ -31,14 +31,14 @@ class TestAugment:
         zeros = 0
         draws = 200
         for _ in range(draws):
-            zeros += int(np.sum(augment(spec, x, rng) == 0.0))
+            zeros += int(np.sum(augment_batch(spec, x[None], rng)[0] == 0.0))
         assert binomtest(zeros, draws * d, 0.5).pvalue > 0.01
 
     def test_no_nan_inf(self):
         spec = AugmentationSpec(noise_sigma=2.0, dropout_p=0.4, scale_lo=0.5, scale_hi=2.0)
         rng = stream_rng(5, "aug")
         for _ in range(50):
-            out = augment(spec, np.random.default_rng(1).standard_normal(8), rng)
+            out = augment_batch(spec, np.random.default_rng(1).standard_normal(8)[None], rng)[0]
             assert np.isfinite(out).all()
 
     def test_batch_matches_spec_semantics(self):

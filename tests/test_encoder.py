@@ -231,8 +231,3 @@ class TestParamsValidation:
     def test_head_must_have_two_layers(self):
         with pytest.raises(ValueError):
             EncoderParams(layers=[], head=[(np.eye(2), np.zeros(2))])
-
-    def test_relu_only(self):
-        with pytest.raises(ValueError):
-            EncoderParams(layers=[], head=[(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))],
-                          activation="tanh")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmcl import KernelSpec, kernel_eval, kernel_grad, gram
-from mmcl.kernels import grad_wrt_each_column, grad_wrt_second, gram_vjp
+from mmcl.kernels import gram_vjp
 
 from helpers import central_diff, rel_err, unit_columns
 
@@ -160,8 +160,9 @@ class TestKernelGrad:
         spec = spec_for(kind)
         A = unit_columns(rng, 6, 9)
         b = rng.standard_normal(6)
-        wrt_second = grad_wrt_second(spec, A, b)
-        wrt_columns = grad_wrt_each_column(spec, b, A)
+        wrt_second = kernel_grad(spec, A, b)
+        wrt_columns = kernel_grad(spec, b, A)
+        assert wrt_second.shape == wrt_columns.shape == A.shape
         for i in range(9):
             assert rel_err(wrt_second[:, i], kernel_grad(spec, A[:, i], b)) <= 1e-14
             assert rel_err(wrt_columns[:, i], kernel_grad(spec, b, A[:, i])) <= 1e-14
@@ -169,6 +170,11 @@ class TestKernelGrad:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kernel_grad(KernelSpec(kind="rbf"), np.ones(2), np.ones(3))
+        with pytest.raises(ValueError):
+            kernel_grad(KernelSpec(kind="rbf"), np.ones((2, 4)), np.ones(3))
+        # two matrices are not a set of pairs
+        with pytest.raises(ValueError, match="d-vector"):
+            kernel_grad(KernelSpec(kind="rbf"), np.ones((3, 4)), np.ones((3, 4)))
 
 
 class TestGramVjp:

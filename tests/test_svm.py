@@ -279,7 +279,8 @@ class TestSolvePgd:
 
 
 def interior(alpha, C):
-    """The free set of the settled-face steps: 0 < alpha < C."""
+    """The interior 0 < alpha < C: a free set whose face steps these tests
+    work out by hand. PGD's own face steps use the binding free set."""
     return (alpha > 0.0) & (alpha < C)
 
 

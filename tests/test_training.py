@@ -123,6 +123,13 @@ class TestTrainLoop:
         assert math.isnan(knn_cells[0]) and math.isnan(knn_cells[2])
         assert 0.0 <= knn_cells[1] <= 1.0 and 0.0 <= knn_cells[3] <= 1.0
 
+    def test_split_without_training_samples_fails_before_training(self):
+        # 0.99 of 48 samples rounds to all 48 for the held-out split
+        rows = []
+        with pytest.raises(ValueError, match="eval.test_fraction"):
+            train(small_config(eval_every=1, test_fraction=0.99), small_blobs(), on_epoch=rows.append)
+        assert rows == []
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         ds = small_blobs()
         full = train(small_config(epochs=4), ds)
