@@ -1,5 +1,12 @@
 """Command-line surface: train, eval, solve, inspect, bench.
 
+Every subcommand runs under one config: the defaults of ``TrainConfig``
+and its parts, then the ``--config`` file (required only by ``train``),
+then each ``--set key=value`` in order (the keys of ``mmcl.config``). A
+command's own inputs are solve's ``--instance`` and ``--solver``,
+inspect's ``--anchor``, ``--all-anchors`` and ``--method``, and bench's
+``--sizes``, ``--dim`` and ``--reps``; train and eval have none.
+
 All tabular output is CSV with a header row. Exit codes: 0 success,
 1 runtime abort (diagnostics written next to the checkpoint), 2 usage,
 config, or input-file errors, and an ``inv`` solve (``solve``, ``inspect``
@@ -18,24 +25,22 @@ import numpy as np
 
 from . import config as cfgmod
 from . import encoder as enc
-from .data import Dataset, augment_batch, load_binary, load_csv, stream_rng, DATASET_MAGIC
-from .evaluate import knn_readout, linear_probe
+from .data import augment_batch, stream_rng
 from .loss import batch_loss, nce_batch_loss
 from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
                   build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
-from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort,
-                       check_eval_settings, eval_embeddings, eval_split, format_metrics_row,
-                       load_state, save_state, train)
+from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort, eval_split,
+                       format_metrics_row, held_out_accuracies, load_state, save_state, train)
 
 CATEGORY_NAMES = {0: "non-support", 1: "support", 2: "margin-violator"}
 
 
-def _load_any_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        head = fh.read(len(DATASET_MAGIC))
-    if head == DATASET_MAGIC:
-        return load_binary(path)
-    return load_csv(path)
+def _settings(args) -> tuple:
+    """The config a subcommand runs under (defaults, then the --config
+    file, then --set overrides) and the TrainConfig it describes."""
+    cfg = cfgmod.parse_config_file(args.config) if args.config else cfgmod.default_config()
+    cfgmod.apply_overrides(cfg, args.set)
+    return cfg, cfgmod.build_train_config(cfg)
 
 
 def _load_checkpoint_params(path) -> enc.EncoderParams:
@@ -47,9 +52,7 @@ def _load_checkpoint_params(path) -> enc.EncoderParams:
 
 
 def cmd_train(args) -> int:
-    cfg = cfgmod.parse_config_file(args.config)
-    cfgmod.apply_overrides(cfg, args.set or [])
-    tc = cfgmod.build_train_config(cfg)
+    cfg, tc = _settings(args)
     dataset = cfgmod.load_dataset(cfg)
     metrics_path = cfg["out.metrics"]
     ckpt_path = cfg["out.checkpoint"]
@@ -75,32 +78,27 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    check_eval_settings(args.k, args.probe_epochs, args.probe_lr, args.test_fraction)
-    params = _load_checkpoint_params(args.checkpoint)
-    dataset = _load_any_dataset(args.data)
+    cfg, tc = _settings(args)
+    params = _load_checkpoint_params(cfg["out.checkpoint"])
+    dataset = cfgmod.load_dataset(cfg)
     if dataset.labels is None:
         print("eval requires a labeled dataset", file=sys.stderr)
         return 2
-    train_idx, test_idx = eval_split(dataset, args.split_seed, args.test_fraction)
-    emb_train = eval_embeddings(params, dataset.samples[train_idx], args.features)
-    emb_test = eval_embeddings(params, dataset.samples[test_idx], args.features)
+    split = eval_split(dataset, tc.seed, tc.test_fraction)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        knn_acc = knn_readout(emb_train, dataset.labels[train_idx],
-                              emb_test, dataset.labels[test_idx], k=args.k)
+        knn_acc, lin_acc = held_out_accuracies(tc, params, dataset, split)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    lin_acc = linear_probe(emb_train, dataset.labels[train_idx],
-                           emb_test, dataset.labels[test_idx],
-                           epochs=args.probe_epochs, lr=args.probe_lr)
     print("knn_accuracy,linear_accuracy,k,epochs_probe")
-    print(f"{knn_acc!r},{lin_acc!r},{min(args.k, len(train_idx))},{args.probe_epochs}")
+    print(f"{knn_acc!r},{lin_acc!r},{min(tc.eval_k, len(split[0]))},{tc.probe_epochs}")
     return 0
 
 
-def _parse_instance_file(path, C: float, beta: float) -> tuple:
-    """Read a solve instance: either raw kernel blocks (k_xx, k_xY, K_YY) or
-    embeddings plus a kernel section (z_pos, Z_neg rows, [kernel])."""
+def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
+    """Read a solve instance: raw kernel blocks ([k_xx], [k_xY], [K_YY]) or
+    embeddings ([z_pos], and [Z_neg] with one negative per row) under the
+    kernel ``tc.kernel``. C and beta are ``tc``'s."""
     sections = {}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -110,6 +108,10 @@ def _parse_instance_file(path, C: float, beta: float) -> tuple:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
+                if current not in ("k_xx", "k_xY", "K_YY", "z_pos", "Z_neg"):
+                    hint = "; set the kernel with --set kernel.<key>=<value>" if current == "kernel" else ""
+                    raise ValueError(f"{path}: unknown section [{current}], expected one of "
+                                     f"k_xx, k_xY, K_YY, z_pos, Z_neg{hint}")
                 sections[current] = []
                 continue
             if current is None:
@@ -119,19 +121,12 @@ def _parse_instance_file(path, C: float, beta: float) -> tuple:
         k_xY = np.array([float(v) for v in ",".join(sections["k_xY"]).split(",")])
         K_YY = np.array([[float(v) for v in row.split(",")] for row in sections["K_YY"]])
         k_xx = float(sections["k_xx"][0]) if "k_xx" in sections else 1.0
-        delta = assemble_delta(k_xx, k_xY, K_YY, beta)
-        return SvmInstance(delta=delta, C=C, beta=beta), None
+        delta = assemble_delta(k_xx, k_xY, K_YY, tc.beta)
+        return SvmInstance(delta=delta, C=tc.C, beta=tc.beta)
     if "Z_neg" in sections:
-        cfg = cfgmod.default_config()
-        for line in sections.get("kernel", []):
-            if "=" not in line:
-                raise cfgmod.ConfigError(f"{path}: [kernel] expects 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            cfgmod.set_key(cfg, "kernel." + key.strip(), value)
-        spec = cfgmod.build_train_config(cfg).kernel
         z_pos = np.array([float(v) for v in ",".join(sections["z_pos"]).split(",")])
         Z_neg = np.array([[float(v) for v in row.split(",")] for row in sections["Z_neg"]]).T
-        return build_instance(spec, z_pos, Z_neg, C, beta), spec
+        return build_instance(tc.kernel, z_pos, Z_neg, tc.C, tc.beta)
     raise ValueError(f"{path}: need either a K_YY section or a Z_neg section")
 
 
@@ -146,11 +141,9 @@ def _solve_instance(inst: SvmInstance, method: str, solver: SolverConfig):
 
 
 def cmd_solve(args) -> int:
-    C = float(args.C)
-    inst, _ = _parse_instance_file(args.instance, C, args.beta)
-    solver = SolverConfig(step_size=args.step_size, max_iters=args.max_iters,
-                          tol=args.tol, nesterov=not args.no_nesterov, seed=args.seed)
-    sol = _solve_instance(inst, args.solver, solver)
+    _, tc = _settings(args)
+    inst = _parse_instance_file(args.instance, tc)
+    sol = _solve_instance(inst, args.solver, replace(tc.solver, seed=tc.seed))
     cats = classify_support(sol.alpha, inst.C)
     counts = [int(np.sum(cats == c)) for c in (0, 1, 2)]
     print("solver,n,objective,iterations,converged,alpha_x,n_zero,n_support,n_margin_violators")
@@ -164,25 +157,23 @@ def cmd_solve(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    cfg = cfgmod.parse_config_file(args.config) if args.config else cfgmod.default_config()
-    cfgmod.apply_overrides(cfg, args.set or [])
-    params = _load_checkpoint_params(args.checkpoint)
-    dataset = _load_any_dataset(args.data)
+    cfg, tc = _settings(args)
+    params = _load_checkpoint_params(cfg["out.checkpoint"])
+    dataset = cfgmod.load_dataset(cfg)
     if dataset.labels is None:
         print("inspect requires a labeled dataset", file=sys.stderr)
         return 2
-    N = args.batch_size
+    N = tc.batch_size
     if len(dataset) < N:
         print(f"dataset has {len(dataset)} samples, need at least {N}", file=sys.stderr)
         return 2
-    tc = cfgmod.build_train_config(cfg)
 
     if args.all_anchors:
-        rng = stream_rng(args.seed, "inspect-batch")
+        rng = stream_rng(tc.seed, "inspect-batch")
         rows = dataset.samples[rng.choice(len(dataset), size=N, replace=False)]
         # two augmented views of the batch, as training builds them
         view1, view2 = (_head_embeddings(params, augment_batch(
-            tc.augmentation, rows, stream_rng(args.seed, "inspect-batch", v))) for v in (0, 1))
+            tc.augmentation, rows, stream_rng(tc.seed, "inspect-batch", v))) for v in (0, 1))
         _, _, _, alphas = batch_loss(view1, view2, tc.kernel, tc.C, tc.beta, tc.solver,
                                      fn_correction=tc.fn_correction, method=args.method)
         print("anchor_index,negative_index,alpha,is_support,is_margin_violator")
@@ -196,7 +187,7 @@ def cmd_inspect(args) -> int:
     if not 0 <= anchor < len(dataset):
         print(f"anchor index {anchor} out of range [0, {len(dataset)})", file=sys.stderr)
         return 2
-    rng = stream_rng(args.seed, "inspect", anchor)
+    rng = stream_rng(tc.seed, "inspect", anchor)
     others = np.setdiff1d(np.arange(len(dataset)), [anchor])
     chosen = rng.choice(others, size=N - 1, replace=False)
     emb = _head_embeddings(params, dataset.samples[np.concatenate([[anchor], chosen])])
@@ -218,6 +209,7 @@ def _head_embeddings(params, samples) -> np.ndarray:
 
 
 def cmd_bench(args) -> int:
+    _, tc = _settings(args)
     sizes = sorted(int(s) for s in args.sizes.split(","))
     if any(s < 2 for s in sizes):
         print("bench sizes must be >= 2", file=sys.stderr)
@@ -228,11 +220,9 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         print("bench --reps must be >= 1", file=sys.stderr)
         return 2
-    tc = cfgmod.build_train_config(cfgmod.default_config())
-    solver = replace(tc.solver, max_iters=args.max_iters)
     print("batch_size,loss_variant,ms_per_iter")
     for N in sizes:
-        rng = stream_rng(args.seed, "bench", N)
+        rng = stream_rng(tc.seed, "bench", N)
         v1 = rng.standard_normal((args.dim, N))
         v1 /= np.linalg.norm(v1, axis=0, keepdims=True)
         v2 = rng.standard_normal((args.dim, N))
@@ -244,7 +234,7 @@ def cmd_bench(args) -> int:
                 if variant == "nce":
                     nce_batch_loss(v1, v2, tc.temperature)
                 else:
-                    batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, solver,
+                    batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver,
                                method="pgd" if variant == "mmcl_pgd" else "inv")
                 times.append((time.perf_counter() - start) * 1e3)
             print(f"{N},{variant},{sorted(times)[len(times) // 2]!r}")
@@ -252,61 +242,47 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = TrainConfig()
     parser = argparse.ArgumentParser(prog="mmcl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run the training loop from a config file")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--set", action="append", metavar="KEY=VALUE",
-                         help="override a config key (repeatable)")
-    p_train.set_defaults(func=cmd_train)
+    def command(name, func, summary, reads, config_required=False):
+        p = sub.add_parser(name, help=summary, description=(
+            f"{summary}. Settings come from the config (defaults, then --config, then "
+            f"--set); this command reads {reads}."))
+        p.add_argument("--config", required=config_required, help="file of 'key = value' lines")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a config key after the file (repeatable)")
+        p.set_defaults(func=func)
+        return p
 
-    p_eval = sub.add_parser("eval", help="kNN readout and linear probe of a checkpoint")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--k", type=int, default=defaults.eval_k)
-    p_eval.add_argument("--probe-epochs", type=int, default=defaults.probe_epochs)
-    p_eval.add_argument("--probe-lr", type=float, default=defaults.probe_lr)
-    p_eval.add_argument("--test-fraction", type=float, default=defaults.test_fraction)
-    p_eval.add_argument("--features", choices=("backbone", "head"), default=defaults.eval_features)
-    p_eval.add_argument("--split-seed", type=int, default=defaults.seed)
-    p_eval.set_defaults(func=cmd_eval)
+    command("train", cmd_train, "run the training loop", "every key, and writes out.metrics "
+            "and out.checkpoint", config_required=True)
+    command("eval", cmd_eval, "kNN readout and linear probe of a checkpoint",
+            "out.checkpoint, data.*, seed, eval_features and eval.*, and splits the data as "
+            "training does, so it prints what a run under the same config logs after its last "
+            "epoch (when eval_every divides epochs)")
 
-    p_solve = sub.add_parser("solve", help="solve one dual instance from a file")
-    p_solve.add_argument("--instance", required=True)
+    p_solve = command("solve", cmd_solve, "solve one dual instance from a file",
+                      "kernel.*, C, beta, solver.* and seed (the pgd start)")
+    p_solve.add_argument("--instance", required=True,
+                         help="[k_xx], [k_xY] and [K_YY] kernel blocks, or [z_pos] and [Z_neg] "
+                              "embeddings under kernel.*")
     p_solve.add_argument("--solver", choices=("pgd", "inv", "oracle"), default="pgd")
-    p_solve.add_argument("--C", type=float, default=defaults.C)
-    p_solve.add_argument("--beta", type=float, default=defaults.beta)
-    p_solve.add_argument("--step-size", type=lambda s: s if s == "auto" else float(s),
-                         default=defaults.solver.step_size)
-    p_solve.add_argument("--max-iters", type=int, default=defaults.solver.max_iters)
-    p_solve.add_argument("--tol", type=float, default=defaults.solver.tol)
-    p_solve.add_argument("--no-nesterov", action="store_true")
-    p_solve.add_argument("--seed", type=int, default=defaults.solver.seed)
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_inspect = sub.add_parser("inspect", help="per-negative dual weights for an anchor")
-    p_inspect.add_argument("--checkpoint", required=True)
-    p_inspect.add_argument("--data", required=True)
+    p_inspect = command("inspect", cmd_inspect, "per-negative dual weights for an anchor",
+                        "out.checkpoint, data.*, batch_size, seed, kernel.*, C, beta, "
+                        "solver.*, fn_correction and aug.*")
     p_inspect.add_argument("--anchor", type=int, default=0)
     p_inspect.add_argument("--all-anchors", action="store_true",
                            help="dump every anchor of a two-view batch instead")
-    p_inspect.add_argument("--batch-size", type=int, default=defaults.batch_size)
     p_inspect.add_argument("--method", choices=("pgd", "inv", "oracle"), default="inv",
                            help="dual solver; oracle is for a single anchor only")
-    p_inspect.add_argument("--config", default=None, help="config file for kernel/C/beta/solver")
-    p_inspect.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_inspect.add_argument("--seed", type=int, default=0)
-    p_inspect.set_defaults(func=cmd_inspect)
 
-    p_bench = sub.add_parser("bench", help="time batch_loss per batch size and variant")
+    p_bench = command("bench", cmd_bench, "time batch_loss per batch size and variant",
+                      "kernel.*, C, beta, solver.*, temperature and seed")
     p_bench.add_argument("--sizes", default="8,16,32", help="comma-separated batch sizes")
     p_bench.add_argument("--dim", type=int, default=16)
     p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--max-iters", type=int, default=defaults.solver.max_iters)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,12 +1,14 @@
-"""Flat ``key = value`` configuration: parsing, overrides, serialization,
-and construction of the runtime objects.
+"""Flat ``key = value`` configuration, the one settings surface of every
+``mmcl`` subcommand: parsing, overrides, serialization, and construction
+of the runtime objects.
 
 Lines are ``key = value`` with ``#`` comments; no nesting. Every key has a
 default and can be overridden with ``--set key=value``; precedence is
 CLI > file > default. ``parse -> serialize -> parse`` is the identity.
 Each training key sets one field of ``TrainConfig`` or of one of its parts
-and takes that field's default; only the data and output keys, which no
-dataclass holds, carry their own. There is no ``average_loss`` key.
+and takes that field's default; only the data keys (the dataset that
+``load_dataset`` builds) and the output paths, which no dataclass holds,
+carry their own.
 """
 
 from __future__ import annotations

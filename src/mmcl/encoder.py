@@ -184,10 +184,9 @@ def adam_step(params: EncoderParams, grads: list, state: AdamState):
     return new_params, replace(state, m=new_m, v=new_v, step=t)
 
 
-def init_adam(params: EncoderParams, lr: float, **hyper) -> AdamState:
-    """Zero moments at learning rate ``lr``; ``hyper`` sets any of beta1,
-    beta2 and epsilon, whose defaults are AdamState's."""
-    return AdamState(m=zero_grads(params), v=zero_grads(params), lr=lr, **hyper)
+def init_adam(params: EncoderParams, lr: float) -> AdamState:
+    """Zero moments at learning rate ``lr``; AdamState's other defaults."""
+    return AdamState(m=zero_grads(params), v=zero_grads(params), lr=lr)
 
 
 def zero_grads(params: EncoderParams) -> list:

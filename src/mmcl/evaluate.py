@@ -49,7 +49,7 @@ def knn_readout(train_emb, train_labels, test_emb, test_labels, k: int) -> float
 
 def fit_linear_probe(train_emb, train_labels, epochs: int, lr: float):
     """Multinomial logistic regression by full-batch gradient descent from a
-    zero initialization. Returns (W, b, per-epoch loss trace)."""
+    zero initialization. Returns (W, b)."""
     X = np.asarray(train_emb, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.int64)
     num_classes = int(y.max()) + 1
@@ -60,17 +60,15 @@ def fit_linear_probe(train_emb, train_labels, epochs: int, lr: float):
     b = np.zeros(num_classes)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
-    losses = []
     for _ in range(epochs):
         logits = X @ W + b
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)
         probs = expl / expl.sum(axis=1, keepdims=True)
-        losses.append(float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300)))))
         err = (probs - onehot) / n
         W -= lr * (X.T @ err)
         b -= lr * err.sum(axis=0)
-    return W, b, losses
+    return W, b
 
 
 def linear_probe(train_emb, train_labels, test_emb, test_labels,
@@ -78,6 +76,6 @@ def linear_probe(train_emb, train_labels, test_emb, test_labels,
     """Test accuracy of the probe fitted on frozen train embeddings."""
     test_emb = np.asarray(test_emb, dtype=np.float64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
-    W, b, _ = fit_linear_probe(train_emb, train_labels, epochs=epochs, lr=lr)
+    W, b = fit_linear_probe(train_emb, train_labels, epochs=epochs, lr=lr)
     preds = np.argmax(test_emb @ W + b, axis=1)
     return float(np.mean(preds == test_labels))

@@ -28,7 +28,7 @@ from . import encoder as enc
 from .data import AugmentationSpec, Dataset, augment_batch, read_array, read_struct, stream_rng
 from .kernels import KernelSpec
 from .loss import batch_loss, nce_batch_loss
-from .svm import SolverConfig, build_instance
+from .svm import SolverConfig, _check_C_beta, build_instance
 
 STATE_MAGIC = b"MMTR1"
 LOSS_KINDS = ("mmcl_pgd", "mmcl_inv", "nce")
@@ -46,10 +46,12 @@ class TrainingAbort(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Every training setting. These fields and those of the kernel, solver
-    and augmentation are the only holders of training defaults; the config
-    keys and the CLI read theirs from here. The batch loss is always the
-    sum over anchors (Adam is invariant to a 1/N scale up to epsilon)."""
+    """Every setting of a run. These fields and those of the kernel, solver
+    and augmentation hold every default; ``config.build_train_config``
+    fills them from ``--config`` and ``--set`` for every ``mmcl`` command.
+    Construction rejects a value no run can use, naming its config key.
+    The batch loss is always the sum over anchors (Adam is invariant to a
+    1/N scale up to epsilon)."""
 
     batch_size: int = 32
     epochs: int = 10
@@ -84,28 +86,39 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.eval_features not in ("backbone", "head"):
             raise ValueError(f"eval_features must be 'backbone' or 'head', got {self.eval_features!r}")
+        _check_C_beta(self.C, self.beta)
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        if not self.lr >= 0:
+            raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        for key, width in (*(("model.backbone_widths", w) for w in self.backbone_widths),
+                           ("model.head_hidden", self.head_hidden), ("model.out_dim", self.out_dim)):
+            if width < 1:
+                raise ValueError(f"{key} must be >= 1, got {width}")
         last = -1
-        for entry in self.schedules:
-            epoch, fieldname, _ = entry
+        for epoch, fieldname, value in self.schedules:
             if fieldname not in SCHEDULABLE_FIELDS:
                 raise ValueError(f"cannot schedule field {fieldname!r}; allowed: {SCHEDULABLE_FIELDS}")
             if epoch <= last:
                 raise ValueError(f"schedule epochs must be strictly increasing, got {self.schedules}")
             last = epoch
-        check_eval_settings(self.eval_k, self.probe_epochs, self.probe_lr, self.test_fraction)
-
-
-def check_eval_settings(k: int, probe_epochs: int, probe_lr: float, test_fraction: float) -> None:
-    """Reject evaluation settings that no evaluation can use, naming the
-    config key, so that a run fails before it trains rather than after."""
-    if k < 1:
-        raise ValueError(f"eval.k must be >= 1, got {k}")
-    if probe_epochs < 1:
-        raise ValueError(f"eval.probe_epochs must be >= 1, got {probe_epochs}")
-    if not probe_lr > 0:
-        raise ValueError(f"eval.probe_lr must be positive, got {probe_lr}")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"eval.test_fraction must be in (0, 1), got {test_fraction}")
+            try:
+                if fieldname == "C":
+                    _check_C_beta(value, self.beta)
+                else:
+                    replace(self.kernel, sigma_sq=value)
+            except ValueError as exc:
+                raise ValueError(f"schedules entry {epoch}:{fieldname}: {exc}") from None
+        if self.eval_k < 1:
+            raise ValueError(f"eval.k must be >= 1, got {self.eval_k}")
+        if self.probe_epochs < 1:
+            raise ValueError(f"eval.probe_epochs must be >= 1, got {self.probe_epochs}")
+        if not self.probe_lr > 0:
+            raise ValueError(f"eval.probe_lr must be positive, got {self.probe_lr}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"eval.test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
 @dataclass
@@ -214,13 +227,32 @@ def eval_embeddings(params: enc.EncoderParams, samples: np.ndarray, which: str) 
 
 
 def eval_split(dataset: Dataset, seed: int, test_fraction: float):
-    """Deterministic train/test index split for in-training evaluation."""
+    """Deterministic train/test index split of every held-out evaluation."""
     perm = stream_rng(seed, "evalsplit").permutation(len(dataset))
     n_test = max(1, int(round(test_fraction * len(dataset))))
     if n_test >= len(dataset):
         raise ValueError(f"eval.test_fraction = {test_fraction} leaves none of "
                          f"{len(dataset)} samples to train on")
     return perm[n_test:], perm[:n_test]
+
+
+def held_out_accuracies(config: TrainConfig, params: enc.EncoderParams, dataset: Dataset,
+                        split) -> tuple:
+    """(kNN, linear-probe) accuracy of the frozen ``params`` on ``split`` =
+    (train, test) indices from ``eval_split``, under ``config``'s evaluation
+    settings; in-training evaluation and ``mmcl eval`` both call this."""
+    # looked up at call time, so a wrapper put on mmcl.evaluate's names applies
+    from .evaluate import knn_readout, linear_probe
+
+    train_idx, test_idx = split
+    emb_train = eval_embeddings(params, dataset.samples[train_idx], config.eval_features)
+    emb_test = eval_embeddings(params, dataset.samples[test_idx], config.eval_features)
+    knn_acc = knn_readout(emb_train, dataset.labels[train_idx],
+                          emb_test, dataset.labels[test_idx], k=config.eval_k)
+    linear_acc = linear_probe(emb_train, dataset.labels[train_idx],
+                              emb_test, dataset.labels[test_idx],
+                              epochs=config.probe_epochs, lr=config.probe_lr)
+    return knn_acc, linear_acc
 
 
 def train(config: TrainConfig, dataset: Dataset, state: TrainState = None,
@@ -236,26 +268,18 @@ def train(config: TrainConfig, dataset: Dataset, state: TrainState = None,
     losses it uses alpha re-solved per batch, scales with alpha_x, and may
     rise toward zero while training works.
     """
-    from .evaluate import knn_readout, linear_probe  # cycle-free local import
-
     if state is None:
         state = init_state(config, dataset.dim)
     do_eval = config.eval_every > 0 and dataset.labels is not None
     if do_eval:
-        train_idx, test_idx = eval_split(dataset, config.seed, config.test_fraction)
+        split = eval_split(dataset, config.seed, config.test_fraction)
     while state.epoch < config.epochs:
         C, spec = apply_schedules(config, state.epoch)
         epoch_index = state.epoch
         state, mean_loss = run_epoch(state, config, dataset)
         knn_acc = linear_acc = math.nan
         if do_eval and (epoch_index + 1) % config.eval_every == 0:
-            emb_train = eval_embeddings(state.params, dataset.samples[train_idx], config.eval_features)
-            emb_test = eval_embeddings(state.params, dataset.samples[test_idx], config.eval_features)
-            knn_acc = knn_readout(emb_train, dataset.labels[train_idx],
-                                  emb_test, dataset.labels[test_idx], k=config.eval_k)
-            linear_acc = linear_probe(emb_train, dataset.labels[train_idx],
-                                      emb_test, dataset.labels[test_idx],
-                                      epochs=config.probe_epochs, lr=config.probe_lr)
+            knn_acc, linear_acc = held_out_accuracies(config, state.params, dataset, split)
         row = (epoch_index, C, spec.sigma_sq, mean_loss, knn_acc, linear_acc)
         state.history.append(row)
         if on_epoch is not None:

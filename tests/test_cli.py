@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from mmcl import (Dataset, TrainConfig, augment_batch, batch_loss, forward, load_binary,
-                  load_state, make_blobs, save_binary, save_csv, stream_rng)
+from mmcl import (Dataset, TrainConfig, augment_batch, batch_loss, forward, load_state,
+                  make_blobs, save_csv, stream_rng)
+from mmcl import cli
 from mmcl.cli import build_parser, main
 from mmcl.config import build_train_config, parse_config_file
 
@@ -64,11 +65,14 @@ class TestTrainCommand:
         assert code == 2
         assert "foo" in err
 
-    @pytest.mark.parametrize("key,value", [("eval.test_fraction", 1.0), ("eval.probe_epochs", 0),
-                                           ("eval.k", 0), ("eval.probe_lr", 0.0)])
+    @pytest.mark.parametrize("key,value", [
+        ("eval.test_fraction", 1.0), ("eval.probe_epochs", 0), ("eval.k", 0), ("eval.probe_lr", 0.0),
+        ("C", -1.0), ("beta", -1.0), ("temperature", 0.0), ("eval_every", -1), ("lr", -1.0),
+        ("model.backbone_widths", "8,0"), ("model.head_hidden", 0), ("model.out_dim", 0),
+        ("schedules", "2:C:-1"), ("schedules", "2:sigma_sq:-1")])
     def test_unusable_eval_setting_exits_2_before_training(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "blobs.cfg"
-        write_blobs_config(cfg, tmp_path, eval_every=1, **{key: value})
+        write_blobs_config(cfg, tmp_path, **{"eval_every": 1, "epochs": 3, key: value})
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 2
         assert key in err
@@ -114,7 +118,7 @@ class TestSolveCommand:
         inst.write_text("[k_xx]\n1.0\n[k_xY]\n1.0\n[K_YY]\n1.0\n")
         # delta = 1 + 1 - 1 - 1 + beta = beta; use beta=2 -> alpha = 2/2 = 1
         code, out, _ = run_cli(capsys, "solve", "--instance", str(inst),
-                               "--solver", "inv", "--C", "100", "--beta", "2.0")
+                               "--solver", "inv", "--set", "C=100", "--set", "beta=2.0")
         assert code == 0
         blocks = parse_csv_blocks(out)
         header, rows = blocks[0]
@@ -126,14 +130,12 @@ class TestSolveCommand:
     def test_oracle_and_inv_agree_on_interior(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
         # embeddings route: 3 orthogonal negatives, rbf kernel
-        inst.write_text(
-            "[kernel]\nkind = rbf\nsigma_sq = 1.0\n"
-            "[z_pos]\n1.0,0.0,0.0\n"
-            "[Z_neg]\n0.0,1.0,0.0\n0.0,0.0,1.0\n-1.0,0.0,0.0\n")
+        inst.write_text("[z_pos]\n1.0,0.0,0.0\n[Z_neg]\n0.0,1.0,0.0\n0.0,0.0,1.0\n-1.0,0.0,0.0\n")
         results = {}
         for solver in ("oracle", "inv"):
-            code, out, _ = run_cli(capsys, "solve", "--instance", str(inst),
-                                   "--solver", solver, "--C", "100", "--beta", "0.1")
+            code, out, _ = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver,
+                                   "--set", "kernel.kind=rbf", "--set", "kernel.sigma_sq=1.0",
+                                   "--set", "C=100", "--set", "beta=0.1")
             assert code == 0
             header, rows = parse_csv_blocks(out)[0]
             results[solver] = float(rows[0][header.index("objective")])
@@ -142,8 +144,8 @@ class TestSolveCommand:
     def test_pgd_zero_budget(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
         inst.write_text("[k_xY]\n0.0,0.0\n[K_YY]\n1.0,0.0\n0.0,1.0\n")
-        code, out, _ = run_cli(capsys, "solve", "--instance", str(inst),
-                               "--solver", "pgd", "--max-iters", "0", "--C", "0.5", "--beta", "0.1")
+        code, out, _ = run_cli(capsys, "solve", "--instance", str(inst), "--solver", "pgd",
+                               "--set", "solver.max_iters=0", "--set", "C=0.5", "--set", "beta=0.1")
         assert code == 0
         header, rows = parse_csv_blocks(out)[0]
         assert rows[0][header.index("converged")] == "false"
@@ -153,53 +155,52 @@ class TestSolveCommand:
 
     EMBEDDINGS = "[z_pos]\n1.0,0.0\n[Z_neg]\n0.0,1.0\n-1.0,0.0\n"
 
-    def _solve_alphas(self, tmp_path, capsys, kernel_lines):
+    def _solve(self, tmp_path, capsys, instance, *settings):
         inst = tmp_path / "inst.txt"
-        inst.write_text("[kernel]\n" + kernel_lines + self.EMBEDDINGS)
-        # beta = 5 keeps D positive definite for either tanh slope
-        code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", "inv",
-                                 "--beta", "5.0")
-        alphas = [float(r[1]) for r in parse_csv_blocks(out)[1][1]] if code == 0 else None
-        return code, alphas, err
+        inst.write_text(instance)
+        return run_cli(capsys, "solve", "--instance", str(inst), "--solver", "inv", *settings)
 
-    def test_kernel_section_reads_booleans_as_config_files_do(self, tmp_path, capsys):
-        # tanh with the slope flipped to +gamma; "yes" and "true" must agree
-        base = "kind = tanh\ngamma = 0.5\n"
-        code_yes, yes, _ = self._solve_alphas(tmp_path, capsys, base + "positive_gamma = yes\n")
-        code_true, true, _ = self._solve_alphas(tmp_path, capsys, base + "positive_gamma = true\n")
-        code_no, no, _ = self._solve_alphas(tmp_path, capsys, base + "positive_gamma = no\n")
-        assert code_yes == code_true == code_no == 0
-        assert yes == true
-        assert yes != no
-
-    def test_kernel_section_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
-        code, _, err = self._solve_alphas(tmp_path, capsys, "kind = rbf\nsigmaa_sq = 0.3\n")
-        assert code == 2
-        assert "sigmaa_sq" in err
-
-    def test_kernel_section_line_without_equals_exits_2(self, tmp_path, capsys):
-        code, _, err = self._solve_alphas(tmp_path, capsys, "kind rbf\n")
-        assert code == 2
-        assert "kind rbf" in err
+    def test_kernel_comes_from_config_keys(self, tmp_path, capsys):
+        # tanh with the slope flipped to +gamma; "yes" and "true" must agree,
+        # as they do in config files; beta = 5 keeps D positive definite
+        alphas = {}
+        for flag in ("yes", "true", "no"):
+            code, out, _ = self._solve(tmp_path, capsys, self.EMBEDDINGS, "--set", "beta=5.0",
+                                       "--set", "kernel.kind=tanh", "--set", "kernel.gamma=0.5",
+                                       "--set", f"kernel.positive_gamma={flag}")
+            assert code == 0
+            alphas[flag] = [float(r[1]) for r in parse_csv_blocks(out)[1][1]]
+        assert alphas["yes"] == alphas["true"]
+        assert alphas["yes"] != alphas["no"]
 
     def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys):
         # tanh with gamma = 2 gives this instance an indefinite D at the default beta
-        inst = tmp_path / "inst.txt"
-        inst.write_text("[kernel]\nkind = tanh\ngamma = 2.0\n" + self.EMBEDDINGS)
-        code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", "inv")
+        code, out, err = self._solve(tmp_path, capsys, self.EMBEDDINGS,
+                                     "--set", "kernel.kind=tanh", "--set", "kernel.gamma=2.0")
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot factorize delta")
 
+    @pytest.mark.parametrize("section,message", [
+        ("kernal", "unknown section [kernal]"), ("kernel", "--set kernel.<key>=")])
+    def test_unknown_section_exits_2_naming_it(self, tmp_path, capsys, section, message):
+        # the kernel comes from kernel.* only; with the tanh kernel below
+        # ignored, the default rbf would solve and exit 0
+        code, out, err = self._solve(tmp_path, capsys,
+                                     f"[{section}]\nkind = tanh\ngamma = 2.0\n" + self.EMBEDDINGS)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("solver", ["pgd", "inv", "oracle"])
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--C", "-1", "C must be positive"), ("--beta", "-5", "beta must be nonnegative")])
+    @pytest.mark.parametrize("setting,message", [
+        ("C=-1", "C must be positive"), ("beta=-5", "beta must be nonnegative")])
     def test_raw_kernel_instance_rejects_bad_C_and_beta(self, tmp_path, capsys, solver,
-                                                        flag, value, message):
+                                                        setting, message):
         inst = tmp_path / "inst.txt"
         inst.write_text("[k_xY]\n0.5,0.2\n[K_YY]\n1,0.1\n0.1,1\n")
         code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver,
-                                 flag, value)
+                                 "--set", setting)
         assert code == 2 and out == ""
         assert message in err
 
@@ -213,7 +214,7 @@ class TestSolveCommand:
         inst = tmp_path / "inst.txt"
         inst.write_text("[k_xY]\n0.2,0.1,0.4\n[K_YY]\n1,0,0\n0,1,0\n0,0,1\n")
         code, out, _ = run_cli(capsys, "solve", "--instance", str(inst),
-                               "--solver", "oracle", "--C", "10", "--beta", "0.1")
+                               "--solver", "oracle", "--set", "C=10", "--set", "beta=0.1")
         assert code == 0
         blocks = parse_csv_blocks(out)
         header, rows = blocks[0]
@@ -228,59 +229,71 @@ class TestEvalCommand:
         write_blobs_config(cfg, tmp_path, **extra)
         code, _, _ = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 0
-        ds = make_blobs(2, 16, 6, 6.0, seed=0)
-        data_path = tmp_path / "data.mmd"
-        save_binary(ds, data_path)
-        return tmp_path / "model.ckpt", data_path
+        return str(cfg)
 
     def test_eval_prints_report(self, tmp_path, capsys):
-        ckpt, data = self._trained(tmp_path, capsys)
-        code, out, _ = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
-                               "--k", "3", "--probe-epochs", "30")
+        cfg = self._trained(tmp_path, capsys)
+        code, out, _ = run_cli(capsys, "eval", "--config", cfg,
+                               "--set", "eval.k=3", "--set", "eval.probe_epochs=30")
         assert code == 0
         header, rows = parse_csv_blocks(out)[0]
         assert header == ["knn_accuracy", "linear_accuracy", "k", "epochs_probe"]
         knn = float(rows[0][0])
         assert 0.0 <= knn <= 1.0
 
+    def test_prints_the_runs_last_evaluation(self, tmp_path, capsys):
+        # the checkpoint, data, split seed and evaluation settings all come
+        # from the run's config, so eval repeats the run's last logged row;
+        # three overlapping classes keep both accuracies below 1
+        cfg = self._trained(tmp_path, capsys, seed=3, epochs=2, eval_every=1,
+                            **{"eval.k": 5, "eval.probe_epochs": 50, "data.classes": 3,
+                               "data.separation": 2.0})
+        last = (tmp_path / "metrics.csv").read_text().strip().splitlines()[-1].split(",")
+        code, out, _ = run_cli(capsys, "eval", "--config", cfg)
+        assert code == 0
+        header, rows = parse_csv_blocks(out)[0]
+        assert rows[0][:2] == last[4:6]
+        assert max(map(float, last[4:6])) < 1.0
+        assert rows[0][2:] == ["5", "50"]
+
     def test_k_clipping_warns_but_succeeds(self, tmp_path, capsys):
-        ckpt, data = self._trained(tmp_path, capsys)
-        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
-                                 "--k", "5000", "--probe-epochs", "10")
+        cfg = self._trained(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "eval", "--config", cfg,
+                                 "--set", "eval.k=5000", "--set", "eval.probe_epochs=10")
         assert code == 0
         assert "clipp" in err.lower()
 
     def test_unlabeled_dataset_exits_2(self, tmp_path, capsys):
-        ckpt, _ = self._trained(tmp_path, capsys)
+        cfg = self._trained(tmp_path, capsys)
         unlabeled = tmp_path / "unlabeled.csv"
         save_csv(Dataset(samples=np.random.default_rng(0).standard_normal((8, 6))), unlabeled)
-        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(unlabeled))
+        code, _, err = run_cli(capsys, "eval", "--config", cfg,
+                               "--set", "data.kind=csv", "--set", f"data.path={unlabeled}")
         assert code == 2
 
-    @pytest.mark.parametrize("flag,value,key", [
-        ("--test-fraction", "1", "eval.test_fraction"), ("--probe-epochs", "0", "eval.probe_epochs"),
-        ("--k", "0", "eval.k"), ("--probe-lr", "0", "eval.probe_lr")])
-    def test_unusable_eval_setting_exits_2(self, tmp_path, capsys, flag, value, key):
-        ckpt, data = self._trained(tmp_path, capsys)
-        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
-                                 flag, value)
+    @pytest.mark.parametrize("key,value", [
+        ("eval.test_fraction", "1"), ("eval.probe_epochs", "0"), ("eval.k", "0"),
+        ("eval.probe_lr", "0")])
+    def test_unusable_eval_setting_exits_2(self, tmp_path, capsys, key, value):
+        cfg = self._trained(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "eval", "--config", cfg, "--set", f"{key}={value}")
         assert code == 2
         assert key in err and out == ""
 
     def test_truncated_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
-        _, data = self._trained(tmp_path, capsys)
+        cfg = self._trained(tmp_path, capsys)
         bad = tmp_path / "short.ckpt"
         bad.write_bytes(b"MMCL1\x01")
-        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(bad), "--data", str(data))
+        code, _, err = run_cli(capsys, "eval", "--config", cfg, "--set", f"out.checkpoint={bad}")
         assert code == 2
         assert "short.ckpt" in err and "Traceback" not in err
 
     def test_repeat_runs_identical(self, tmp_path, capsys):
-        ckpt, data = self._trained(tmp_path, capsys)
+        cfg = self._trained(tmp_path, capsys)
         outs = []
         for _ in range(2):
-            code, out, _ = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
-                                   "--k", "3", "--probe-epochs", "30")
+            code, out, _ = run_cli(capsys, "eval", "--config", cfg,
+                                   "--set", "eval.k=3", "--set", "eval.probe_epochs=30")
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
@@ -292,15 +305,12 @@ class TestInspectCommand:
         write_blobs_config(cfg, tmp_path, epochs=3)
         code, _, _ = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 0
-        ds = make_blobs(2, 16, 6, 6.0, seed=0)
-        data_path = tmp_path / "data.mmd"
-        save_binary(ds, data_path)
-        return cfg, tmp_path / "model.ckpt", data_path
+        return cfg
 
     def test_alpha_sums_to_header_alpha_x(self, tmp_path, capsys):
-        cfg, ckpt, data = self._setup(tmp_path, capsys)
-        code, out, _ = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),
-                               "--anchor", "3", "--batch-size", "8", "--config", str(cfg))
+        cfg = self._setup(tmp_path, capsys)
+        code, out, _ = run_cli(capsys, "inspect", "--config", str(cfg), "--anchor", "3",
+                               "--set", "batch_size=8")
         assert code == 0
         blocks = parse_csv_blocks(out)
         header, rows = blocks[0]
@@ -315,25 +325,22 @@ class TestInspectCommand:
         write_blobs_config(cfg, tmp_path, epochs=1, lr=0.0)
         code, _, _ = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 0
-        ds = make_blobs(2, 16, 6, 6.0, seed=0)
-        data_path = tmp_path / "d.mmd"
-        save_binary(ds, data_path)
-        code, out, _ = run_cli(capsys, "inspect", "--checkpoint", str(tmp_path / "model.ckpt"),
-                               "--data", str(data_path), "--anchor", "0", "--batch-size", "8")
+        code, out, _ = run_cli(capsys, "inspect", "--config", str(cfg), "--anchor", "0",
+                               "--set", "batch_size=8")
         assert code == 0
 
     def test_anchor_out_of_range_exits_2(self, tmp_path, capsys):
-        cfg, ckpt, data = self._setup(tmp_path, capsys)
-        code, _, err = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),
-                               "--anchor", "99999", "--batch-size", "8")
+        cfg = self._setup(tmp_path, capsys)
+        code, _, err = run_cli(capsys, "inspect", "--config", str(cfg), "--anchor", "99999",
+                               "--set", "batch_size=8")
         assert code == 2
 
     @pytest.mark.parametrize("all_anchors", [False, True])
     def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys, all_anchors):
-        cfg, ckpt, data = self._setup(tmp_path, capsys)
+        cfg = self._setup(tmp_path, capsys)
         which = ["--all-anchors"] if all_anchors else ["--anchor", "0"]
-        code, out, err = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),
-                                 *which, "--batch-size", "8", "--method", "inv",
+        code, out, err = run_cli(capsys, "inspect", "--config", str(cfg), *which,
+                                 "--set", "batch_size=8", "--method", "inv",
                                  "--set", "kernel.kind=tanh", "--set", "kernel.gamma=2.0")
         assert code == 2
         assert out == ""
@@ -343,13 +350,12 @@ class TestInspectCommand:
     def test_oracle_is_for_a_single_anchor_only(self, tmp_path, capsys):
         # batch_loss solves with the paper's pgd or inv; the exact oracle
         # solves one anchor's dual, so a whole batch asked of it exits 2
-        cfg, ckpt, data = self._setup(tmp_path, capsys)
+        cfg = self._setup(tmp_path, capsys)
         tc = build_train_config(parse_config_file(cfg))
         with pytest.raises(ValueError, match="'pgd' or 'inv'"):
             batch_loss(np.eye(4)[:, :3], np.eye(4)[:, 1:], tc.kernel, tc.C, tc.beta, tc.solver,
                        method="oracle")
-        common = ("inspect", "--checkpoint", str(ckpt), "--data", str(data), "--config", str(cfg),
-                  "--batch-size", "4", "--method", "oracle")
+        common = ("inspect", "--config", str(cfg), "--set", "batch_size=4", "--method", "oracle")
         code, out, err = run_cli(capsys, *common, "--all-anchors")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "'pgd' or 'inv'" in err
@@ -357,9 +363,9 @@ class TestInspectCommand:
         assert code == 0 and out.startswith("anchor_index,")
 
     def test_all_anchors_export(self, tmp_path, capsys):
-        cfg, ckpt, data = self._setup(tmp_path, capsys)
-        code, out, _ = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),
-                               "--all-anchors", "--batch-size", "4", "--config", str(cfg))
+        cfg = self._setup(tmp_path, capsys)
+        code, out, _ = run_cli(capsys, "inspect", "--config", str(cfg), "--all-anchors",
+                               "--set", "batch_size=4")
         assert code == 0
         header, rows = parse_csv_blocks(out)[0]
         assert header == ["anchor_index", "negative_index", "alpha", "is_support", "is_margin_violator"]
@@ -368,18 +374,17 @@ class TestInspectCommand:
     def test_all_anchors_export_solves_two_augmented_views(self, tmp_path, capsys):
         # the exported alphas are batch_loss on the two views training would
         # build for the drawn batch, not on one unaugmented view used twice
-        cfg, ckpt, data = self._setup(tmp_path, capsys)
+        cfg = self._setup(tmp_path, capsys)
         N, seed = 4, 5
-        code, out, _ = run_cli(capsys, "inspect", "--checkpoint", str(ckpt), "--data", str(data),
-                               "--all-anchors", "--batch-size", str(N), "--config", str(cfg),
-                               "--seed", str(seed))
+        code, out, _ = run_cli(capsys, "inspect", "--config", str(cfg), "--all-anchors",
+                               "--set", f"batch_size={N}", "--set", f"seed={seed}")
         assert code == 0
         _, rows = parse_csv_blocks(out)[0]
         exported = np.array([float(r[2]) for r in rows]).reshape(N, 2 * N - 2)
 
         tc = build_train_config(parse_config_file(cfg))
-        params = load_state(ckpt).params
-        dataset = load_binary(data)
+        params = load_state(tmp_path / "model.ckpt").params
+        dataset = make_blobs(2, 16, 6, 6.0, seed=0)
         batch = dataset.samples[stream_rng(seed, "inspect-batch").choice(len(dataset), size=N,
                                                                           replace=False)]
         v1, v2 = (forward(params, augment_batch(tc.augmentation, batch,
@@ -394,7 +399,7 @@ class TestInspectCommand:
 class TestBenchCommand:
     def test_one_row_per_size_and_variant(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--sizes", "2,4", "--reps", "1",
-                               "--max-iters", "5", "--dim", "4")
+                               "--set", "solver.max_iters=5", "--dim", "4")
         assert code == 0
         header, rows = parse_csv_blocks(out)[0]
         assert header == ["batch_size", "loss_variant", "ms_per_iter"]
@@ -402,9 +407,17 @@ class TestBenchCommand:
         variants = {(r[0], r[1]) for r in rows}
         assert len(variants) == 6
 
-    def test_max_iters_defaults_to_training_budget(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.max_iters == TrainConfig().solver.max_iters == 1000
+    def test_max_iters_defaults_to_training_budget(self, capsys, monkeypatch):
+        budgets = []
+
+        def recording(*args, **kwargs):
+            budgets.append(args[5].max_iters)
+            return batch_loss(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "batch_loss", recording)
+        code, _, _ = run_cli(capsys, "bench", "--sizes", "2", "--reps", "1", "--dim", "2")
+        assert code == 0
+        assert budgets == [TrainConfig().solver.max_iters] * 2 and budgets[0] == 1000
 
     def test_bad_sizes_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--sizes", "1,4")
@@ -414,6 +427,41 @@ class TestBenchCommand:
                                               ("--dim", "--dim must be >= 1")])
     def test_zero_reps_or_dim_exit_2(self, capsys, flag, message):
         # --reps 0 had no time to take a median of; --dim 0 timed NaN embeddings
-        code, out, err = run_cli(capsys, "bench", "--sizes", "2", "--max-iters", "5", flag, "0")
+        code, out, err = run_cli(capsys, "bench", "--sizes", "2", "--set", "solver.max_iters=5",
+                                 flag, "0")
         assert code == 2
         assert out == "" and message in err
+
+
+class TestOneConfig:
+    def test_one_config_drives_every_command(self, tmp_path, capsys):
+        cfg = tmp_path / "blobs.cfg"
+        write_blobs_config(cfg, tmp_path, epochs=2, eval_every=2, C=50.0, **{"eval.k": 5})
+        common = ("--config", str(cfg))
+        assert run_cli(capsys, "train", *common)[0] == 0
+        last = (tmp_path / "metrics.csv").read_text().strip().splitlines()[-1].split(",")
+        code, out, _ = run_cli(capsys, "eval", *common)
+        assert code == 0 and parse_csv_blocks(out)[0][1][0][:2] == last[4:6]
+        code, out, _ = run_cli(capsys, "inspect", *common, "--anchor", "2")
+        assert code == 0
+        header, rows = parse_csv_blocks(out)[0]
+        assert rows[0][header.index("n_negatives")] == "7"  # batch_size = 8
+        assert rows[0][header.index("C")] == "50.0"
+        code, out, _ = run_cli(capsys, "inspect", *common, "--all-anchors")
+        assert code == 0 and len(parse_csv_blocks(out)[0][1]) == 8 * 14
+        inst = tmp_path / "inst.txt"
+        inst.write_text("[z_pos]\n1.0,0.0\n[Z_neg]\n0.0,1.0\n-1.0,0.0\n")
+        code, out, _ = run_cli(capsys, "solve", *common, "--instance", str(inst))
+        assert code == 0 and parse_csv_blocks(out)[0][1][0][0] == "pgd"
+        code, out, _ = run_cli(capsys, "bench", *common, "--sizes", "2", "--reps", "1")
+        assert code == 0 and len(parse_csv_blocks(out)[0][1]) == 3
+
+    def test_flags_are_the_config_and_each_commands_own_inputs(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        flags = {name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+                 for name, p in subparsers.items()}
+        settings = {"--config", "--set"}
+        assert flags == {"train": settings, "eval": settings,
+                         "inspect": settings | {"--anchor", "--all-anchors", "--method"},
+                         "solve": settings | {"--instance", "--solver"},
+                         "bench": settings | {"--sizes", "--dim", "--reps"}}

@@ -93,11 +93,19 @@ class TestLinearProbe:
         assert abs(acc - 0.5) <= 0.1
 
     def test_loss_decreases_monotonically_small_lr(self):
+        # the training cross-entropy of the probe fitted for e epochs, e = 0..200
         rng = np.random.default_rng(3)
         X = rng.standard_normal((60, 4))
         y = rng.integers(0, 3, 60)
-        _, _, losses = fit_linear_probe(X, y, epochs=200, lr=0.01)
+        losses = []
+        for epochs in range(201):
+            W, b = fit_linear_probe(X, y, epochs=epochs, lr=0.01)
+            logits = X @ W + b
+            logits -= logits.max(axis=1, keepdims=True)
+            log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            losses.append(-np.mean(log_probs[np.arange(len(y)), y]))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < losses[0]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
