@@ -30,7 +30,8 @@ from .loss import batch_loss, nce_batch_loss
 from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
                   build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
 from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort, eval_split,
-                       format_metrics_row, held_out_accuracies, load_state, save_state, train)
+                       evaluation_split, format_metrics_row, held_out_accuracies, load_state,
+                       save_state, train)
 
 CATEGORY_NAMES = {0: "non-support", 1: "support", 2: "margin-violator"}
 
@@ -54,6 +55,7 @@ def _load_checkpoint_params(path) -> enc.EncoderParams:
 def cmd_train(args) -> int:
     cfg, tc = _settings(args)
     dataset = cfgmod.load_dataset(cfg)
+    evaluation_split(tc, dataset)  # an unusable dataset exits before metrics.csv is opened
     metrics_path = cfg["out.metrics"]
     ckpt_path = cfg["out.checkpoint"]
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics:

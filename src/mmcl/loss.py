@@ -29,16 +29,19 @@ anchor whose D_k is not positive definite raises
 rather than by factorizing D_k. ``pgd`` starts every anchor at that
 ``inv`` solution, the paper's truncated least-squares approximation (the
 "alpha seeding" of DeCoste & Wagstaff 2000), and an anchor that ``inv``
-rejects at 0. It takes each anchor's step from a closed-form bound on
-||D_k||_2 (``resolve_step_sizes``) and then runs on every anchor at once
-through one operator (``_dual_operator``) whose product with the
-N x 2N block of alphas is one GEMM with M; each PGD step makes one such
-product. Its face steps read the blocks D_k[F,F] of each anchor's
-binding free set F (the free coordinates and those at a bound whose
-gradient points into the box) from M and the rank-2 term, stacked by
-size, and search along the Newton direction on them without a further
-product. Nothing in this module assembles a D_k; the per-anchor
-references of ``svm`` do, one anchor at a time.
+rejects at 0, and runs on every anchor at once through one operator
+(``_dual_operator``) whose product with the N x 2N block of alphas is one
+GEMM with M; each PGD step makes one such product. Its face steps, from
+the first step on, read the blocks D_k[F,F] of each anchor's binding
+free set F (the free coordinates and those at a bound whose gradient
+points into the box) from M and the rank-2 term, stacked by size, and
+search along the Newton direction on them without a further product. An
+anchor steps along its projected gradient only where it takes no face
+step, with its step from a closed-form bound on ||D_k||_2
+(``resolve_step_sizes``), computed for the batch the first time such a
+step is taken; on recorded N = 32 training batches face steps take every
+step and the bound is never computed. Nothing in this module assembles a
+D_k; the per-anchor references of ``svm`` do, one anchor at a time.
 """
 
 from __future__ import annotations
@@ -92,12 +95,6 @@ def mmcl_loss(batch: LossBatch, spec: KernelSpec) -> float:
     k_neg = gram(spec, batch.Z_neg, batch.z[:, None])[:, 0]
     k_pos = gram(spec, batch.z_pos[:, None], batch.z[:, None])[0, 0]
     return float(batch.alpha @ (k_neg - k_pos))
-
-
-def decision_function(batch: LossBatch, spec: KernelSpec) -> float:
-    """SVM score of z: alpha' (k(z+, z) 1 - k(Z-, z)); positive means z is
-    classified on the positive side."""
-    return -mmcl_loss(batch, spec)
 
 
 def mmcl_grad(batch: LossBatch, spec: KernelSpec) -> LossGrads:
@@ -405,12 +402,14 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     ``svm._pgd_batched`` for its face steps and convergence rule). ``pgd``
     starts each anchor at its ``inv`` solution, which ``max_iters = 0``
     returns; an anchor whose D_k is not positive definite starts at 0, and
-    so does every anchor when K + beta I is singular. Its steps are
-    ``solver.step_size``, or for "auto" 1 / a closed-form bound on each
-    ||D_k||_2 (see ``resolve_step_sizes``). An anchor whose projected
-    gradient is not finite (from non-finite embeddings) stops at once with
-    NaN alphas. Both methods cost O(N^2) memory, and O(N^3) time per
-    ``inv`` call or per PGD step.
+    so does every anchor when K + beta I is singular. Each step is a face
+    step where one is accepted and a projected-gradient step otherwise,
+    of length ``solver.step_size``, or for "auto" 1 / a closed-form bound
+    on each ||D_k||_2 (see ``resolve_step_sizes``), computed only on the
+    first step that needs it. An anchor whose projected gradient is not
+    finite (from non-finite embeddings) stops at once with NaN alphas.
+    Both methods cost O(N^2) memory, and O(N^3) time per ``inv`` call or
+    per PGD step.
 
     Any other ``method`` raises ValueError; the exact per-anchor
     ``svm.solve_oracle`` is a reference, not a batch method. ``inv``
@@ -445,9 +444,9 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     else:
         alpha0, _ = _inv_batched(K_full, neg_idx, beta, C)
         matvec, gather = _dual_operator(K_full, beta)
-        eta = resolve_step_sizes(K_full, beta, solver.step_size)
         alpha_block, _, _ = _pgd_batched(
-            matvec, gather, _to_block(neg_idx, 2.0), C, eta, _to_block(neg_idx, alpha0),
+            matvec, gather, _to_block(neg_idx, 2.0), C,
+            lambda: resolve_step_sizes(K_full, beta, solver.step_size), _to_block(neg_idx, alpha0),
             solver.max_iters, solver.tol, solver.nesterov)
         alphas = np.take_along_axis(alpha_block, neg_idx, axis=1)
 

@@ -16,21 +16,24 @@ Three solvers are provided:
   stationarity tolerance. Slowest, used as the reference optimum.
 * ``solve_pgd``    -- m-step projected gradient, optionally Nesterov
   accelerated with gradient-based adaptive restart, at one product with
-  D per step. From the second step on, an instance takes a face step
-  instead: a Newton solve on its binding free set (the free coordinates
-  and those at a bound whose gradient points into the box) and a
-  projected search along its direction, which steps to the minimizer on
-  that face when it lies in the box (Bertsekas 1982's projected Newton).
-  An instance whose binding set is too large for a cheap solve takes
-  that step only once its face has settled, every second step. Its
-  core, ``_pgd_batched``, sees D only through a matvec and a gather of
+  D per step. From the first step on, an instance takes a face step
+  where it can: a Newton solve on its binding free set (the free
+  coordinates and those at a bound whose gradient points into the box)
+  and a projected search along its direction, which tries the full step
+  first and steps to the minimizer on that face when it lies in the box
+  (Bertsekas 1982's projected Newton). An instance whose binding set is
+  too large for a cheap solve takes that step only once its face has
+  settled, every second step; in every other step, and where the search
+  refuses, it takes a projected-gradient step. Its core,
+  ``_pgd_batched``, sees D only through a matvec and a gather of
   principal blocks, so the batched ``pgd`` of ``loss.batch_loss`` runs
   every anchor of a batch through one operator on the shared K + beta I
   (``loss._dual_operator``), and ``solve_pgd``, on one dense D, is its
   per-anchor reference. ``solve_pgd`` starts from a seeded random point
   and steps 1 / ||D||_2; the batched ``pgd`` starts every anchor at its
   ``inv`` solution and takes its step sizes from a closed-form bound
-  (``loss.resolve_step_sizes``).
+  (``loss.resolve_step_sizes``). Either step size is computed only once
+  a projected-gradient step needs it.
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
   computed with a Cholesky solve, so D must be positive definite. It is
   the per-anchor reference for the batched ``inv`` of ``loss.batch_loss``,
@@ -110,6 +113,8 @@ class SolverConfig:
     the batched ``pgd`` of ``loss.batch_loss`` the reciprocal of a
     closed-form upper bound on each anchor's ||D_k||_2
     (``loss.resolve_step_sizes``), so no step is longer than 1 / ||D||_2.
+    Only projected-gradient steps use it, and "auto" is computed only if
+    one is taken: a run of face steps alone never computes it.
     ``max_iters`` caps the steps, face steps included, and ``tol`` the
     norm of the projected gradient alpha - P(alpha - g), P the projection
     onto the box, at which an instance counts as converged; it takes a
@@ -199,14 +204,17 @@ def _draw_alpha0(n: int, C: float, seed) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.0, min(C, 1.0), size=n)
 
 
-# The step from which ``_pgd_batched`` takes face steps, and the steps
-# between its settled-face steps, chosen by measurement on recorded
-# training batches (see CHANGES.md)
+# An instance whose binding free set is too large for a cheap face step
+# takes one only every _FACE_EVERY-th step, once its face has settled (see
+# ``_pgd_batched``), chosen by measurement on recorded training batches (see
+# CHANGES.md)
 _FACE_EVERY = 2
 
-# The step lengths t that a face step's projected search tries, longest
-# first, and its sufficient-decrease factor
-_SEARCH_STEPS = 0.5 ** np.arange(10)
+# A face step first tries the full step t = 1, which passes for 71 683 of
+# the 71 718 face steps on 600 recorded training batches; a row that fails
+# it searches these shorter steps, longest first. The sufficient-decrease
+# factor is that of both tries
+_SEARCH_STEPS = 0.5 ** np.arange(1, 10)
 _SUFFICIENT_DECREASE = 1e-4
 
 # Face sizes are padded to a multiple of this, which of 4 to 12 gives the
@@ -218,11 +226,19 @@ _PAD_TO = 8
 _CHUNK_FLOOR = 2 ** 15
 
 # An instance takes a face step on its binding free set F each step while
-# |F|^2 <= _BINDING_GUARD * n (see ``_pgd_batched``). Of 8, 12, 16 and 24,
-# 12 balances recorded training batches, where 16 and 24 are up to 8 %
-# faster and 8 is 21 % slower, against C = 0.05, where 16 and 24 are up to
-# 48 % slower (see CHANGES.md)
+# |F|^2 <= max(_BINDING_GUARD * n, _BINDING_FLOOR^2) (see ``_pgd_batched``).
+# Of 8, 12, 16 and 24, a _BINDING_GUARD of 12 balances recorded training
+# batches, where 16 and 24 are up to 8 % faster and 8 is 21 % slower,
+# against C = 0.05, where 16 and 24 are up to 48 % slower. The floor binds
+# below n = 192. The inv start leaves binding sets of 34 to 41
+# coordinates at n = 62, and none above 46 on 600 recorded training
+# batches: with the floor they take face steps from the first step on,
+# which halves the loop's steps on recorded late-training batches, and no
+# projected-gradient step is left to need a step size. Face steps on
+# binding sets of any size made n = 510 2.7 times slower; the floor costs
+# n = 126 at C = 0.05 about a fifth of its time (see CHANGES.md)
 _BINDING_GUARD = 12
+_BINDING_FLOOR = 48
 
 
 def _face_of(alpha: np.ndarray, C: float) -> np.ndarray:
@@ -242,6 +258,16 @@ def _project(x: np.ndarray, C: float) -> np.ndarray:
     return np.minimum(x, C, out=x)
 
 
+def _passes(s: np.ndarray, g_F: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """(rows, steps) mask of the trial steps s (rows, steps, f) on the
+    faces of gradient g_F (rows, f) and blocks D_FF (rows, f, f) that
+    descend by at least ``_SUFFICIENT_DECREASE`` times g_F's < 0. A step
+    changes the objective by exactly g_F's + 1/2 s'D_FF s."""
+    gs = np.einsum("rtf,rf->rt", s, g_F)
+    change = gs + 0.5 * np.einsum("rtf,rtf->rt", s, s @ blocks)
+    return (change <= _SUFFICIENT_DECREASE * gs) & (gs < 0.0)
+
+
 def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free: np.ndarray,
                 C: float):
     """Projected searches along the Newton directions of the instances
@@ -254,13 +280,15 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
     solves D_FF d_F = -g_F and d is 0 off F. The step of length t is
     s(t) = P(alpha_F + t d_F) - alpha_F, P the projection onto [0, C],
     and it changes the objective by exactly g_F's + 1/2 s'D_FF s,
-    evaluated on the block the solve gathered. A row takes the first t of
-    ``_SEARCH_STEPS`` whose change is at most ``_SUFFICIENT_DECREASE``
-    times g_F's < 0: the projected search of More & Toraldo 1991 along
-    the direction of Bertsekas 1982's projected Newton. When alpha + d lies in the box, t = 1 passes and the row steps
-    to the minimizer on its face, a descent of exactly -1/2 g'd. A row
-    refuses only when no t passes, as when d ascends toward a saddle of an
-    indefinite D, or when its block is singular.
+    evaluated on the block the solve gathered. A row takes the full step
+    t = 1 when its change is at most ``_SUFFICIENT_DECREASE`` times
+    g_F's < 0, and otherwise the first t of ``_SEARCH_STEPS`` that passes
+    the same test: the projected search of More & Toraldo 1991 along the
+    direction of Bertsekas 1982's projected Newton. When alpha + d lies in
+    the box, t = 1 passes and the row steps to the minimizer on its face,
+    a descent of exactly -1/2 g'd. A row refuses only when no t passes, as
+    when d ascends toward a saddle of an indefinite D, or when its block
+    is singular.
 
     Each face is padded with an identity block and zero right-hand side
     to the multiple of ``_PAD_TO`` at or above its size (at most n). The
@@ -280,17 +308,23 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
     padded = np.minimum(-(-sizes // _PAD_TO) * _PAD_TO, n)
     order = np.argsort(~free, axis=1, kind="stable")  # each row's free coordinates first
     by_size = np.argsort(-padded, kind="stable")
+    sorted_sizes = padded[by_size].tolist()
     start = 0
     while start < rows.size:
-        f = int(padded[by_size[start]])
-        group = np.count_nonzero(padded[by_size[start:]] == f)
-        chunk = by_size[start:start + min(group, max(1, chunk_doubles // (f * f)))]
-        start += chunk.size
+        f = sorted_sizes[start]
+        end = start + min(sorted_sizes[start:].count(f), max(1, chunk_doubles // (f * f)))
+        chunk = by_size[start:end]
+        start = end
         cols = order[chunk, :f]
         pad = np.arange(f) >= sizes[chunk][:, None]
         blocks = gather(rows[chunk], cols)
-        np.copyto(blocks, np.eye(f), where=pad[:, :, None] | pad[:, None, :])
-        g_F = np.where(pad, 0.0, g[rows[chunk, None], cols])
+        # padding rows and columns are 0 off the diagonal and 1 on it
+        pad_row, pad_col = np.nonzero(pad)
+        blocks[pad_row, pad_col, :] = 0.0
+        blocks[pad_row, :, pad_col] = 0.0
+        blocks[pad_row, pad_col, pad_col] = 1.0
+        g_F = g[rows[chunk, None], cols]
+        g_F[pad] = 0.0
         try:
             d_F = np.linalg.solve(blocks, -g_F[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -300,59 +334,68 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
                     d_F[r] = np.linalg.solve(blocks[r], -g_F[r])
                 except np.linalg.LinAlgError:
                     pass
-        # (rows, steps, f): every trial point and step, padding steps 0
-        a_F = new[chunk[:, None], cols][:, None, :]
-        points = _project(a_F + _SEARCH_STEPS[:, None] * d_F[:, None, :], C)
-        s = points - a_F
-        gs = np.einsum("rtf,rf->rt", s, g_F)
-        change = gs + 0.5 * np.einsum("rtf,rtf->rt", s, s @ blocks)
-        passes = (change <= _SUFFICIENT_DECREASE * gs) & (gs < 0.0)
-        accept[chunk] = passes.any(axis=1)
-        new[chunk[:, None], cols] = points[np.arange(chunk.size), passes.argmax(axis=1)]
+        # padding steps are 0: d_F is 0 there and alpha in the box
+        a_F = new[chunk[:, None], cols]
+        points = _project(a_F + d_F, C)
+        passes = _passes((points - a_F)[:, None], g_F, blocks)[:, 0]
+        retry = np.nonzero(~passes)[0]
+        if retry.size:
+            # (rows, steps, f): every shorter trial point of the rows the full step fails
+            a_R = a_F[retry, None]
+            trials = _project(a_R + _SEARCH_STEPS[:, None] * d_F[retry, None], C)
+            shorter = _passes(trials - a_R, g_F[retry], blocks[retry])
+            passes[retry] = shorter.any(axis=1)
+            points[retry] = trials[np.arange(retry.size), shorter.argmax(axis=1)]
+        accept[chunk] = passes
+        new[chunk[:, None], cols] = points
     return rows[accept], new[accept]
 
 
-def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha0: np.ndarray,
+def _pgd_batched(matvec, gather, b: np.ndarray, C: float, step_sizes, alpha0: np.ndarray,
                  max_iters: int, tol: float, nesterov: bool):
     """Projected gradient on a batch of instances g_i(a) = 1/2 a' D_i a - b_i' a
     over the box [0, C], with face steps and one operator product per step.
 
-    ``alpha0`` and the linear terms ``b`` are (B, n) and ``eta`` is (B,).
-    ``matvec(X)`` returns the rows D_i x_i of X's B rows, and
+    ``alpha0`` and the linear terms ``b`` are (B, n). ``step_sizes()``
+    returns the (B,) projected-gradient steps eta; it is called at most
+    once, on the first step where an active instance takes a
+    projected-gradient step, so a run of face steps alone never computes
+    it. ``matvec(X)`` returns the rows D_i x_i of X's B rows, and
     ``gather(rows, cols)`` the (r, f, f) blocks D_i[c, c] of the instances
     i = rows[j] at the coordinates c = cols[j]. A coordinate that the
     operator keeps at 0 and whose b and start are 0 stays 0, so instances
     of fewer than n variables share one layout.
 
-    The loop carries q = D alpha and q_prev = D prev, so the gradient at
-    the extrapolated point y = alpha + m (alpha - prev) is
-    q + m (q - q_prev) - b by linearity, and the only product of a step
-    is D cand of the new iterate. With ``nesterov`` the momentum m follows
-    FISTA's t sequence and restarts (t = 1) when the step opposes the
-    momentum, (y - cand)'(cand - alpha) > 0 (the gradient scheme of
-    O'Donoghue & Candes 2015, "Adaptive restart for accelerated gradient
-    schemes"); the step is still taken. Without it m = 0 and this is
-    plain projected gradient.
+    Each step, an instance first tries a face step: the projected search
+    along the Newton direction on its binding free set
+    F = {0 < alpha < C} u {alpha = 0, g < 0} u {alpha = C, g > 0}
+    (``_binding_free``, ``_face_steps``: Bertsekas 1982's projected Newton
+    step, searched as in More & Toraldo 1991's GPCG), the coordinates that
+    no bound holds by the sign of their gradient, so a step can free a
+    coordinate as well as bind one, and the optimal face is found in a few
+    steps. F is not empty while an instance is active. It solves on its F
+    from the first step on while |F|^2 <= max(``_BINDING_GUARD`` n,
+    ``_BINDING_FLOOR``^2), which keeps the O(|F|^3) = O(n^1.5) solve below
+    the O(n^2) share of an operator product as n grows. An instance whose
+    F is larger, as at small C early on, takes its face step on F only
+    once its face has settled: every ``_FACE_EVERY``-th step, if its face
+    (the coordinates at 0, the interior {0 < alpha < C}, those at C) is
+    that of the previous iterate. The search starts from alpha, so an
+    instance may take several face steps on one face. An accepted face
+    step restarts the instance's momentum.
 
-    From step ``_FACE_EVERY`` on, an instance takes face steps: in place
-    of the projected-gradient candidate, the projected search along the
-    Newton direction on a set F of free coordinates when it descends
-    (``_face_steps``: Bertsekas 1982's projected Newton step, searched as
-    in More & Toraldo 1991's GPCG), and it restarts its momentum. F is
-    the binding free set F = {0 < alpha < C} u {alpha = 0, g < 0} u
-    {alpha = C, g > 0} (``_binding_free``), the coordinates that no bound
-    holds by the sign of their gradient, so a step can free a coordinate
-    as well as bind one, and the optimal face is found in a few steps. F
-    is not empty while an instance is active. Each step an instance
-    solves on its F while |F|^2 <= ``_BINDING_GUARD`` n, which keeps the
-    O(|F|^3) = O(n^1.5) solve below the O(n^2) share of an operator
-    product as n grows. An instance whose F is larger, as at small C
-    early on, takes its face step on F only once its face has settled:
-    every ``_FACE_EVERY``-th step, if its face (the coordinates at 0, the
-    interior {0 < alpha < C}, those at C) is that of the previous
-    iterate. The search starts from alpha, so an instance may take
-    several face steps on one face. The candidate still goes through the
-    step's one product, so a face step is a step.
+    An active instance without an accepted face step takes a
+    projected-gradient step. The loop carries q = D alpha and
+    q_prev = D prev, so the gradient at the extrapolated point
+    y = alpha + m (alpha - prev) is q + m (q - q_prev) - b by linearity,
+    and the candidate is P(y - eta (g + m (q - q_prev))), built for these
+    instances only. With ``nesterov`` the momentum m follows FISTA's t
+    sequence and restarts (t = 1) when the step opposes the momentum,
+    (y - cand)'(cand - alpha) > 0 (the gradient scheme of O'Donoghue &
+    Candes 2015, "Adaptive restart for accelerated gradient schemes"); the
+    step is still taken. Without it m = 0 and this is plain projected
+    gradient. Every new iterate, face step or not, goes through the
+    step's one product D cand.
 
     Convergence is per instance: before each step, and once after the
     last, an instance whose projected gradient pg = alpha - P(alpha - g)
@@ -369,8 +412,9 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
     q = matvec(alpha)
     prev, q_prev = alpha, q
     t_mom = np.ones(B)
-    eta_col = eta[:, None]
+    eta = None
     tol2 = tol * tol
+    guard = max(_BINDING_GUARD * n, _BINDING_FLOOR * _BINDING_FLOOR)
     active = np.ones(B, dtype=bool)
     failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=np.int64)
@@ -386,39 +430,42 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, eta: np.ndarray, alpha
             active &= (pg2 > tol2) & ~failed
             if k == max_iters or not active.any():
                 break
+            free = _binding_free(alpha, g, C)
+            size = np.add.reduce(free, axis=1)
+            take = active & (size * size <= guard)
+            large = active & ~take
+            if k % _FACE_EVERY == _FACE_EVERY - 1 and large.any():
+                take |= large & np.all(_face_of(alpha, C) == _face_of(prev, C), axis=1)
+            rows, points = _face_steps(gather, alpha, g, np.nonzero(take)[0], free, C)
+            # a frozen instance keeps alpha, so its q needs no mask
+            cand = alpha.copy()
+            cand[rows] = points
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if nesterov else t_mom
-            momentum = ((t_mom - 1.0) / t_next)[:, None]
-            # y = alpha + m (alpha - prev) and cand = P(y - eta (g + m (q - q_prev))),
-            # built in place; y then holds y - cand for the restart test
-            y = alpha - prev
-            y *= momentum
-            y += alpha
-            cand = q - q_prev
-            cand *= momentum
-            cand += g
-            cand *= eta_col
-            _project(np.subtract(y, cand, out=cand), C)
-            y -= cand
-            restart = np.einsum("ij,ij->i", y, cand - alpha) > 0.0
-            if k + 1 >= _FACE_EVERY:
-                free = _binding_free(alpha, g, C)
-                size = np.add.reduce(free, axis=1)
-                take = active & (size * size <= _BINDING_GUARD * n)
-                large = active & ~take
-                if (k + 1) % _FACE_EVERY == 0 and large.any():
-                    take |= large & np.all(_face_of(alpha, C) == _face_of(prev, C), axis=1)
-                rows, points = _face_steps(gather, alpha, g, np.nonzero(take)[0], free, C)
-                cand[rows] = points
-                restart[rows] = True
-            q_cand = matvec(cand)
+            restart = np.ones(B, dtype=bool)
+            plain = active.copy()
+            plain[rows] = False
+            if plain.any():
+                if eta is None:
+                    eta = step_sizes()[:, None]
+                p = slice(None) if plain.all() else np.nonzero(plain)[0]
+                momentum = ((t_mom[p] - 1.0) / t_next[p])[:, None]
+                # y = alpha + m (alpha - prev) and P(y - eta (g + m (q - q_prev))),
+                # built in place; y then holds y - cand for the restart test
+                a_p = alpha[p]
+                y = a_p - prev[p]
+                y *= momentum
+                y += a_p
+                step = q[p] - q_prev[p]
+                step *= momentum
+                step += g[p]
+                step *= eta[p]
+                c_p = _project(np.subtract(y, step, out=step), C)
+                y -= c_p
+                restart[p] = np.einsum("ij,ij->i", y, c_p - a_p) > 0.0
+                cand[p] = c_p
             t_mom = np.where(restart, 1.0, t_next)
             prev, q_prev = alpha, q
-            # a frozen instance never steps again, so only alpha and q need the mask
-            if active.all():
-                alpha, q = cand, q_cand
-            else:
-                step = active[:, None]
-                alpha, q = np.where(step, cand, alpha), np.where(step, q_cand, q)
+            alpha, q = cand, matvec(cand)
             iterations += active
 
     alpha[failed] = np.nan
@@ -439,10 +486,14 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution
     if alpha0 is None:
         alpha0 = _draw_alpha0(inst.n, inst.C, cfg.seed)
     a0 = np.asarray(alpha0, dtype=np.float64)[None]
-    step = 1.0 / max(spectral_norm(inst.delta), 1e-300) if cfg.step_size == "auto" else cfg.step_size
-    eta = np.array([float(step)])
+
+    def step_sizes():
+        if cfg.step_size == "auto":
+            return np.array([1.0 / max(spectral_norm(inst.delta), 1e-300)])
+        return np.array([float(cfg.step_size)])
+
     alpha, iters, converged = _pgd_batched(
-        matvec, gather, b, inst.C, eta, a0, cfg.max_iters, cfg.tol, cfg.nesterov)
+        matvec, gather, b, inst.C, step_sizes, a0, cfg.max_iters, cfg.tol, cfg.nesterov)
     return DualSolution(
         alpha=alpha[0],
         objective=dual_objective(inst.delta, alpha[0]),

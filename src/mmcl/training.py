@@ -236,6 +236,21 @@ def eval_split(dataset: Dataset, seed: int, test_fraction: float):
     return perm[n_test:], perm[:n_test]
 
 
+def evaluation_split(config: TrainConfig, dataset: Dataset):
+    """The (train, test) split of in-training evaluation, or None when
+    training does not evaluate (``eval_every = 0`` or no labels). Raises
+    ValueError, before any epoch is trained, when the labels hold fewer
+    than the 2 classes that the linear probe needs or the split leaves no
+    sample to train on."""
+    if config.eval_every == 0 or dataset.labels is None:
+        return None
+    classes = np.unique(dataset.labels).size
+    if classes < 2:
+        raise ValueError(f"the dataset has {classes} label class(es), but eval_every = "
+                         f"{config.eval_every} runs a linear probe, which needs at least 2")
+    return eval_split(dataset, config.seed, config.test_fraction)
+
+
 def held_out_accuracies(config: TrainConfig, params: enc.EncoderParams, dataset: Dataset,
                         split) -> tuple:
     """(kNN, linear-probe) accuracy of the frozen ``params`` on ``split`` =
@@ -261,24 +276,23 @@ def train(config: TrainConfig, dataset: Dataset, state: TrainState = None,
 
     ``on_epoch`` receives each history row as it is produced. Evaluation
     runs every ``eval_every`` epochs on a held-out split when the dataset
-    has labels.
+    has labels (``evaluation_split``, which rejects an unusable dataset
+    before the first epoch).
 
     The ``mean_loss`` history column (the ``loss`` column of the metrics
     CSV) is the mean batch loss from ``run_epoch``: for the max-margin
     losses it uses alpha re-solved per batch, scales with alpha_x, and may
     rise toward zero while training works.
     """
+    split = evaluation_split(config, dataset)
     if state is None:
         state = init_state(config, dataset.dim)
-    do_eval = config.eval_every > 0 and dataset.labels is not None
-    if do_eval:
-        split = eval_split(dataset, config.seed, config.test_fraction)
     while state.epoch < config.epochs:
         C, spec = apply_schedules(config, state.epoch)
         epoch_index = state.epoch
         state, mean_loss = run_epoch(state, config, dataset)
         knn_acc = linear_acc = math.nan
-        if do_eval and (epoch_index + 1) % config.eval_every == 0:
+        if split is not None and (epoch_index + 1) % config.eval_every == 0:
             knn_acc, linear_acc = held_out_accuracies(config, state.params, dataset, split)
         row = (epoch_index, C, spec.sigma_sq, mean_loss, knn_acc, linear_acc)
         state.history.append(row)

@@ -1,8 +1,11 @@
-"""Shared test utilities: finite differences and random instance builders."""
+"""Shared test utilities: finite differences, random instance builders,
+recorded training batches and reference solver steps."""
 
 import numpy as np
 
 from mmcl import KernelSpec, build_instance
+from mmcl import config as cfgmod
+from mmcl import training
 from mmcl.loss import negative_indices
 
 
@@ -79,3 +82,69 @@ class RecordingOperator:
         (an instance steps on every product until it freezes)."""
         objectives = np.stack([0.5 * np.sum(A * Q, axis=1) - np.sum(b * A, axis=1) for A, Q in self.calls])
         return [objectives[:m + 1, i] for i, m in enumerate(iterations)]
+
+
+def training_batches(seed, count):
+    """Yield the (view1, view2) embeddings of the first ``count`` loss calls
+    of a seeded ``mmcl_pgd`` training run at batch size 32 on the default
+    synthetic blobs, as the ``pgd_b32`` benchmark workload trains: no data
+    file, and the encoder moves between batches as in training."""
+    cfg = cfgmod.default_config()
+    cfgmod.apply_overrides(cfg, ["loss=mmcl_pgd", "batch_size=32", f"seed={seed}",
+                                 f"data.seed={seed}", "epochs=1000"])
+    config, dataset = cfgmod.build_train_config(cfg), cfgmod.load_dataset(cfg)
+    pairs = []
+    batch_loss = training.batch_loss
+
+    class Enough(Exception):
+        pass
+
+    def recording(view1, view2, *args, **kwargs):
+        pairs.append((view1.copy(), view2.copy()))
+        if len(pairs) == count:
+            raise Enough
+        return batch_loss(view1, view2, *args, **kwargs)
+
+    training.batch_loss = recording
+    try:
+        training.train(config, dataset)
+    except Enough:
+        pass
+    finally:
+        training.batch_loss = batch_loss
+    yield from pairs
+
+
+def face_search_reference(gather, alpha, g, rows, free, C, pad_to, steps=10):
+    """Reference for ``svm._face_steps``: each row alone, its free set F
+    padded with an identity block to the multiple of ``pad_to`` at or
+    above |F| (at most n), searching t = 1, 1/2, ..., 0.5^(steps - 1) in
+    that order and taking the first step whose change g_F's + 1/2 s'D_FF s
+    is at most 1e-4 g_F's < 0. Returns the accepting rows and their
+    points."""
+    n = alpha.shape[1]
+    accepted, points = [], []
+    for i in rows:
+        F = np.flatnonzero(free[i])
+        f = min(-(-F.size // pad_to) * pad_to, n)
+        cols = np.concatenate([F, np.flatnonzero(~free[i])])[:f]
+        block = gather(np.array([i]), cols[None])[0]
+        block[F.size:] = 0.0
+        block[:, F.size:] = 0.0
+        block[F.size:, F.size:] = np.eye(f - F.size)
+        g_F = np.where(np.arange(f) < F.size, g[i, cols], 0.0)
+        try:
+            d = np.linalg.solve(block, -g_F[:, None])[:, 0]
+        except np.linalg.LinAlgError:
+            continue
+        for t in 0.5 ** np.arange(steps):
+            trial = np.clip(alpha[i, cols] + t * d, 0.0, C)
+            s = trial - alpha[i, cols]
+            gs = s @ g_F
+            if gs < 0.0 and gs + 0.5 * s @ (block @ s) <= 1e-4 * gs:
+                point = alpha[i].copy()
+                point[cols] = trial
+                accepted.append(i)
+                points.append(point)
+                break
+    return np.array(accepted, dtype=np.int64), np.array(points).reshape(-1, n)

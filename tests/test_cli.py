@@ -78,6 +78,20 @@ class TestTrainCommand:
         assert key in err
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_one_class_dataset_with_evaluation_exits_2_before_training(self, tmp_path, capsys):
+        # the linear probe needs 2 classes: the run stops before its first
+        # epoch, naming the class count, and writes no metrics or checkpoint
+        cfg = tmp_path / "blobs.cfg"
+        write_blobs_config(cfg, tmp_path, **{"data.classes": 1, "eval_every": 1, "epochs": 2})
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 2
+        assert "1 label class" in err
+        assert not (tmp_path / "metrics.csv").exists()
+        assert not (tmp_path / "model.ckpt").exists()
+        # without evaluation the same data trains
+        code, _, _ = run_cli(capsys, "train", "--config", str(cfg), "--set", "eval_every=0")
+        assert code == 0 and (tmp_path / "model.ckpt").exists()
+
     def test_threads_option_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "blobs.cfg"
         write_blobs_config(cfg, tmp_path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmcl import (KernelSpec, LossBatch, SingularInstanceError, SolverConfig, batch_loss,
-                  build_instance, decision_function, dual_objective, fn_correct, gram, mmcl_grad,
+                  build_instance, dual_objective, fn_correct, gram, kernel_eval, mmcl_grad,
                   mmcl_loss, nce_batch_loss, nce_grad, nce_loss, solve_inv, solve_oracle, solve_pgd)
 from mmcl import config as cfgmod
 from mmcl import loss as loss_module
@@ -15,7 +15,8 @@ from mmcl.data import stream_rng
 from mmcl.loss import _dual_operator, _pgd_batched, _to_block, negative_indices, resolve_step_sizes
 from mmcl.svm import spectral_norm
 
-from helpers import RecordingOperator, anchor_deltas, central_diff, rel_err, unit_columns
+from helpers import (RecordingOperator, anchor_deltas, central_diff, rel_err, training_batches,
+                     unit_columns)
 
 ALL_KINDS = ["linear", "rbf", "tanh"]
 
@@ -57,9 +58,13 @@ class TestMmclLoss:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_negated_decision_function(self, kind, seed):
+        # the SVM decision function at z, alpha' (k(z+, z) 1 - k(Z-, z)),
+        # written out from single kernel evaluations
         batch = random_batch(np.random.default_rng(seed))
         spec = spec_for(kind)
-        assert abs(mmcl_loss(batch, spec) + decision_function(batch, spec)) <= 1e-12
+        score = sum(a * (kernel_eval(spec, batch.z_pos, batch.z) - kernel_eval(spec, z_neg, batch.z))
+                    for a, z_neg in zip(batch.alpha, batch.Z_neg.T))
+        assert abs(mmcl_loss(batch, spec) + score) <= 1e-12
 
     def test_monotone_in_positive_similarity(self):
         # move z along z+ while keeping every negative kernel value fixed:
@@ -81,18 +86,6 @@ class TestMmclLoss:
             LossBatch(z=np.ones(3), z_pos=np.ones(4), Z_neg=np.ones((3, 2)), alpha=np.ones(2))
         with pytest.raises(ValueError):
             LossBatch(z=np.ones(3), z_pos=np.ones(3), Z_neg=np.ones((3, 2)), alpha=np.ones(3))
-
-
-class TestDecisionFunction:
-    def test_direct_value(self):
-        spec = KernelSpec(kind="linear")
-        batch = LossBatch(z=np.array([1.0, 0.0]), z_pos=np.array([0.9, 0.0]),
-                          Z_neg=np.array([[0.1], [0.0]]), alpha=np.array([1.0]))
-        assert decision_function(batch, spec) == pytest.approx(0.8, abs=1e-15)
-
-    def test_zero_alpha(self):
-        batch = random_batch(np.random.default_rng(1), alpha=np.zeros(5))
-        assert decision_function(batch, KernelSpec()) == 0.0
 
 
 class TestMmclGrad:
@@ -516,10 +509,19 @@ class TestDualOperator:
 
     @classmethod
     def _pgd_inputs(cls, rng, kernel, N):
+        """The linear terms, a random start and the step-size callable of a
+        batched PGD run; the callable counts its calls in ``.calls``."""
         neg_idx = negative_indices(N)
         b = _to_block(neg_idx, 2.0)
         alpha0 = _to_block(neg_idx, rng.uniform(0.0, 1.0, (N, 2 * N - 2)))
-        return b, alpha0, resolve_step_sizes(cls._gram(kernel, N)[3], cls.BETA, "auto")
+        K = cls._gram(kernel, N)[3]
+
+        def step_sizes():
+            step_sizes.calls += 1
+            return resolve_step_sizes(K, cls.BETA, "auto")
+
+        step_sizes.calls = 0
+        return b, alpha0, step_sizes
 
     @pytest.mark.parametrize("max_iters", [1000, 20])
     @pytest.mark.parametrize("nesterov", [True, False])
@@ -583,11 +585,14 @@ class TestDualOperator:
     def test_singular_face_block_skips_only_its_row(self, monkeypatch):
         # anchor 0's face blocks are all singular: it steps without face
         # steps, and every other anchor takes exactly the steps it takes
-        # with the true gather, also when it shares a batched solve with 0
+        # with the true gather, also when it shares a batched solve with 0.
+        # The step sizes are computed once, however many projected-gradient
+        # steps anchor 0 takes
         N = 32
         rng, matvec, gather, _ = self._batch("rbf", N)
         b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
         reference = _pgd_batched(matvec, gather, b, 100.0, eta, alpha0, 1000, 1e-8, True)
+        eta.calls = 0
         shared = []
 
         def singular_for_0(rows, cols):
@@ -600,6 +605,7 @@ class TestDualOperator:
         alpha, iterations, converged = _pgd_batched(
             matvec, singular_for_0, b, 100.0, eta, alpha0, 1000, 1e-8, True)
         assert any(shared) and sum(accepted) > 0
+        assert eta.calls == 1
         assert converged.all() and reference[2].all()
         assert np.array_equal(alpha[1:], reference[0][1:])
         assert np.array_equal(iterations[1:], reference[1][1:])
@@ -638,26 +644,79 @@ class TestPgdConvergence:
         assert converged.all()
         assert iterations.max() <= 12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_C_converges_in_few_steps(self, monkeypatch, seed):
+        # at C = 0.05 about half the coordinates sit at C; with face steps
+        # from the first step on the slowest anchor of these batches needs 9
+        # to 10 steps, where face steps from the second step on needed 11
+        # to 12
+        tc = cfgmod.build_train_config(cfgmod.default_config())
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(_pgd_batched(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(loss_module, "_pgd_batched", recording)
+        v1, v2 = self._bench_batch(seed, 32)
+        batch_loss(v1, v2, tc.kernel, 0.05, tc.beta, tc.solver, method="pgd")
+        _, iterations, converged = results[0]
+        assert converged.all()
+        assert iterations.max() <= 10
+
+    def test_step_sizes_are_computed_only_for_projected_gradient_steps(self, monkeypatch):
+        # on a default N = 32 batch every step of every anchor is a face
+        # step, so the eigenvalue solve of the step-size bound never runs
+        tc = cfgmod.build_train_config(cfgmod.default_config())
+        calls = []
+        resolve = loss_module.resolve_step_sizes
+
+        def counting(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(loss_module, "resolve_step_sizes", counting)
+        v1, v2 = self._bench_batch(0, 32)
+        _, _, _, alphas = batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
+        assert not calls and np.all(np.isfinite(alphas))
+
+    def test_objective_matches_oracle_on_training_batches(self):
+        # every 4th anchor of 8 batches from a seeded pgd_b32-style run, as
+        # the benchmark's output checks sample them
+        tc = cfgmod.build_train_config(cfgmod.default_config())
+        for v1, v2 in training_batches(3, 8):
+            _, _, _, alphas = batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver, method="pgd")
+            E = np.concatenate([v1, v2], axis=1)
+            for k, cols in list(enumerate(negative_indices(v1.shape[1])))[::4]:
+                inst = build_instance(tc.kernel, E[:, k], E[:, cols], tc.C, tc.beta)
+                star = solve_oracle(inst, tol=1e-12).objective
+                assert abs(dual_objective(inst.delta, alphas[k]) - star) <= 1e-12 * abs(star)
+
     def test_face_steps_solve_small_binding_sets_or_settled_faces(self, monkeypatch):
         # every face step solves on the anchor's binding free set F: each
-        # step while |F|^2 <= _BINDING_GUARD n, and beyond that only once its
-        # face has settled; at C = 0.2 both occur on this batch
+        # step while |F|^2 <= max(_BINDING_GUARD n, _BINDING_FLOOR^2), and
+        # beyond that only once its face has settled. At C = 0.05 both occur
+        # on this batch of N = 80, and so do face steps on sets that only
+        # the floor admits
         tc = cfgmod.build_train_config(cfgmod.default_config())
-        counts = {"within_guard": 0, "settled": 0}
+        counts = {"within_guard": 0, "within_floor": 0, "settled": 0}
         face_steps = svm_module._face_steps
 
         def checking(gather, alpha, g, rows, free, C):
             binding = svm_module._binding_free(alpha, g, C)
-            limit = svm_module._BINDING_GUARD * alpha.shape[1]
+            guard = svm_module._BINDING_GUARD * alpha.shape[1]
+            limit = max(guard, svm_module._BINDING_FLOOR ** 2)
             for i in rows:
                 assert np.array_equal(free[i], binding[i])
-                counts["within_guard" if np.sum(free[i]) ** 2 <= limit else "settled"] += 1
+                size2 = np.sum(free[i]) ** 2
+                counts["within_guard" if size2 <= guard else
+                       "within_floor" if size2 <= limit else "settled"] += 1
             return face_steps(gather, alpha, g, rows, free, C)
 
         monkeypatch.setattr(svm_module, "_face_steps", checking)
-        v1, v2 = self._bench_batch(0, 64)
-        batch_loss(v1, v2, tc.kernel, 0.2, tc.beta, tc.solver, method="pgd")
-        assert counts["within_guard"] > 0 and counts["settled"] > 0
+        v1, v2 = self._bench_batch(0, 80)
+        batch_loss(v1, v2, tc.kernel, 0.05, tc.beta, tc.solver, method="pgd")
+        assert min(counts.values()) > 0
 
     def test_operator_products_are_pgd_steps_only(self, monkeypatch):
         # neither the start nor the step sizes take a product with the

@@ -11,7 +11,8 @@ from mmcl.loss import _to_block, negative_indices
 from mmcl.svm import _binding_free, _dense_operator, _face_steps
 
 import test_loss
-from helpers import RecordingOperator, random_instance, rotated_spectrum_delta, unit_columns
+from helpers import (RecordingOperator, face_search_reference, random_instance,
+                     rotated_spectrum_delta, unit_columns)
 
 
 def make_instance(delta, C=100.0, beta=0.0):
@@ -182,30 +183,41 @@ class TestSolvePgd:
     def test_divergent_step_overflows_without_warnings(self):
         # an indefinite tanh D with C = inf has no minimizer: a step of 1e300
         # jumps from 0 to about 1e300, where the gradient, and so the
-        # projected gradient, overflows. The instance freezes there after one
-        # step, as failed, with NaN alphas. The run reads unconverged, and no
-        # RuntimeWarning escapes (tier-1 turns them into errors)
+        # projected gradient, overflows. The first step is a face step, which
+        # the search refuses where it ascends; the instance then takes the
+        # long step and freezes after two steps, as failed, with NaN alphas.
+        # The run reads unconverged, and no RuntimeWarning escapes (tier-1
+        # turns them into errors)
         rng = np.random.default_rng(7)
         spec = KernelSpec(kind="tanh", gamma=1.0, bias=0.1, positive_gamma=True)
         inst = build_instance(spec, unit_columns(rng, 4, 1)[:, 0], unit_columns(rng, 4, 6), math.inf, 0.1)
         assert np.linalg.eigvalsh(inst.delta)[0] < 0
         sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
                         alpha0=np.zeros(6))
-        assert not sol.converged and sol.iterations == 1
+        assert not sol.converged and sol.iterations == 2
         assert np.all(np.isnan(sol.alpha))
 
     def test_long_step_does_not_read_converged(self):
-        # the step-scaled mapping (alpha - P(alpha - eta g)) / eta read this
-        # random start converged before any step at eta = 1e300, with the
-        # objective 7.37 against the optimum -13.15. The unit-step projected
-        # gradient does not shrink with eta: the run diverges, unconverged,
-        # and the default step solves the same instance
+        # the step-scaled mapping (alpha - P(alpha - eta g)) / eta read the
+        # n = 32 random start converged before any step at eta = 1e300, with
+        # the objective 7.37 against the optimum -13.15. The unit-step
+        # projected gradient does not shrink with eta. At n = 64 the start's
+        # binding free set is too large for a face step, so the long step is
+        # taken: the run diverges, unconverged, and the default step solves
+        # the same instance
+        inst = random_instance(np.random.default_rng(4), n=64, C=math.inf)
+        star = solve_oracle(inst, tol=1e-12).objective
+        assert star == pytest.approx(-32.10, abs=0.01)
+        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False))
+        assert not sol.converged and sol.iterations > 0
+        sol = solve_pgd(inst, SolverConfig(max_iters=50, nesterov=False))
+        assert sol.converged and sol.objective == pytest.approx(star, rel=1e-12)
+        # at n = 32 face steps take every step, so eta = 1e300 is never used
+        # and the run stops at the optimum
         inst = random_instance(np.random.default_rng(4), n=32, C=math.inf)
         star = solve_oracle(inst, tol=1e-12).objective
         assert star == pytest.approx(-13.15, abs=0.01)
         sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False))
-        assert not sol.converged and sol.iterations > 0
-        sol = solve_pgd(inst, SolverConfig(max_iters=50, nesterov=False))
         assert sol.converged and sol.objective == pytest.approx(star, rel=1e-12)
 
     def test_matches_oracle_on_moderate_conditioning(self):
@@ -365,6 +377,35 @@ class TestFaceStep:
             assert dual_objective(deltas[k], point[cols]) < dual_objective(deltas[k], alpha[k, cols])
             projected += np.any(free[k] & ((point == 0.0) | (point == C)))
         assert projected > 0
+
+    def test_full_step_first_matches_the_ten_step_search(self):
+        # trying t = 1 for every row and searching only the rows it fails
+        # accepts the same rows at the same points as searching all ten
+        # steps for every row, on the binding free sets of random starts
+        # with coordinates at both bounds. Some rows need a shorter step
+        # (tanh, C = inf) and some refuse every step (tanh)
+        shorter = refused = 0
+        for kernel in ("rbf", "tanh"):
+            for C in (0.05, 3.0, math.inf):
+                for N in (16, 32):
+                    rng, matvec, gather, _ = test_loss.TestDualOperator._batch(kernel, N)
+                    neg_idx = negative_indices(N)
+                    high = C if math.isfinite(C) else 4.0
+                    for _ in range(3):
+                        alpha = _to_block(neg_idx, np.clip(rng.uniform(-high, 2.0 * high, (N, 2 * N - 2)), 0.0, C))
+                        g = matvec(alpha) - _to_block(neg_idx, 2.0)
+                        free = _binding_free(alpha, g, C)
+                        rows = np.arange(N)
+                        taken, points = _face_steps(gather, alpha, g, rows, free, C)
+                        ref_rows, ref_points = face_search_reference(
+                            gather, alpha, g, rows, free, C, svm_module._PAD_TO)
+                        assert np.array_equal(taken, ref_rows)
+                        assert np.array_equal(points, ref_points)
+                        full, _ = face_search_reference(gather, alpha, g, rows, free, C,
+                                                        svm_module._PAD_TO, steps=1)
+                        shorter += taken.size - full.size
+                        refused += N - taken.size
+        assert shorter > 0 and refused > 0
 
 
 class TestOrderingChain:
