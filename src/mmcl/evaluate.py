@@ -1,4 +1,20 @@
-"""Frozen-encoder evaluation: cosine kNN readout and a linear probe."""
+"""Frozen-encoder evaluation: cosine kNN readout and a linear probe.
+
+Both readouts reject embeddings with a non-finite entry with a ValueError
+that names the set (train or test) and the count of non-finite rows.
+
+The kNN readout takes the k most cosine-similar train rows of each test row
+and predicts the majority label; a vote tie goes to the tied class with the
+largest summed similarity, and an exact tie of those sums to the lowest
+class id. Every test row is voted on at once, with no per-row loop.
+
+The linear probe is multinomial logistic regression fitted by plain
+full-batch gradient descent from zero: ``epochs`` steps of size ``lr`` on
+the mean cross-entropy. Its iterates are held class-major: a (c, d + 1)
+weight with the bias as its last column against the (d + 1, n) transposed
+features with a ones row, so each step's logits are one (c, n) array whose
+softmax reduces elementwise across c rows. A fit costs O(epochs · n · d · c).
+"""
 
 from __future__ import annotations
 
@@ -12,9 +28,17 @@ def _normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
+def _check_finite(X: np.ndarray, which: str) -> None:
+    bad = np.count_nonzero(~np.isfinite(X).all(axis=1))
+    if bad:
+        raise ValueError(f"{which} embeddings have {bad} of {X.shape[0]} rows with "
+                         f"non-finite entries")
+
+
 def knn_readout(train_emb, train_labels, test_emb, test_labels, k: int) -> float:
     """Cosine-similarity k-nearest-neighbour accuracy with majority vote;
-    ties are broken by the summed similarity of the tied classes."""
+    ties are broken by the summed similarity of the tied classes, then by
+    the lowest class id."""
     train_emb = np.asarray(train_emb, dtype=np.float64)
     test_emb = np.asarray(test_emb, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -23,52 +47,64 @@ def knn_readout(train_emb, train_labels, test_emb, test_labels, k: int) -> float
         raise ValueError("empty embedding set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n_train = train_emb.shape[0]
+    _check_finite(train_emb, "train")
+    _check_finite(test_emb, "test")
+    n_train, n_test = train_emb.shape[0], test_emb.shape[0]
     if k > n_train:
         warnings.warn(f"k={k} exceeds train size {n_train}; clipping", stacklevel=2)
         k = n_train
-    sims = _normalize_rows(test_emb) @ _normalize_rows(train_emb).T
+    # negated in place: the k smallest are the nearest, and negation is exact
+    neg_sims = _normalize_rows(test_emb) @ _normalize_rows(train_emb).T
+    np.negative(neg_sims, out=neg_sims)
     num_classes = int(train_labels.max()) + 1
-    correct = 0
-    # argpartition then exact sort of the k slice keeps this O(n log k)
-    top = np.argpartition(-sims, kth=k - 1, axis=1)[:, :k]
-    for i in range(test_emb.shape[0]):
-        idx = top[i]
-        labels = train_labels[idx]
-        votes = np.bincount(labels, minlength=num_classes)
-        best = votes.max()
-        tied = np.nonzero(votes == best)[0]
-        if tied.size == 1:
-            pred = tied[0]
-        else:
-            sim_sums = np.bincount(labels, weights=sims[i, idx], minlength=num_classes)
-            pred = tied[np.argmax(sim_sums[tied])]
-        correct += int(pred == test_labels[i])
-    return correct / test_emb.shape[0]
+    # argpartition keeps this O(n) per test row; the vote needs no order
+    top = np.argpartition(neg_sims, kth=k - 1, axis=1)[:, :k]
+    # one bin per (test row, class); within a bin the similarities are
+    # summed in neighbour order, as a per-row bincount would
+    bins = train_labels[top]
+    bins += num_classes * np.arange(n_test)[:, None]
+    size = n_test * num_classes
+    votes = np.bincount(bins.ravel(), minlength=size).reshape(n_test, num_classes)
+    sim_sums = -np.bincount(bins.ravel(), weights=np.take_along_axis(neg_sims, top, axis=1).ravel(),
+                            minlength=size).reshape(n_test, num_classes)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    preds = np.argmax(np.where(tied, sim_sums, -np.inf), axis=1)
+    return int(np.count_nonzero(preds == test_labels)) / n_test
 
 
 def fit_linear_probe(train_emb, train_labels, epochs: int, lr: float):
     """Multinomial logistic regression by full-batch gradient descent from a
-    zero initialization. Returns (W, b)."""
+    zero initialization. Returns (W (d × c), b (c,)) with one column per
+    class id 0 … max label, so an id absent from the labels still gets one.
+    Raises ValueError on fewer than 2 distinct labels or non-finite
+    embeddings."""
     X = np.asarray(train_emb, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.int64)
+    _check_finite(X, "train")
+    classes = np.unique(y).size
+    if classes < 2:
+        raise ValueError(f"linear probe needs at least 2 classes, got {classes}")
     num_classes = int(y.max()) + 1
-    if num_classes < 2:
-        raise ValueError("linear probe needs at least 2 classes")
     n, d = X.shape
-    W = np.zeros((d, num_classes))
-    b = np.zeros(num_classes)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
+    Xa = np.empty((d + 1, n))
+    Xa[:d] = X.T
+    Xa[d] = 1.0
+    onehot = np.zeros((num_classes, n))
+    onehot[y, np.arange(n)] = 1.0
+    Wb = np.zeros((num_classes, d + 1))
+    logits = np.empty((num_classes, n))
+    peak = np.empty(n)
+    total = np.empty(n)
     for _ in range(epochs):
-        logits = X @ W + b
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        probs = expl / expl.sum(axis=1, keepdims=True)
-        err = (probs - onehot) / n
-        W -= lr * (X.T @ err)
-        b -= lr * err.sum(axis=0)
-    return W, b
+        np.matmul(Wb, Xa, out=logits)
+        np.max(logits, axis=0, out=peak)
+        logits -= peak
+        np.exp(logits, out=logits)
+        np.sum(logits, axis=0, out=total)
+        logits /= total
+        logits -= onehot
+        Wb -= (lr / n) * (logits @ Xa.T)
+    return Wb[:, :d].T, Wb[:, d]
 
 
 def linear_probe(train_emb, train_labels, test_emb, test_labels,
@@ -76,6 +112,7 @@ def linear_probe(train_emb, train_labels, test_emb, test_labels,
     """Test accuracy of the probe fitted on frozen train embeddings."""
     test_emb = np.asarray(test_emb, dtype=np.float64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
+    _check_finite(test_emb, "test")
     W, b = fit_linear_probe(train_emb, train_labels, epochs=epochs, lr=lr)
     preds = np.argmax(test_emb @ W + b, axis=1)
     return float(np.mean(preds == test_labels))

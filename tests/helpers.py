@@ -1,5 +1,7 @@
 """Shared test utilities: finite differences, random instance builders,
-recorded training batches and reference solver steps."""
+recorded training batches, reference solver steps and reference readouts."""
+
+import warnings
 
 import numpy as np
 
@@ -148,3 +150,61 @@ def face_search_reference(gather, alpha, g, rows, free, C, pad_to, steps=10):
                 points.append(point)
                 break
     return np.array(accepted, dtype=np.int64), np.array(points).reshape(-1, n)
+
+
+def knn_readout_reference(train_emb, train_labels, test_emb, test_labels, k):
+    """Reference for ``evaluate.knn_readout``: the same cosine similarities
+    and ``argpartition`` neighbours, voted on one test row at a time; a vote
+    tie goes to the tied class with the largest summed similarity, the
+    first such class on an exact tie."""
+    train_emb = np.asarray(train_emb, dtype=np.float64)
+    test_emb = np.asarray(test_emb, dtype=np.float64)
+    train_labels = np.asarray(train_labels, dtype=np.int64)
+    test_labels = np.asarray(test_labels, dtype=np.int64)
+    n_train = train_emb.shape[0]
+    if k > n_train:
+        warnings.warn(f"k={k} exceeds train size {n_train}; clipping", stacklevel=2)
+        k = n_train
+
+    def normalize(X):
+        return X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+
+    sims = normalize(test_emb) @ normalize(train_emb).T
+    num_classes = int(train_labels.max()) + 1
+    correct = 0
+    top = np.argpartition(-sims, kth=k - 1, axis=1)[:, :k]
+    for i in range(test_emb.shape[0]):
+        idx = top[i]
+        labels = train_labels[idx]
+        votes = np.bincount(labels, minlength=num_classes)
+        tied = np.nonzero(votes == votes.max())[0]
+        if tied.size == 1:
+            pred = tied[0]
+        else:
+            sim_sums = np.bincount(labels, weights=sims[i, idx], minlength=num_classes)
+            pred = tied[np.argmax(sim_sums[tied])]
+        correct += int(pred == test_labels[i])
+    return correct / test_emb.shape[0]
+
+
+def linear_probe_reference(train_emb, train_labels, epochs, lr):
+    """Reference for ``evaluate.fit_linear_probe``: full-batch gradient
+    descent on the mean cross-entropy from zero, sample-major, with the
+    bias kept apart. Returns (W (d x c), b (c,)), c = max label + 1."""
+    X = np.asarray(train_emb, dtype=np.float64)
+    y = np.asarray(train_labels, dtype=np.int64)
+    num_classes = int(y.max()) + 1
+    n, d = X.shape
+    W = np.zeros((d, num_classes))
+    b = np.zeros(num_classes)
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+    for _ in range(epochs):
+        logits = X @ W + b
+        logits -= logits.max(axis=1, keepdims=True)
+        expl = np.exp(logits)
+        probs = expl / expl.sum(axis=1, keepdims=True)
+        err = (probs - onehot) / n
+        W -= lr * (X.T @ err)
+        b -= lr * err.sum(axis=0)
+    return W, b

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mmcl import (Dataset, TrainConfig, augment_batch, batch_loss, forward, load_state,
-                  make_blobs, save_csv, stream_rng)
+                  make_blobs, save_csv, save_state, stream_rng)
 from mmcl import cli
 from mmcl.cli import build_parser, main
 from mmcl.config import build_train_config, parse_config_file
@@ -301,6 +301,19 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, "eval", "--config", cfg, "--set", f"out.checkpoint={bad}")
         assert code == 2
         assert "short.ckpt" in err and "Traceback" not in err
+
+    def test_non_finite_embeddings_exit_2(self, tmp_path, capsys):
+        # a NaN in the last backbone bias makes every train and test
+        # embedding non-finite; the readouts refuse to score them
+        cfg = self._trained(tmp_path, capsys)
+        state = load_state(tmp_path / "model.ckpt")
+        state.params.layers[-1][1][0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_state(state, bad)
+        code, out, err = run_cli(capsys, "eval", "--config", cfg, "--set", f"out.checkpoint={bad}")
+        assert code == 2 and out == ""
+        assert "error: train embeddings have" in err and "non-finite" in err
+        assert "Traceback" not in err
 
     def test_repeat_runs_identical(self, tmp_path, capsys):
         cfg = self._trained(tmp_path, capsys)

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mmcl import fit_linear_probe, knn_readout, linear_probe
+from helpers import knn_readout_reference, linear_probe_reference
+from mmcl import config as cfgmod
+from mmcl import fit_linear_probe, knn_readout, linear_probe, train
+from mmcl.training import eval_embeddings, evaluation_split, held_out_accuracies
 
 
 def brute_force_knn(train_emb, train_labels, test_emb, test_labels, k):
@@ -73,6 +78,72 @@ class TestKnnReadout:
         with pytest.raises(ValueError):
             knn_readout(np.zeros((0, 2)), np.zeros(0), np.ones((1, 2)), np.ones(1), k=1)
 
+    @staticmethod
+    def _accuracies(train, train_labels, test, test_labels, k):
+        """``knn_readout``'s and the per-row loop's accuracies, checking that
+        each warns about clipping exactly when k exceeds the train set."""
+        accs = []
+        for readout in (knn_readout, knn_readout_reference):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                accs.append(readout(train, train_labels, test, test_labels, k))
+            assert any("clipp" in str(w.message) for w in caught) == (k > len(train))
+        return accs
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 16])
+    def test_vote_matches_per_row_loop_on_integer_grid(self, k):
+        # entries in {-1, 0, 1}: duplicate rows, symmetric rows and zero rows
+        # give exact similarity ties, and an even k gives vote ties; k = 16
+        # exceeds every train set and is clipped
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            n_train = int(rng.integers(4, 15))
+            train = rng.integers(-1, 2, (n_train, 3)).astype(float)
+            test = rng.integers(-1, 2, (9, 3)).astype(float)
+            train_labels = rng.integers(0, 3, n_train)
+            test_labels = rng.integers(0, 3, 9)
+            fast, loop = self._accuracies(train, train_labels, test, test_labels, k)
+            assert fast == loop, seed
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 16])
+    def test_ties_match_brute_force_on_axis_grid(self, k):
+        # train rows are m * (+-e_j), m in {1, 2, 4}, labelled by direction, so
+        # every similarity tie is between rows of one label, and test rows
+        # have distinct nonzero |coordinates|, so tied votes have distinct
+        # similarity sums; all similarities are exact in both references
+        dim, boundary_ties, vote_ties = 3, 0, 0
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            n_train = int(rng.integers(4, 15))
+            direction = rng.integers(0, 2 * dim, n_train)
+            train = np.zeros((n_train, dim))
+            train[np.arange(n_train), direction % dim] = (
+                np.where(direction < dim, 1.0, -1.0) * rng.choice([1.0, 2.0, 4.0], n_train))
+            train_labels = rng.permutation(2 * dim)[direction]
+            test = np.stack([rng.choice([-1.0, 1.0], dim) * rng.permutation(np.arange(1.0, 6.0))[:dim]
+                             for _ in range(9)])
+            test_labels = rng.integers(0, 2 * dim, 9)
+            fast, loop = self._accuracies(train, train_labels, test, test_labels, k)
+            assert fast == loop == brute_force_knn(train, train_labels, test, test_labels, k), seed
+            sims = test @ (train / np.linalg.norm(train, axis=1, keepdims=True)).T
+            for row in sims:
+                order = np.argsort(-row, kind="stable")
+                if k < n_train:
+                    boundary_ties += row[order[k - 1]] == row[order[k]]
+                votes = np.bincount(train_labels[order[:k]])
+                vote_ties += np.count_nonzero(votes == votes.max()) > 1
+        assert vote_ties > 100
+        assert boundary_ties > 100 or k > 14
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, which, value):
+        rng = np.random.default_rng(6)
+        sets = {"train": rng.standard_normal((20, 4)), "test": rng.standard_normal((8, 4))}
+        sets[which][[2, 5], 1] = value
+        with pytest.raises(ValueError, match=f"{which} embeddings have 2 of"):
+            knn_readout(sets["train"], rng.integers(0, 2, 20), sets["test"], rng.integers(0, 2, 8), k=3)
+
 
 class TestLinearProbe:
     def test_separable_reaches_perfect_accuracy(self):
@@ -108,9 +179,43 @@ class TestLinearProbe:
         assert losses[-1] < losses[0]
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            linear_probe(np.eye(3), np.zeros(3, dtype=int), np.eye(3), np.zeros(3, dtype=int),
-                         epochs=500, lr=0.1)
+        # whichever id the one class has
+        for label in (0, 1):
+            labels = np.full(3, label)
+            with pytest.raises(ValueError, match="at least 2 classes, got 1"):
+                linear_probe(np.eye(3), labels, np.eye(3), labels, epochs=500, lr=0.1)
+
+    @pytest.mark.parametrize("epochs", [1, 500])
+    @pytest.mark.parametrize("n,d,classes", [
+        (60, 5, [0, 1]),
+        (80, 6, [0, 1, 2, 3]),
+        (150, 8, list(range(10))),
+        (90, 6, [0, 1, 3]),  # class id 2 is absent but keeps its column
+        (12, 30, [0, 1, 2]),  # fewer samples than dimensions
+    ])
+    def test_matches_sample_major_reference(self, n, d, classes, epochs):
+        rng = np.random.default_rng(n + d)
+        centers = 2.0 * rng.standard_normal((max(classes) + 1, d))
+        y = rng.choice(classes, n)
+        X = centers[y] + rng.standard_normal((n, d))
+        X_test = rng.standard_normal((40, d)) + centers[rng.choice(classes, 40)]
+        W, b = fit_linear_probe(X, y, epochs=epochs, lr=0.5)
+        W_ref, b_ref = linear_probe_reference(X, y, epochs=epochs, lr=0.5)
+        assert W.shape == (d, max(classes) + 1) and b.shape == (max(classes) + 1,)
+        assert np.max(np.abs(W - W_ref)) <= 1e-12
+        assert np.max(np.abs(b - b_ref)) <= 1e-12
+        assert np.array_equal(np.argmax(X_test @ W + b, axis=1),
+                              np.argmax(X_test @ W_ref + b_ref, axis=1))
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_rows_rejected(self, which, value):
+        rng = np.random.default_rng(7)
+        sets = {"train": rng.standard_normal((20, 4)), "test": rng.standard_normal((8, 4))}
+        sets[which][3] = value
+        with pytest.raises(ValueError, match=f"{which} embeddings have 1 of"):
+            linear_probe(sets["train"], rng.integers(0, 2, 20), sets["test"], rng.integers(0, 2, 8),
+                         epochs=10, lr=0.1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -119,3 +224,28 @@ class TestLinearProbe:
         a = linear_probe(X, y, X, y, epochs=100, lr=0.1)
         b = linear_probe(X, y, X, y, epochs=100, lr=0.1)
         assert a == b
+
+
+class TestHeldOutAccuracies:
+    @pytest.mark.parametrize("features", ["backbone", "head"])
+    def test_training_logs_the_reference_readouts(self, features):
+        # a short seeded mmcl_pgd run at batch size 32 on the default blobs,
+        # evaluated after each of 2 epochs
+        cfg = cfgmod.default_config()
+        cfgmod.apply_overrides(cfg, ["loss=mmcl_pgd", "batch_size=32", "seed=3", "data.seed=3",
+                                     "epochs=2", "eval_every=1", f"eval_features={features}"])
+        config, dataset = cfgmod.build_train_config(cfg), cfgmod.load_dataset(cfg)
+        split = evaluation_split(config, dataset)
+        state = train(config, dataset)
+        accuracies = held_out_accuracies(config, state.params, dataset, split)
+
+        train_idx, test_idx = split
+        emb_train = eval_embeddings(state.params, dataset.samples[train_idx], features)
+        emb_test = eval_embeddings(state.params, dataset.samples[test_idx], features)
+        labels_train, labels_test = dataset.labels[train_idx], dataset.labels[test_idx]
+        knn_ref = knn_readout_reference(emb_train, labels_train, emb_test, labels_test,
+                                        config.eval_k)
+        W, b = linear_probe_reference(emb_train, labels_train, config.probe_epochs, config.probe_lr)
+        linear_ref = float(np.mean(np.argmax(emb_test @ W + b, axis=1) == labels_test))
+        assert accuracies == (knn_ref, linear_ref)
+        assert state.history[-1][4:6] == accuracies
