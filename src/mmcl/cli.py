@@ -9,8 +9,8 @@ inspect's ``--anchor``, ``--all-anchors`` and ``--method``, and bench's
 
 All tabular output is CSV with a header row. Exit codes: 0 success,
 1 runtime abort (diagnostics written next to the checkpoint), 2 usage,
-config, or input-file errors, and an ``inv`` solve (``solve``, ``inspect``
-or ``train``) whose dual matrix is not positive definite.
+config, or input-file errors, and a solve by any method (``solve``,
+``inspect`` or ``train``) whose dual matrix is not positive definite.
 """
 
 from __future__ import annotations

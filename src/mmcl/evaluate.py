@@ -3,8 +3,9 @@
 Both readouts reject embeddings with a non-finite entry with a ValueError
 that names the set (train or test) and the count of non-finite rows.
 
-The kNN readout takes the k most cosine-similar train rows of each test row
-and predicts the majority label; a vote tie goes to the tied class with the
+The kNN readout takes the k most cosine-similar train rows of each test row,
+the lowest train indices among rows tied at the k-th similarity, and
+predicts the majority label; a vote tie goes to the tied class with the
 largest summed similarity, and an exact tie of those sums to the lowest
 class id. Every test row is voted on at once, with no per-row loop.
 
@@ -37,8 +38,9 @@ def _check_finite(X: np.ndarray, which: str) -> None:
 
 def knn_readout(train_emb, train_labels, test_emb, test_labels, k: int) -> float:
     """Cosine-similarity k-nearest-neighbour accuracy with majority vote;
-    ties are broken by the summed similarity of the tied classes, then by
-    the lowest class id."""
+    neighbours tied at the k-th similarity are taken by lowest train index,
+    and vote ties are broken by the summed similarity of the tied classes,
+    then by the lowest class id."""
     train_emb = np.asarray(train_emb, dtype=np.float64)
     test_emb = np.asarray(test_emb, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -57,15 +59,22 @@ def knn_readout(train_emb, train_labels, test_emb, test_labels, k: int) -> float
     neg_sims = _normalize_rows(test_emb) @ _normalize_rows(train_emb).T
     np.negative(neg_sims, out=neg_sims)
     num_classes = int(train_labels.max()) + 1
-    # argpartition keeps this O(n) per test row; the vote needs no order
+    # argpartition keeps this O(n) per test row; the vote needs no order. A
+    # row whose k-th similarity ties across the cut takes the tied rows of
+    # lowest index, the first k of a stable sort of that row alone
     top = np.argpartition(neg_sims, kth=k - 1, axis=1)[:, :k]
+    top_sims = np.take_along_axis(neg_sims, top, axis=1)
+    cut = np.nonzero(np.count_nonzero(neg_sims <= top_sims.max(axis=1, keepdims=True), axis=1) > k)[0]
+    if cut.size:
+        top[cut] = np.argsort(neg_sims[cut], axis=1, kind="stable")[:, :k]
+        top_sims[cut] = np.take_along_axis(neg_sims[cut], top[cut], axis=1)
     # one bin per (test row, class); within a bin the similarities are
     # summed in neighbour order, as a per-row bincount would
     bins = train_labels[top]
     bins += num_classes * np.arange(n_test)[:, None]
     size = n_test * num_classes
     votes = np.bincount(bins.ravel(), minlength=size).reshape(n_test, num_classes)
-    sim_sums = -np.bincount(bins.ravel(), weights=np.take_along_axis(neg_sims, top, axis=1).ravel(),
+    sim_sums = -np.bincount(bins.ravel(), weights=top_sims.ravel(),
                             minlength=size).reshape(n_test, num_classes)
     tied = votes == votes.max(axis=1, keepdims=True)
     preds = np.argmax(np.where(tied, sim_sums, -np.inf), axis=1)

@@ -22,14 +22,14 @@ Every anchor's dual matrix D_k is a principal submatrix of the shared
 2N x 2N matrix M = K + beta I plus a rank-2 term, and no batched method
 builds the (N, 2N-2, 2N-2) stack of D_k. ``inv`` factorizes M once and
 derives each clip(2 D_k^{-1} 1, 0, C) by a two-index downdate and a
-Woodbury update (Hager 1989, "Updating the inverse of a matrix"). Its
-definiteness policy is that of the per-anchor ``svm.solve_inv``: an
-anchor whose D_k is not positive definite raises
-``SingularInstanceError``, decided from the inertia of M (Haynsworth)
-rather than by factorizing D_k. ``pgd`` starts every anchor at that
-``inv`` solution, the paper's truncated least-squares approximation (the
-"alpha seeding" of DeCoste & Wagstaff 2000), and an anchor that ``inv``
-rejects at 0, and runs on every anchor at once through one operator
+Woodbury update (Hager 1989, "Updating the inverse of a matrix"). The
+same factorization gives every anchor's definiteness verdict, from the
+inertia of M (Haynsworth) rather than by factorizing D_k, and both
+methods raise ``SingularInstanceError`` on a batch where some D_k is not
+positive definite, as the per-anchor solvers of ``svm`` do on that D_k.
+``pgd`` starts every anchor at that ``inv`` solution, the paper's
+truncated least-squares approximation (the "alpha seeding" of DeCoste &
+Wagstaff 2000), and runs on every anchor at once through one operator
 (``_dual_operator``) whose product with the N x 2N block of alphas is one
 GEMM with M; each PGD step makes one such product. Its face steps, from
 the first step on, read the blocks D_k[F,F] of each anchor's binding
@@ -252,9 +252,9 @@ def _count_signs(det, trace, sign):
     return (det < 0) + 2 * ((det > 0) & (sign * trace > 0))
 
 
-def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float):
+def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float) -> np.ndarray:
     """clip(2 D_k^{-1} 1, 0, C) for every anchor k from one LDL' factorization
-    of M = K_full + beta I, with each anchor's definiteness verdict.
+    of M = K_full + beta I, once every D_k is known positive definite.
 
     Anchor k's dual matrix is a principal submatrix of M plus a rank-2
     term: D_k = M[R,R] + U W U' with S = {k, N+k}, R the other indices,
@@ -265,22 +265,20 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
     D_k^{-1} 1 = M[R,R]^{-1} U cap^{-1} W^{-1} e_1, so past the inverse
     every anchor costs O(N) scalars and one combination of columns of P.
 
-    The clip is defined where D_k is positive definite, as
-    ``svm.solve_inv``'s Cholesky requires. By Haynsworth inertia additivity
+    By Haynsworth inertia additivity
     n_neg(D_k) = n_neg(M) - n_neg(Q) + n_pos(cap) - 1, and D_k is singular
     exactly when cap is. M need not be definite, only nonsingular; its
     inertia is that of the block-diagonal factor (Sylvester), where every
     2x2 Bunch-Kaufman pivot has one negative eigenvalue.
 
-    Returns ``(alphas, definite)``: the (N, 2N-2) alphas and the (N,) mask
-    of anchors whose D_k is positive definite. A rejected anchor's row is
-    0. When M is singular to working precision no anchor has a verdict:
-    ``definite`` is None and every row is 0. Non-finite kernel values give
-    NaN alphas and reject no anchor, as the iterative solvers do.
+    Returns the (N, 2N-2) alphas. Raises ``SingularInstanceError`` naming
+    the first anchor whose D_k is not positive definite, or M when it is
+    singular to working precision. Non-finite kernel values give NaN
+    alphas and reject no anchor.
     """
     N = neg_idx.shape[0]
     if not np.all(np.isfinite(K_full)):
-        return np.full(neg_idx.shape, np.nan), np.ones(N, dtype=bool)
+        return np.full(neg_idx.shape, np.nan)
     M = K_full + beta * np.eye(2 * N)
     ldu, ipiv, info = lapack.dsytrf(M, lower=1)
     if info == 0:
@@ -289,11 +287,13 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
     # singular to working precision: 1-norm condition number >= 1 / (2N eps)
     if info != 0 or not (2 * N * np.finfo(np.float64).eps * np.max(np.sum(np.abs(M), axis=0))
                          * np.max(np.sum(np.abs(P), axis=0)) < 1.0):
-        return np.zeros(neg_idx.shape), None
+        raise SingularInstanceError(
+            f"K + beta I of the batch of {N} is singular (beta = {beta}), "
+            "so its duals are not positive definite")
     k = np.arange(N)
     r = np.sum(P, axis=1)
     q_aa, q_ab, q_bb = P[k, k], P[k, N + k], P[N + k, N + k]
-    # a rejected anchor may divide by a zero determinant; its row is dropped
+    # a rejected anchor may divide by a zero determinant before the batch raises
     with np.errstate(divide="ignore", invalid="ignore"):
         q_det = q_aa * q_bb - q_ab * q_ab
         # s = P[R,S]' 1 and t = Q^{-1} s
@@ -313,6 +313,10 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
         n_neg = (n_neg_M - _count_signs(q_det, q_aa + q_bb, -1)
                  + _count_signs(cap_det, cap11 + cap22, 1) - 1)
         definite = (n_neg == 0) & (q_det != 0) & (cap_det != 0) & np.isfinite(cap_det)
+        if not definite.all():
+            raise SingularInstanceError(
+                f"anchor {int(np.argmin(definite))} of {N}: D is not positive definite "
+                f"(beta = {beta})")
 
         # D^{-1} 1 = c1 M[R,R]^{-1} 1 + c2 M[R,R]^{-1} M[R,k] with c = cap^{-1} (0, -1)',
         # column k of X over the rows R
@@ -320,30 +324,27 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
         w_a = c1 * t_a + c2 * q_bb / q_det
         w_b = c1 * t_b - c2 * q_ab / q_det
         X = r[:, None] * c1 - P[:, :N] * (c1 + w_a) - P[:, N:] * (c1 + w_b)
-    alphas = np.clip(2.0 * np.take_along_axis(X.T, neg_idx, axis=1), 0.0, C)
-    alphas[~definite] = 0.0
-    return alphas, definite
+    return np.clip(2.0 * np.take_along_axis(X.T, neg_idx, axis=1), 0.0, C)
 
 
 def resolve_step_sizes(K_full: np.ndarray, beta: float, step_size) -> np.ndarray:
     """Each anchor's PGD step on its D_k: ``step_size``, or for "auto" the
-    reciprocal of an upper bound on ||D_k||_2 from one symmetric
-    eigenvalue solve of the batch and O(N) scalars per anchor.
+    reciprocal of an upper bound on lambda_max(D_k), which is ||D_k||_2
+    for the positive definite D_k that ``batch_loss`` accepts, from one
+    symmetric eigenvalue solve of the batch and O(N) scalars per anchor.
 
     Centre the kernel at the mean of the batch's 2N points: with m the row
     means of K and m_ the mean of m, M_c = K - m1' - 1m' + m_ 11' + beta I.
     Then D_k = M_c[R,R] + T_k, R anchor k's negatives, where the rank-2
     term T_k = a 11' - u1' - 1u' has a = k_xx - m_ and u = K[k,R] - m[R].
     By Cauchy interlacing the spectrum of M_c[R,R] lies within that of
-    M_c, and by Weyl lambda_max(D_k) <= lambda_max(M_c) + lambda_+(T_k) and
-    lambda_min(D_k) >= lambda_min(M_c) + lambda_-(T_k). T_k = U W U' with
-    U = [1, u] and W = [[a, -1], [-1, 0]] has, past zeros, the eigenvalues
-    lambda_+ >= 0 >= lambda_- of the 2x2 matrix W U'U, of trace a n - 2 s
-    and determinant s^2 - n p, with n = |R|, s = 1'u and p = u'u. Centring
-    keeps the bound close also when D_k is indefinite (tanh), where the
-    uncentred ||K + beta I|| + ||T_k|| can exceed ||D_k|| several times.
-    Non-finite kernel values give NaN steps, so PGD stops at once with
-    NaN alphas.
+    M_c, and by Weyl lambda_max(D_k) <= lambda_max(M_c) + lambda_+(T_k).
+    T_k = U W U' with U = [1, u] and W = [[a, -1], [-1, 0]] has as its
+    largest eigenvalue lambda_+ >= 0 that of the 2x2 matrix W U'U, of
+    trace a n - 2 s and determinant s^2 - n p, with n = |R|, s = 1'u and
+    p = u'u. Centring keeps the bound closer than the uncentred
+    ||K + beta I|| + ||T_k||. Non-finite kernel values give NaN steps, so
+    PGD stops at once with NaN alphas.
     """
     N = K_full.shape[0] // 2
     if step_size != "auto":
@@ -363,7 +364,7 @@ def resolve_step_sizes(K_full: np.ndarray, beta: float, step_size) -> np.ndarray
     p = np.einsum("ij,ij->i", U, U) - own_a * own_a - own_b * own_b
     half_trace = 0.5 * ((K_full[k, k] - m_mean) * n - 2.0 * s)
     root = np.sqrt(half_trace * half_trace + np.maximum(n * p - s * s, 0.0))
-    return 1.0 / np.maximum(eig[-1] + half_trace + root, root - half_trace - eig[0])
+    return 1.0 / (eig[-1] + half_trace + root)
 
 
 def _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas):
@@ -401,24 +402,21 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     batched PGD over every anchor's dual through ``_dual_operator`` (see
     ``svm._pgd_batched`` for its face steps and convergence rule). ``pgd``
     starts each anchor at its ``inv`` solution, which ``max_iters = 0``
-    returns; an anchor whose D_k is not positive definite starts at 0, and
-    so does every anchor when K + beta I is singular. Each step is a face
-    step where one is accepted and a projected-gradient step otherwise,
-    of length ``solver.step_size``, or for "auto" 1 / a closed-form bound
-    on each ||D_k||_2 (see ``resolve_step_sizes``), computed only on the
-    first step that needs it. An anchor whose projected gradient is not
-    finite (from non-finite embeddings) stops at once with NaN alphas.
-    Both methods cost O(N^2) memory, and O(N^3) time per ``inv`` call or
-    per PGD step.
+    returns. Each step is a face step where one is accepted and a
+    projected-gradient step otherwise, of length ``solver.step_size``, or
+    for "auto" 1 / a closed-form bound on each ||D_k||_2 (see
+    ``resolve_step_sizes``), computed only on the first step that needs
+    it. Non-finite embeddings give NaN alphas. Both methods cost O(N^2)
+    memory, and O(N^3) time per ``inv`` call or per PGD step.
 
     Any other ``method`` raises ValueError; the exact per-anchor
-    ``svm.solve_oracle`` is a reference, not a batch method. ``inv``
-    raises ``SingularInstanceError`` naming the first anchor whose D_k is
-    not positive definite, exactly the anchors ``svm.solve_inv`` rejects
-    (possible with the indefinite tanh kernel), and when K + beta I is
-    singular to working precision (beta = 0 with a repeated column, or by
-    chance with tanh). Both methods reject C <= 0 and beta < 0 with the
-    ValueError an ``SvmInstance`` raises.
+    ``svm.solve_oracle`` is a reference, not a batch method. Both methods
+    raise ``SingularInstanceError`` naming the first anchor whose D_k is
+    not positive definite, exactly the anchors the per-anchor solvers of
+    ``svm`` reject (possible with the indefinite tanh kernel), and when
+    K + beta I is singular to working precision (beta = 0 with a repeated
+    column, or by chance with tanh). Both reject C <= 0 and beta < 0 with
+    the ValueError an ``SvmInstance`` raises.
 
     ``total_loss`` uses the alphas solved here for this batch. It scales
     with each anchor's alpha_x = alpha' 1, which shrinks as the margin
@@ -431,22 +429,12 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     _check_C_beta(C, beta)
     K_full = gram(spec, E, E)
     neg_idx = negative_indices(N)
-    if method == "inv":
-        alphas, definite = _inv_batched(K_full, neg_idx, beta, C)
-        if definite is None:
-            raise SingularInstanceError(
-                f"K + beta I of the batch of {N} is singular (beta = {beta}), "
-                "so the inv duals cannot be solved")
-        if not definite.all():
-            raise SingularInstanceError(
-                f"anchor {int(np.argmin(definite))} of {N}: D is not positive definite "
-                f"(beta = {beta}), so its inv dual clip(2 D^-1 1, 0, C) is not defined")
-    else:
-        alpha0, _ = _inv_batched(K_full, neg_idx, beta, C)
+    alphas = _inv_batched(K_full, neg_idx, beta, C)
+    if method == "pgd":
         matvec, gather = _dual_operator(K_full, beta)
         alpha_block, _, _ = _pgd_batched(
             matvec, gather, _to_block(neg_idx, 2.0), C,
-            lambda: resolve_step_sizes(K_full, beta, solver.step_size), _to_block(neg_idx, alpha0),
+            lambda: resolve_step_sizes(K_full, beta, solver.step_size), _to_block(neg_idx, alphas),
             solver.max_iters, solver.tol, solver.nesterov)
         alphas = np.take_along_axis(alpha_block, neg_idx, axis=1)
 

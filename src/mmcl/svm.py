@@ -7,8 +7,11 @@ dual to
     minimize_{0 <= alpha <= C}  g(alpha) = 1/2 alpha' D alpha - 2 alpha'1
 
 where D = k_xx 11' + K_YY - k_xY 1' - 1 k_xY' + beta I. The base matrix
-(beta = 0, k_xx = 1) is the Gram matrix of the RKHS difference vectors
-phi(z+) - phi(z_i-), hence PSD; beta > 0 makes it positive definite.
+(beta = 0) is the Gram matrix of the RKHS difference vectors
+phi(z+) - phi(z_i-), hence PSD for a PSD kernel; beta > 0 makes it
+positive definite. The indefinite tanh kernel can leave D indefinite:
+every solver here, as both batched methods of ``loss.batch_loss``, then
+raises ``SingularInstanceError``.
 
 Three solvers are provided:
 
@@ -35,10 +38,9 @@ Three solvers are provided:
   (``loss.resolve_step_sizes``). Either step size is computed only once
   a projected-gradient step needs it.
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
-  computed with a Cholesky solve, so D must be positive definite. It is
+  computed from the Cholesky factor that decides the precondition. It is
   the per-anchor reference for the batched ``inv`` of ``loss.batch_loss``,
-  which takes every anchor of a batch from one factorization and rejects
-  the same anchors.
+  which takes every anchor of a batch from one factorization.
 
 The objectives satisfy g(2 D^{-1} 1) <= g(oracle) <= min(g(pgd), g(inv)).
 """
@@ -55,8 +57,8 @@ from .kernels import KernelSpec, gram
 
 
 class SingularInstanceError(RuntimeError):
-    """The instance's D matrix is not positive definite (or is numerically
-    singular), so the inv solve clip(2 D^{-1} 1, 0, C) is not defined."""
+    """A dual matrix D is not positive definite (or is numerically
+    singular), so no solver accepts its dual."""
 
 
 def _check_C_beta(C: float, beta: float) -> None:
@@ -109,7 +111,7 @@ class SolverConfig:
     """Projected-gradient settings.
 
     ``step_size`` is a positive float or the string ``"auto"``: for one
-    dense D (``solve_pgd``) 1 / ||D||_2, its largest |eigenvalue|, and in
+    dense D (``solve_pgd``) 1 / ||D||_2, its largest eigenvalue, and in
     the batched ``pgd`` of ``loss.batch_loss`` the reciprocal of a
     closed-form upper bound on each anchor's ||D_k||_2
     (``loss.resolve_step_sizes``), so no step is longer than 1 / ||D||_2.
@@ -173,6 +175,19 @@ def build_instance(spec: KernelSpec, z_pos, Z_neg, C: float, beta: float) -> Svm
     return SvmInstance(delta=delta, C=C, beta=beta)
 
 
+def _cholesky(inst: SvmInstance):
+    """The Cholesky factor of D, the verdict of every per-anchor solver:
+    raises ``SingularInstanceError`` when D is not positive definite. A
+    non-finite D is not judged, and its factor is NaN."""
+    if not np.all(np.isfinite(inst.delta)):
+        return np.full(inst.delta.shape, np.nan), False
+    try:
+        return cho_factor(inst.delta, check_finite=False)
+    except LinAlgError as exc:
+        raise SingularInstanceError(
+            f"D of {inst.describe()} is not positive definite: {exc}") from exc
+
+
 def dual_objective(delta, alpha) -> float:
     """g(alpha) = 1/2 alpha' D alpha - 2 alpha'1."""
     delta = np.asarray(delta, dtype=np.float64)
@@ -190,8 +205,8 @@ def _dense_operator(delta: np.ndarray):
 
 
 def spectral_norm(delta) -> float:
-    """||D||_2 of one symmetric (n, n) matrix: its largest |eigenvalue|,
-    which is also that of an indefinite D. NaN when D is not finite."""
+    """||D||_2 of one symmetric (n, n) matrix: its largest |eigenvalue|.
+    NaN when D is not finite."""
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise ValueError(f"delta must be square, got shape {delta.shape}")
@@ -286,9 +301,10 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
     the same test: the projected search of More & Toraldo 1991 along the
     direction of Bertsekas 1982's projected Newton. When alpha + d lies in
     the box, t = 1 passes and the row steps to the minimizer on its face,
-    a descent of exactly -1/2 g'd. A row refuses only when no t passes, as
-    when d ascends toward a saddle of an indefinite D, or when its block
-    is singular.
+    a descent of exactly -1/2 g'd. A row refuses when no t passes: the
+    projected direction need not descend, even on a positive definite D.
+    Every block D_FF of a positive definite D is positive definite, and
+    so is its identity-padded block, so every solve succeeds.
 
     Each face is padded with an identity block and zero right-hand side
     to the multiple of ``_PAD_TO`` at or above its size (at most n). The
@@ -297,8 +313,7 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
     one padded size f are solved in chunks whose (rows, f, f) blocks hold
     at most max(n^2, ``_CHUNK_FLOOR``) doubles: one dense D, or at small n
     a floor that puts every face of one padded size in one stacked solve.
-    A chunk whose stacked solve fails is solved row by row. Returns the
-    accepting rows and their new points.
+    Returns the accepting rows and their new points.
     """
     n = alpha.shape[1]
     new, accept = alpha[rows], np.zeros(rows.size, dtype=bool)
@@ -325,15 +340,7 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
         blocks[pad_row, pad_col, pad_col] = 1.0
         g_F = g[rows[chunk, None], cols]
         g_F[pad] = 0.0
-        try:
-            d_F = np.linalg.solve(blocks, -g_F[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            d_F = np.full(g_F.shape, np.nan)
-            for r in range(chunk.size):
-                try:
-                    d_F[r] = np.linalg.solve(blocks[r], -g_F[r])
-                except np.linalg.LinAlgError:
-                    pass
+        d_F = np.linalg.solve(blocks, -g_F[..., None])[..., 0]
         # padding steps are 0: d_F is 0 there and alpha in the box
         a_F = new[chunk[:, None], cols]
         points = _project(a_F + d_F, C)
@@ -475,12 +482,14 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, step_sizes, alpha0: np
 def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution:
     """Run (optionally Nesterov-accelerated) projected gradient, with face
     steps, on one instance: ``_pgd_batched`` on a batch of one dense D,
-    with the step 1 / ``spectral_norm(D)`` for "auto".
+    with the step 1 / ``spectral_norm(D)`` for "auto". Raises
+    ``SingularInstanceError`` when D is not positive definite.
 
     ``alpha0`` overrides the seeded random initial point; it is projected
     onto the box before the first step. With max_iters = 0 the projected
     initial point is returned, converged only if it is already stationary.
     """
+    _cholesky(inst)
     matvec, gather = _dense_operator(inst.delta)
     b = np.full((1, inst.n), 2.0)
     if alpha0 is None:
@@ -504,13 +513,9 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution
 
 
 def solve_inv(inst: SvmInstance) -> DualSolution:
-    """Truncated least squares: clip(2 D^{-1} 1, 0, C) via a Cholesky solve."""
-    try:
-        c, low = cho_factor(inst.delta, check_finite=False)
-        unconstrained = 2.0 * cho_solve((c, low), np.ones(inst.n), check_finite=False)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SingularInstanceError(
-            f"cannot factorize delta of {inst.describe()}: {exc}") from exc
+    """Truncated least squares: clip(2 D^{-1} 1, 0, C) via a Cholesky solve.
+    Raises ``SingularInstanceError`` when D is not positive definite."""
+    unconstrained = 2.0 * cho_solve(_cholesky(inst), np.ones(inst.n), check_finite=False)
     alpha = np.clip(unconstrained, 0.0, inst.C)
     return DualSolution(
         alpha=alpha,
@@ -526,17 +531,15 @@ def solve_oracle(inst: SvmInstance, tol: float = 1e-10, max_sweeps: int = 100000
     per-sweep coordinate change is <= tol.
 
     Intended as the reference optimum for tests and diagnostics, not for
-    the training loop. Requires all diagonal entries of D to be positive.
+    the training loop. Raises ``SingularInstanceError`` when D is not
+    positive definite.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _cholesky(inst)
     delta = inst.delta
     n = inst.n
     diag = np.diag(delta).copy()
-    if np.any(diag <= 0):
-        bad = int(np.argmax(diag <= 0))
-        raise ValueError(
-            f"coordinate minimization needs positive diagonal; delta[{bad},{bad}]={diag[bad]} in {inst.describe()}")
     alpha = np.zeros(n)
     q = np.zeros(n)  # running D @ alpha
     sweeps = 0

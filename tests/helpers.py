@@ -153,9 +153,10 @@ def face_search_reference(gather, alpha, g, rows, free, C, pad_to, steps=10):
 
 
 def knn_readout_reference(train_emb, train_labels, test_emb, test_labels, k):
-    """Reference for ``evaluate.knn_readout``: the same cosine similarities
-    and ``argpartition`` neighbours, voted on one test row at a time; a vote
-    tie goes to the tied class with the largest summed similarity, the
+    """Reference for ``evaluate.knn_readout``: the same cosine similarities,
+    the first k neighbours of a stable sort (the lowest train indices among
+    rows tied at the k-th similarity), voted on one test row at a time; a
+    vote tie goes to the tied class with the largest summed similarity, the
     first such class on an exact tie."""
     train_emb = np.asarray(train_emb, dtype=np.float64)
     test_emb = np.asarray(test_emb, dtype=np.float64)
@@ -172,7 +173,7 @@ def knn_readout_reference(train_emb, train_labels, test_emb, test_labels, k):
     sims = normalize(test_emb) @ normalize(train_emb).T
     num_classes = int(train_labels.max()) + 1
     correct = 0
-    top = np.argpartition(-sims, kth=k - 1, axis=1)[:, :k]
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     for i in range(test_emb.shape[0]):
         idx = top[i]
         labels = train_labels[idx]

@@ -100,10 +100,12 @@ class TestTrainCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    def test_indefinite_inv_batch_exits_2(self, tmp_path, capsys):
-        # tanh with gamma = 2 at beta = 0.1 makes the first batch's duals indefinite
+    @pytest.mark.parametrize("loss", ["mmcl_inv", "mmcl_pgd"])
+    def test_indefinite_batch_exits_2(self, tmp_path, capsys, loss):
+        # tanh with gamma = 2 at beta = 0.1 makes the first batch's duals
+        # indefinite: pgd exits as inv does, where it used to train on them
         cfg = tmp_path / "blobs.cfg"
-        write_blobs_config(cfg, tmp_path, **{"kernel.kind": "tanh", "kernel.gamma": 2.0})
+        write_blobs_config(cfg, tmp_path, loss=loss, **{"kernel.kind": "tanh", "kernel.gamma": 2.0})
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 2
         assert err.startswith("error: anchor ")
@@ -169,10 +171,10 @@ class TestSolveCommand:
 
     EMBEDDINGS = "[z_pos]\n1.0,0.0\n[Z_neg]\n0.0,1.0\n-1.0,0.0\n"
 
-    def _solve(self, tmp_path, capsys, instance, *settings):
+    def _solve(self, tmp_path, capsys, instance, *settings, solver="inv"):
         inst = tmp_path / "inst.txt"
         inst.write_text(instance)
-        return run_cli(capsys, "solve", "--instance", str(inst), "--solver", "inv", *settings)
+        return run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver, *settings)
 
     def test_kernel_comes_from_config_keys(self, tmp_path, capsys):
         # tanh with the slope flipped to +gamma; "yes" and "true" must agree,
@@ -187,13 +189,16 @@ class TestSolveCommand:
         assert alphas["yes"] == alphas["true"]
         assert alphas["yes"] != alphas["no"]
 
-    def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("solver", ["inv", "pgd", "oracle"])
+    def test_indefinite_dual_exits_2(self, tmp_path, capsys, solver):
         # tanh with gamma = 2 gives this instance an indefinite D at the default beta
         code, out, err = self._solve(tmp_path, capsys, self.EMBEDDINGS,
-                                     "--set", "kernel.kind=tanh", "--set", "kernel.gamma=2.0")
+                                     "--set", "kernel.kind=tanh", "--set", "kernel.gamma=2.0",
+                                     solver=solver)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: cannot factorize delta")
+        assert err.startswith("error: D of SvmInstance(n=2, ")
+        assert "is not positive definite" in err
 
     @pytest.mark.parametrize("section,message", [
         ("kernal", "unknown section [kernal]"), ("kernel", "--set kernel.<key>=")])
@@ -362,17 +367,18 @@ class TestInspectCommand:
                                "--set", "batch_size=8")
         assert code == 2
 
-    @pytest.mark.parametrize("all_anchors", [False, True])
-    def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys, all_anchors):
+    @pytest.mark.parametrize("all_anchors,method", [
+        (True, "inv"), (True, "pgd"), (False, "inv"), (False, "pgd"), (False, "oracle")])
+    def test_indefinite_dual_exits_2(self, tmp_path, capsys, all_anchors, method):
         cfg = self._setup(tmp_path, capsys)
         which = ["--all-anchors"] if all_anchors else ["--anchor", "0"]
         code, out, err = run_cli(capsys, "inspect", "--config", str(cfg), *which,
-                                 "--set", "batch_size=8", "--method", "inv",
+                                 "--set", "batch_size=8", "--method", method,
                                  "--set", "kernel.kind=tanh", "--set", "kernel.gamma=2.0")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
-        assert "not positive definite" in err or "cannot factorize" in err
+        assert err.startswith("error: anchor 0 of 8: " if all_anchors else "error: D of ")
+        assert "not positive definite" in err
 
     def test_oracle_is_for_a_single_anchor_only(self, tmp_path, capsys):
         # batch_loss solves with the paper's pgd or inv; the exact oracle

@@ -466,17 +466,18 @@ class TestDualOperator:
     @pytest.mark.parametrize("kernel", sorted(EQUIVALENCE_KERNELS))
     def test_step_sizes_match_assembled_delta(self, kernel, N):
         # the closed-form step is the reciprocal of an upper bound on each
-        # ||D_k||_2, so a projected-gradient step never overshoots, and the
-        # bound stays close: at most 1.50x here (linear, N = 3) and 1.36x on
-        # the indefinite tanh D_k of N = 32, where the uncentred
-        # ||K + beta I|| + ||T_k|| reaches 4.8x
+        # lambda_max(D_k), which is ||D_k||_2 for every positive definite
+        # D_k here, so a projected-gradient step never overshoots, and the
+        # bound stays close: at most 1.50x here (linear, N = 3). The tanh
+        # D_k of N = 32 are indefinite, which no solve accepts: the bound
+        # still holds lambda_max, at 0.41x to 0.71x of their ||D_k||_2
         _, _, _, K = self._gram(kernel, N)
         _, _, _, deltas = self._batch(kernel, N)
         eta = resolve_step_sizes(K, self.BETA, "auto")
         assert eta.shape == (N,)
         for k, delta in enumerate(deltas):
-            norm = np.abs(np.linalg.eigvalsh(delta)).max()
-            assert norm <= 1.0 / eta[k] <= 1.55 * norm
+            eig = np.linalg.eigvalsh(delta)
+            assert eig[-1] <= 1.0 / eta[k] <= 1.55 * np.abs(eig).max()
         assert np.array_equal(resolve_step_sizes(K, self.BETA, 0.25), np.full(N, 0.25))
 
     def test_nonfinite_kernel_gives_nan_steps(self):
@@ -543,13 +544,13 @@ class TestDualOperator:
         if max_iters == 1000:  # run to convergence, the batch takes face steps
             assert sum(accepted) > 0
 
-    def test_plain_pgd_descends_on_indefinite_duals(self, monkeypatch):
-        # every tanh D_k is indefinite here: a projected-gradient step of at
-        # most 1 / ||D||_2 descends, and a face step descends by exactly -1/2 g'd
+    def test_plain_pgd_descends(self, monkeypatch):
+        # a projected-gradient step of at most 1 / ||D||_2 descends, and a
+        # face step descends by exactly -1/2 g'd
         N = 32
-        rng, matvec, gather, deltas = self._batch("tanh", N)
-        assert all(np.linalg.eigvalsh(delta)[0] < 0 for delta in deltas)
-        b, alpha0, eta = self._pgd_inputs(rng, "tanh", N)
+        rng, matvec, gather, deltas = self._batch("rbf", N)
+        assert all(np.linalg.eigvalsh(delta)[0] > 0 for delta in deltas)
+        b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
         accepted = self._count_face_steps(monkeypatch)
         recording = RecordingOperator(matvec)
         _, iterations, converged = _pgd_batched(recording, gather, b, 3.0, eta, alpha0, 1000, 1e-8,
@@ -563,7 +564,9 @@ class TestDualOperator:
         # blocks holds more doubles than the 2N x 2N matrix K + beta I, or
         # at small N than the floor of 2^15 under which every face of one
         # padded size goes into one stacked solve (N = 32; at N = 128 the
-        # floor does not apply)
+        # floor does not apply). The step sizes are computed once, however
+        # many projected-gradient steps are taken (at N = 128, several per
+        # anchor)
         for N in (32, 128):
             rng, _, _, K = self._gram("rbf", N)
             matvec, gather = _dual_operator(K, self.BETA)
@@ -576,39 +579,12 @@ class TestDualOperator:
                 return blocks
 
             _pgd_batched(matvec, recording, b, 100.0, eta, alpha0, 1000, 1e-8, True)
+            assert eta.calls == 1
             largest = max(r * f * f for r, f, _ in shapes)
             assert largest <= max((2 * N) ** 2, 2 ** 15)
             assert max(r for r, _, _ in shapes) > 1
             if N == 32:  # the floor is used
                 assert largest > (2 * N) ** 2
-
-    def test_singular_face_block_skips_only_its_row(self, monkeypatch):
-        # anchor 0's face blocks are all singular: it steps without face
-        # steps, and every other anchor takes exactly the steps it takes
-        # with the true gather, also when it shares a batched solve with 0.
-        # The step sizes are computed once, however many projected-gradient
-        # steps anchor 0 takes
-        N = 32
-        rng, matvec, gather, _ = self._batch("rbf", N)
-        b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
-        reference = _pgd_batched(matvec, gather, b, 100.0, eta, alpha0, 1000, 1e-8, True)
-        eta.calls = 0
-        shared = []
-
-        def singular_for_0(rows, cols):
-            blocks = gather(rows, cols)
-            blocks[rows == 0] = 0.0
-            shared.append(0 in rows and rows.size > 1)
-            return blocks
-
-        accepted = self._count_face_steps(monkeypatch)
-        alpha, iterations, converged = _pgd_batched(
-            matvec, singular_for_0, b, 100.0, eta, alpha0, 1000, 1e-8, True)
-        assert any(shared) and sum(accepted) > 0
-        assert eta.calls == 1
-        assert converged.all() and reference[2].all()
-        assert np.array_equal(alpha[1:], reference[0][1:])
-        assert np.array_equal(iterations[1:], reference[1][1:])
 
 
 class TestPgdConvergence:
@@ -809,16 +785,25 @@ def stacked_inv_alphas(v1, v2, spec, C, beta):
     return np.clip(2.0 * np.linalg.solve(deltas, np.ones(deltas.shape[1])), 0.0, C)
 
 
-def first_rejected_anchor(v1, v2, spec, beta):
-    """The first anchor whose instance ``solve_inv`` rejects, or None."""
-    N = v1.shape[1]
+def rejected_anchors(v1, v2, spec, beta):
+    """The anchors whose instance ``solve_inv`` rejects. Asserts that
+    ``solve_pgd`` and ``solve_oracle`` reject exactly these anchors too."""
     E = np.concatenate([v1, v2], axis=1)
-    for k, cols in enumerate(negative_indices(N)):
-        try:
-            solve_inv(build_instance(spec, E[:, k], E[:, cols], 3.0, beta))
-        except SingularInstanceError:
-            return k
-    return None
+    rejected = []
+    for k, cols in enumerate(negative_indices(v1.shape[1])):
+        inst = build_instance(spec, E[:, k], E[:, cols], 3.0, beta)
+        verdicts = []
+        for solve in (solve_inv, lambda inst: solve_oracle(inst, max_sweeps=1),
+                      lambda inst: solve_pgd(inst, SolverConfig(max_iters=0))):
+            try:
+                solve(inst)
+                verdicts.append(False)
+            except SingularInstanceError:
+                verdicts.append(True)
+        assert verdicts in ([False] * 3, [True] * 3)
+        if verdicts[0]:
+            rejected.append(k)
+    return rejected
 
 
 class TestSharedFactorizationInv:
@@ -869,10 +854,13 @@ class TestSharedFactorizationInv:
             alphas = self._check_against_stacked(v, v.copy(), spec, C, beta)
             assert np.allclose(alphas, min(2.0 / beta, C), rtol=1e-12, atol=0.0)
 
-    def test_definiteness_verdict_matches_solve_inv(self):
-        # random tanh batches: inv raises naming anchor j iff solve_inv
-        # rejects some anchor and j is the first one; batches whose K + beta I
-        # is indefinite while every D_k is positive definite must succeed
+    @pytest.mark.parametrize("method", ["inv", "pgd"])
+    def test_definiteness_verdict_matches_solve_inv(self, method):
+        # random tanh batches: both methods raise naming anchor j iff
+        # solve_inv rejects some anchor and j is the first one, and
+        # solve_pgd and solve_oracle reject the same anchors; batches whose
+        # K + beta I is indefinite while every D_k is positive definite
+        # must succeed
         raised = indefinite_ok = 0
         for seed in range(80):
             rng = np.random.default_rng([seed, 11])
@@ -882,13 +870,14 @@ class TestSharedFactorizationInv:
                               positive_gamma=bool(rng.integers(2)))
             beta = float(rng.uniform(0.05, 1.0))
             v1, v2 = unit_columns(rng, d, N), unit_columns(rng, d, N)
-            first = first_rejected_anchor(v1, v2, spec, beta)
-            if first is not None:
-                with pytest.raises(SingularInstanceError, match=rf"^anchor {first} of {N}: "):
-                    batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(), method="inv")
+            rejected = rejected_anchors(v1, v2, spec, beta)
+            if rejected:
+                with pytest.raises(SingularInstanceError, match=rf"^anchor {rejected[0]} of {N}: "):
+                    batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(), method=method)
                 raised += 1
                 continue
-            _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(), method="inv")
+            _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(max_iters=0),
+                                         method=method)
             E = np.concatenate([v1, v2], axis=1)
             for k, cols in enumerate(negative_indices(N)):
                 ref = solve_inv(build_instance(spec, E[:, k], E[:, cols], 3.0, beta)).alpha
@@ -898,14 +887,31 @@ class TestSharedFactorizationInv:
         assert raised > 0
         assert indefinite_ok > 0
 
-    def test_singular_shared_matrix_raises(self):
+    @pytest.mark.parametrize("method", ["inv", "pgd"])
+    def test_singular_shared_matrix_raises(self, method):
         # beta = 0 and a repeated column make K + beta I singular; the
-        # stacked LU solve returned non-finite or huge alphas here
+        # stacked LU solve returned non-finite or huge alphas here. Alone,
+        # anchor 3's D_k is positive definite and solves; the others are not
         rng = np.random.default_rng(12)
         v1, v2 = unit_columns(rng, 6, 5), unit_columns(rng, 6, 5)
         v2[:, 3] = v1[:, 1]
-        with pytest.raises(SingularInstanceError, match="singular"):
-            batch_loss(v1, v2, KernelSpec(kind="rbf"), 3.0, 0.0, SolverConfig(), method="inv")
+        spec = KernelSpec(kind="rbf")
+        with pytest.raises(SingularInstanceError, match=r"^K \+ beta I of the batch of 5 is singular"):
+            batch_loss(v1, v2, spec, 3.0, 0.0, SolverConfig(), method=method)
+        assert rejected_anchors(v1, v2, spec, 0.0) == [0, 1, 2, 4]
+
+    @pytest.mark.parametrize("C", [100.0, math.inf])
+    @pytest.mark.parametrize("method", ["inv", "pgd"])
+    def test_indefinite_tanh_batch_raises(self, method, C):
+        # the default tanh kernel at N = 16, beta = 0.5: every D_k is
+        # indefinite. pgd returned all 480 alphas at C = 100 (loss -3014)
+        # and 480 NaN alphas at C = inf, without an error; now both methods
+        # raise as solve_inv, solve_pgd and solve_oracle do on anchor 0
+        rng = np.random.default_rng(0)
+        v1, v2 = unit_columns(rng, 8, 16), unit_columns(rng, 8, 16)
+        with pytest.raises(SingularInstanceError, match=r"^anchor 0 of 16: D is not positive definite"):
+            batch_loss(v1, v2, KernelSpec(kind="tanh"), C, 0.5, SolverConfig(), method=method)
+        assert rejected_anchors(v1, v2, KernelSpec(kind="tanh"), 0.5)[0] == 0
 
     @pytest.mark.parametrize("N", [2, 3, 32])
     @pytest.mark.parametrize("kernel", sorted(SHARED_INV_KERNELS))
@@ -918,56 +924,6 @@ class TestSharedFactorizationInv:
         _, _, _, start = batch_loss(v1, v2, spec, 3.0, 0.1, SolverConfig(max_iters=0), method="pgd")
         assert np.array_equal(start, inv)
         assert np.any(start > 0.0)
-
-    def test_pgd_starts_rejected_anchors_at_zero(self):
-        # the tanh batches of test_definiteness_verdict_matches_solve_inv:
-        # pgd starts an anchor that inv rejects at 0 and every other anchor
-        # at its inv solution, and solves the batch from there
-        mixed = 0
-        for seed in range(80):
-            rng = np.random.default_rng([seed, 11])
-            N, d = int(rng.integers(2, 7)), int(rng.integers(2, 5))
-            spec = KernelSpec(kind="tanh", gamma=float(rng.uniform(0.2, 3.0)),
-                              bias=float(rng.uniform(-1.0, 1.0)),
-                              positive_gamma=bool(rng.integers(2)))
-            beta = float(rng.uniform(0.05, 1.0))
-            v1, v2 = unit_columns(rng, d, N), unit_columns(rng, d, N)
-            _, _, _, start = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(max_iters=0))
-            E = np.concatenate([v1, v2], axis=1)
-            rejected = 0
-            for k, cols in enumerate(negative_indices(N)):
-                inst = build_instance(spec, E[:, k], E[:, cols], 3.0, beta)
-                try:
-                    ref = solve_inv(inst).alpha
-                except SingularInstanceError:
-                    ref = np.zeros(inst.n)
-                    rejected += 1
-                    assert np.array_equal(start[k], ref)
-                TestBatchLoss._assert_close(start[k], ref, 1e-10)
-            mixed += 0 < rejected < N
-            _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig())
-            assert np.all(np.isfinite(alphas)) and np.all((alphas >= 0.0) & (alphas <= 3.0))
-        assert mixed > 0
-
-    def test_pgd_starts_at_zero_when_shared_matrix_is_singular(self):
-        # the batch of test_singular_shared_matrix_raises: no anchor has an
-        # inv solution, so every row starts at 0, and PGD still converges
-        rng = np.random.default_rng(12)
-        v1, v2 = unit_columns(rng, 6, 5), unit_columns(rng, 6, 5)
-        v2[:, 3] = v1[:, 1]
-        spec = KernelSpec(kind="rbf")
-        _, _, _, start = batch_loss(v1, v2, spec, 3.0, 0.0, SolverConfig(max_iters=0))
-        assert np.array_equal(start, np.zeros((5, 8)))
-        results = []
-
-        def recording(*args, **kwargs):
-            results.append(_pgd_batched(*args, **kwargs))
-            return results[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(loss_module, "_pgd_batched", recording)
-            _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, 0.0, SolverConfig())
-        assert results[0][2].all() and np.any(alphas > 0.0)
 
     def test_nonfinite_embeddings_give_nan_alphas(self):
         # as the iterative solvers do, so that training aborts with diagnostics

@@ -119,7 +119,8 @@ class TestSolveOracle:
         assert sol.alpha == pytest.approx([2.0 / 3.0, 2.0 / 3.0], abs=1e-10)
 
     def test_nonpositive_diagonal_rejected(self):
-        with pytest.raises(ValueError, match="diagonal"):
+        # the verdict that solve_inv and solve_pgd apply: D is not positive definite
+        with pytest.raises(SingularInstanceError, match="n=2.*not positive definite"):
             solve_oracle(make_instance([[0.0, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("C", [1.0, 100.0, math.inf])
@@ -181,20 +182,18 @@ class TestSolvePgd:
             assert not sol.converged and sol.iterations == 0
 
     def test_divergent_step_overflows_without_warnings(self):
-        # an indefinite tanh D with C = inf has no minimizer: a step of 1e300
-        # jumps from 0 to about 1e300, where the gradient, and so the
-        # projected gradient, overflows. The first step is a face step, which
-        # the search refuses where it ascends; the instance then takes the
-        # long step and freezes after two steps, as failed, with NaN alphas.
-        # The run reads unconverged, and no RuntimeWarning escapes (tier-1
-        # turns them into errors)
-        rng = np.random.default_rng(7)
-        spec = KernelSpec(kind="tanh", gamma=1.0, bias=0.1, positive_gamma=True)
-        inst = build_instance(spec, unit_columns(rng, 4, 1)[:, 0], unit_columns(rng, 4, 6), math.inf, 0.1)
-        assert np.linalg.eigvalsh(inst.delta)[0] < 0
+        # a step of 1e300 on a positive definite rbf D with C = inf jumps
+        # from 0 to about 1e300, where the gradient, and so the projected
+        # gradient, overflows. At n = 64 the start's binding free set is too
+        # large for a face step, so the first step is the long one, and the
+        # instance freezes after it, as failed, with NaN alphas. The run
+        # reads unconverged, and no RuntimeWarning escapes (tier-1 turns
+        # them into errors)
+        inst = random_instance(np.random.default_rng(7), n=64, C=math.inf)
+        assert np.linalg.eigvalsh(inst.delta)[0] > 0
         sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
-                        alpha0=np.zeros(6))
-        assert not sol.converged and sol.iterations == 2
+                        alpha0=np.zeros(64))
+        assert not sol.converged and sol.iterations == 1
         assert np.all(np.isnan(sol.alpha))
 
     def test_long_step_does_not_read_converged(self):

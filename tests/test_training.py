@@ -96,16 +96,18 @@ class TestRunEpoch:
             run_epoch(init_state(cfg, ds.dim), cfg, ds)
 
     def test_abort_on_nonfinite_loss(self):
-        # the indefinite tanh duals with an unbounded box have no minimizer,
-        # and a divergent step size overflows alpha
-        cfg = small_config(loss="mmcl_pgd", C=math.inf, kernel=KernelSpec(kind="tanh"),
-                           solver=SolverConfig(step_size=1e30, max_iters=60,
-                                               nesterov=False, seed=0))
+        # a divergent learning rate overflows the encoder after the first
+        # Adam step (a RuntimeWarning), so the rbf duals of batch 1 see
+        # non-finite embeddings and the loss is NaN
+        cfg = small_config(loss="mmcl_pgd", lr=1e300)
         ds = small_blobs()
-        with pytest.raises(TrainingAbort) as info:
+        with pytest.raises(TrainingAbort) as info, pytest.warns(RuntimeWarning):
             run_epoch(init_state(cfg, ds.dim), cfg, ds)
         diag = info.value.diagnostics
-        assert {"epoch", "batch_index", "alpha_max", "delta_cond_estimate"} <= set(diag)
+        assert set(diag) == {"epoch", "batch_index", "loss", "nonfinite_columns_view1",
+                             "nonfinite_columns_view2", "alpha_min", "alpha_max", "alpha_mean"}
+        assert diag["batch_index"] == 1
+        assert diag["nonfinite_columns_view1"] > 0 and diag["nonfinite_columns_view2"] > 0
 
 
 class TestTrainLoop:
@@ -149,6 +151,16 @@ class TestTrainLoop:
                 assert va == vb or (math.isnan(va) and math.isnan(vb))
         for (ma, _), (mb, _) in zip(full.adam.m, resumed.adam.m):
             assert np.array_equal(ma, mb)
+
+    @pytest.mark.parametrize("key,value", [("seed", 1), ("lr", 2e-3)])
+    def test_resume_under_another_setting_raises(self, tmp_path, key, value):
+        # the seed derives every stream and Adam keeps the lr it was built
+        # with: a resumed run under another value would match neither run
+        ds = small_blobs()
+        path = tmp_path / "state.ckpt"
+        save_state(train(small_config(epochs=1), ds), path)
+        with pytest.raises(ValueError, match=rf"state has {key} = .*the config {key} = "):
+            train(small_config(epochs=2, **{key: value}), ds, state=load_state(path))
 
     def test_truncated_state_names_file(self, tmp_path):
         path = tmp_path / "state.ckpt"
