@@ -100,10 +100,17 @@ class TestTrainCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("loss", ["mmcl_inv", "mmcl_pgd"])
-    def test_indefinite_batch_exits_2(self, tmp_path, capsys, loss):
-        # tanh with gamma = 2 at beta = 0.1 makes the first batch's duals
-        # indefinite: pgd exits as inv does, where it used to train on them
+    def test_indefinite_inv_batch_exits_2(self, tmp_path, capsys):
+        # tanh with gamma = 2 at beta = 0.1 makes the first batch's duals indefinite
+        self._check_indefinite_batch_exits_2(tmp_path, capsys, "mmcl_inv")
+
+    def test_indefinite_pgd_batch_exits_2(self, tmp_path, capsys):
+        # the batch of test_indefinite_inv_batch_exits_2: pgd exits as inv
+        # does, where it used to train on it
+        self._check_indefinite_batch_exits_2(tmp_path, capsys, "mmcl_pgd")
+
+    @staticmethod
+    def _check_indefinite_batch_exits_2(tmp_path, capsys, loss):
         cfg = tmp_path / "blobs.cfg"
         write_blobs_config(cfg, tmp_path, loss=loss, **{"kernel.kind": "tanh", "kernel.gamma": 2.0})
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
@@ -189,9 +196,17 @@ class TestSolveCommand:
         assert alphas["yes"] == alphas["true"]
         assert alphas["yes"] != alphas["no"]
 
-    @pytest.mark.parametrize("solver", ["inv", "pgd", "oracle"])
-    def test_indefinite_dual_exits_2(self, tmp_path, capsys, solver):
+    def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys):
         # tanh with gamma = 2 gives this instance an indefinite D at the default beta
+        self._check_indefinite_dual_exits_2(tmp_path, capsys, "inv")
+
+    @pytest.mark.parametrize("solver", ["pgd", "oracle"])
+    def test_pgd_and_oracle_on_indefinite_dual_exit_2(self, tmp_path, capsys, solver):
+        # the instance of test_inv_on_indefinite_dual_exits_2: every solver
+        # rejects it with the same error
+        self._check_indefinite_dual_exits_2(tmp_path, capsys, solver)
+
+    def _check_indefinite_dual_exits_2(self, tmp_path, capsys, solver):
         code, out, err = self._solve(tmp_path, capsys, self.EMBEDDINGS,
                                      "--set", "kernel.kind=tanh", "--set", "kernel.gamma=2.0",
                                      solver=solver)
@@ -367,9 +382,17 @@ class TestInspectCommand:
                                "--set", "batch_size=8")
         assert code == 2
 
-    @pytest.mark.parametrize("all_anchors,method", [
-        (True, "inv"), (True, "pgd"), (False, "inv"), (False, "pgd"), (False, "oracle")])
-    def test_indefinite_dual_exits_2(self, tmp_path, capsys, all_anchors, method):
+    @pytest.mark.parametrize("all_anchors", [False, True])
+    def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys, all_anchors):
+        self._check_indefinite_dual_exits_2(tmp_path, capsys, all_anchors, "inv")
+
+    @pytest.mark.parametrize("all_anchors,method", [(True, "pgd"), (False, "pgd"), (False, "oracle")])
+    def test_pgd_and_oracle_on_indefinite_dual_exit_2(self, tmp_path, capsys, all_anchors, method):
+        # the batch of test_inv_on_indefinite_dual_exits_2: every method
+        # rejects it with the same error as inv
+        self._check_indefinite_dual_exits_2(tmp_path, capsys, all_anchors, method)
+
+    def _check_indefinite_dual_exits_2(self, tmp_path, capsys, all_anchors, method):
         cfg = self._setup(tmp_path, capsys)
         which = ["--all-anchors"] if all_anchors else ["--anchor", "0"]
         code, out, err = run_cli(capsys, "inspect", "--config", str(cfg), *which,

@@ -854,13 +854,20 @@ class TestSharedFactorizationInv:
             alphas = self._check_against_stacked(v, v.copy(), spec, C, beta)
             assert np.allclose(alphas, min(2.0 / beta, C), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("method", ["inv", "pgd"])
-    def test_definiteness_verdict_matches_solve_inv(self, method):
-        # random tanh batches: both methods raise naming anchor j iff
-        # solve_inv rejects some anchor and j is the first one, and
-        # solve_pgd and solve_oracle reject the same anchors; batches whose
-        # K + beta I is indefinite while every D_k is positive definite
-        # must succeed
+    def test_definiteness_verdict_matches_solve_inv(self):
+        # random tanh batches: inv raises naming anchor j iff solve_inv
+        # rejects some anchor and j is the first one, and solve_pgd and
+        # solve_oracle reject the same anchors; batches whose K + beta I is
+        # indefinite while every D_k is positive definite must succeed
+        self._check_definiteness_verdict("inv")
+
+    def test_pgd_verdict_matches_solve_inv(self):
+        # the batches of test_definiteness_verdict_matches_solve_inv: pgd
+        # raises on the same batches, naming the same anchor
+        self._check_definiteness_verdict("pgd")
+
+    @staticmethod
+    def _check_definiteness_verdict(method):
         raised = indefinite_ok = 0
         for seed in range(80):
             rng = np.random.default_rng([seed, 11])
@@ -887,11 +894,19 @@ class TestSharedFactorizationInv:
         assert raised > 0
         assert indefinite_ok > 0
 
-    @pytest.mark.parametrize("method", ["inv", "pgd"])
-    def test_singular_shared_matrix_raises(self, method):
+    def test_singular_shared_matrix_raises(self):
         # beta = 0 and a repeated column make K + beta I singular; the
         # stacked LU solve returned non-finite or huge alphas here. Alone,
         # anchor 3's D_k is positive definite and solves; the others are not
+        self._check_singular_shared_matrix_raises("inv")
+
+    def test_pgd_raises_when_shared_matrix_is_singular(self):
+        # the batch of test_singular_shared_matrix_raises: pgd raises as inv
+        # does, where it used to start every anchor at 0
+        self._check_singular_shared_matrix_raises("pgd")
+
+    @staticmethod
+    def _check_singular_shared_matrix_raises(method):
         rng = np.random.default_rng(12)
         v1, v2 = unit_columns(rng, 6, 5), unit_columns(rng, 6, 5)
         v2[:, 3] = v1[:, 1]
