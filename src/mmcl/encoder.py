@@ -64,10 +64,12 @@ class EncoderParams:
 
 @dataclass
 class ForwardTape:
-    """Cached layer inputs and pre-activations from one forward pass."""
+    """What ``backward`` needs of one forward pass: each layer's input (the
+    batch, then every hidden layer's ReLU output, from which ``backward``
+    reads the ReLU masks, since relu(v) > 0 exactly where v > 0), the
+    last layer's output before normalization, and its column norms."""
 
     inputs: list
-    preacts: list
     pre_norm: np.ndarray
     norms: np.ndarray
     params_ref: object = field(repr=False, default=None)
@@ -111,19 +113,19 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != params.in_dim:
         raise ValueError(f"input must be {params.in_dim} x N, got shape {X.shape}")
-    inputs, preacts = [], []
+    inputs = []
     H = X
     all_layers = params.all_layers()
     last = len(all_layers) - 1
     for i, (W, b) in enumerate(all_layers):
         inputs.append(H)
-        V = W @ H + b[:, None]
-        preacts.append(V)
-        H = V if i == last else np.maximum(V, 0.0)
+        H = W @ H
+        H += b[:, None]
+        if i != last:
+            np.maximum(H, 0.0, out=H)
     norms = np.maximum(np.linalg.norm(H, axis=0), NORM_FLOOR)
     E = H / norms[None, :]
-    tape = ForwardTape(inputs=inputs, preacts=preacts, pre_norm=H, norms=norms,
-                       params_ref=params)
+    tape = ForwardTape(inputs=inputs, pre_norm=H, norms=norms, params_ref=params)
     return E, tape
 
 
@@ -138,7 +140,9 @@ def forward_features(params: EncoderParams, X) -> np.ndarray:
 
 def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> list:
     """Exact reverse-mode gradients for every (weight, bias) pair, given the
-    loss gradient w.r.t. the normalized embeddings."""
+    loss gradient w.r.t. the normalized embeddings. A hidden layer's ReLU
+    passes the gradient where its output on the tape is positive. Neither
+    the tape nor ``d_embeddings`` is written."""
     if tape.params_ref is not params:
         raise StaleTapeError("tape does not belong to these parameters; rerun forward")
     dE = np.asarray(d_embeddings, dtype=np.float64)
@@ -153,7 +157,7 @@ def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> list:
     for i in range(last, -1, -1):
         W, _ = all_layers[i]
         if i != last:
-            dV = dV * (tape.preacts[i] > 0.0)
+            dV *= tape.inputs[i + 1] > 0.0
         grads[i] = (dV @ tape.inputs[i].T, np.sum(dV, axis=1))
         if i > 0:
             dV = W.T @ dV

@@ -142,9 +142,15 @@ def gram_vjp(spec: KernelSpec, A, B, K, W):
     K = gram(spec, A, B) is passed in and W has K's shape.
 
     With M = W * c(K) (``_grad_scale``), dA = B M' and dB = A M; rbf also
-    subtracts A diag(rowsum M) from dA and B diag(colsum M) from dB.
+    subtracts A diag(rowsum M) from dA and B diag(colsum M) from dB. For
+    the linear kernel c = 1 and M is W itself; otherwise M is the one
+    buffer of K's size made here. W and K are not written.
     """
-    M = W * _grad_scale(spec, K)
+    if spec.kind == "linear":
+        M = W
+    else:
+        M = _grad_scale(spec, K)
+        M *= W
     dA = B @ M.T
     dB = A @ M
     if spec.kind == "rbf":

@@ -379,7 +379,7 @@ def _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas):
     K_anchor = K_full[N:]
     d_anchor, d_E = gram_vjp(spec, E[:, N:], E, K_anchor, W)
     d_E[:, N:] += d_anchor
-    return float(np.sum(W * K_anchor)), d_E
+    return float(np.vdot(W, K_anchor)), d_E
 
 
 def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
@@ -445,24 +445,39 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
 
 
 def nce_batch_loss(embeddings_view1, embeddings_view2, temperature: float):
-    """InfoNCE over the same anchor/negative layout as ``batch_loss``."""
+    """InfoNCE over the same anchor/negative layout as ``batch_loss``:
+    anchor k is view2[:, k], its positive view1[:, k], and its negatives
+    the other 2(N-1) columns of both views. Returns ``(total_loss, grads1,
+    grads2)``, the sum of ``nce_loss`` over anchors and its gradients
+    w.r.t. each view's d' x N embedding matrix, within round-off of the
+    composition of ``nce_loss`` / ``nce_grad`` over anchors.
+
+    The temperature scales the d' x N anchors before the one GEMM, whose
+    N x 2N score buffer is the only step-sized array: the masking, the
+    max-shift, the softmax and the gradient w.r.t. the scores are formed
+    in it in place, and ``kernels.gram_vjp`` takes it as its weight W.
+    The views are not written, and every returned array is new.
+    """
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     E, N = _stack_views(embeddings_view1, embeddings_view2)
     # row k scores anchor k (column N+k) against every column; its own
     # column is masked out and the positive sits at column k
-    inner = E[:, N:].T @ E
-    scores = inner / temperature
+    anchors = E[:, N:] / temperature
+    S = anchors.T @ E
     rows = np.arange(N)
-    scores[rows, N + rows] = -np.inf
-    m = np.max(scores, axis=1, keepdims=True)
-    e = np.exp(scores - m)
-    denom = np.sum(e, axis=1)
-    total = float(np.sum(m[:, 0] + np.log(denom) - scores[rows, rows]))
-    # d total / d inner: (softmax - one-hot of the positive) / temperature
-    G = e / denom[:, None]
-    G[rows, rows] -= 1.0
-    G /= temperature
-    d_anchor, d_E = gram_vjp(_LINEAR, E[:, N:], E, inner, G)
-    d_E[:, N:] += d_anchor
+    S[rows, N + rows] = -np.inf
+    m = np.max(S, axis=1)
+    positives = S[rows, rows]
+    S -= m[:, None]
+    np.exp(S, out=S)
+    denom = np.sum(S, axis=1)
+    total = float(np.sum(m + np.log(denom) - positives))
+    # d total / d scores: softmax - one-hot of the positive
+    S /= denom[:, None]
+    S[rows, rows] -= 1.0
+    # the linear kernel's VJP reads no K, so S also stands in for it
+    d_anchors, d_E = gram_vjp(_LINEAR, anchors, E, S, S)
+    d_anchors /= temperature  # the chain rule through anchors = E[:, N:] / temperature
+    d_E[:, N:] += d_anchors
     return total, d_E[:, :N].copy(), d_E[:, N:].copy()

@@ -514,7 +514,8 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution
 
 def solve_inv(inst: SvmInstance) -> DualSolution:
     """Truncated least squares: clip(2 D^{-1} 1, 0, C) via a Cholesky solve.
-    Raises ``SingularInstanceError`` when D is not positive definite."""
+    Raises ``SingularInstanceError`` when D is not positive definite. A
+    non-finite D gives NaN alphas, not converged."""
     unconstrained = 2.0 * cho_solve(_cholesky(inst), np.ones(inst.n), check_finite=False)
     alpha = np.clip(unconstrained, 0.0, inst.C)
     return DualSolution(
@@ -522,7 +523,7 @@ def solve_inv(inst: SvmInstance) -> DualSolution:
         objective=dual_objective(inst.delta, alpha),
         iterations=1,
         solver="inv",
-        converged=True,
+        converged=bool(np.all(np.isfinite(alpha))),
     )
 
 
@@ -532,13 +533,17 @@ def solve_oracle(inst: SvmInstance, tol: float = 1e-10, max_sweeps: int = 100000
 
     Intended as the reference optimum for tests and diagnostics, not for
     the training loop. Raises ``SingularInstanceError`` when D is not
-    positive definite.
+    positive definite. A non-finite D gives NaN alphas after no sweep,
+    not converged.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _cholesky(inst)
     delta = inst.delta
     n = inst.n
+    if not np.all(np.isfinite(delta)):
+        return DualSolution(alpha=np.full(n, np.nan), objective=math.nan, iterations=0,
+                            solver="oracle", converged=False)
     diag = np.diag(delta).copy()
     alpha = np.zeros(n)
     q = np.zeros(n)  # running D @ alpha

@@ -1,13 +1,16 @@
 """Shared test utilities: finite differences, random instance builders,
-recorded training batches, reference solver steps and reference readouts."""
+recorded training batches, reference solver steps, the reference encoder
+and InfoNCE passes, and reference readouts."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
 from mmcl import KernelSpec, build_instance
 from mmcl import config as cfgmod
 from mmcl import training
+from mmcl.encoder import NORM_FLOOR
 from mmcl.loss import negative_indices
 
 
@@ -150,6 +153,64 @@ def face_search_reference(gather, alpha, g, rows, free, C, pad_to, steps=10):
                 points.append(point)
                 break
     return np.array(accepted, dtype=np.int64), np.array(points).reshape(-1, n)
+
+
+def forward_reference(params, X):
+    """Reference for ``encoder.forward``: a fresh array at every step, and a
+    tape that also keeps each layer's pre-activation. Returns (E, tape)."""
+    inputs, preacts = [], []
+    H = np.asarray(X, dtype=np.float64)
+    all_layers = params.all_layers()
+    last = len(all_layers) - 1
+    for i, (W, b) in enumerate(all_layers):
+        inputs.append(H)
+        V = W @ H + b[:, None]
+        preacts.append(V)
+        H = V if i == last else np.maximum(V, 0.0)
+    norms = np.maximum(np.linalg.norm(H, axis=0), NORM_FLOOR)
+    return H / norms[None, :], SimpleNamespace(inputs=inputs, preacts=preacts, pre_norm=H, norms=norms)
+
+
+def backward_reference(params, tape, d_embeddings):
+    """Reference for ``encoder.backward`` on a ``forward_reference`` tape:
+    the ReLU masks from the pre-activations, a fresh array at every step."""
+    dE = np.asarray(d_embeddings, dtype=np.float64)
+    U = tape.pre_norm / tape.norms[None, :]
+    dV = (dE - U * np.sum(U * dE, axis=0)[None, :]) / tape.norms[None, :]
+    all_layers = params.all_layers()
+    grads = [None] * len(all_layers)
+    last = len(all_layers) - 1
+    for i in range(last, -1, -1):
+        W, _ = all_layers[i]
+        if i != last:
+            dV = dV * (tape.preacts[i] > 0.0)
+        grads[i] = (dV @ tape.inputs[i].T, np.sum(dV, axis=1))
+        if i > 0:
+            dV = W.T @ dV
+    return grads
+
+
+def nce_batch_loss_reference(embeddings_view1, embeddings_view2, temperature):
+    """Reference for ``loss.nce_batch_loss``: the scores divided by the
+    temperature after the GEMM, and the shifted scores, their exponentials
+    and the gradient w.r.t. the inner products each in an array of their
+    own."""
+    N = embeddings_view1.shape[1]
+    E = np.concatenate([embeddings_view1, embeddings_view2], axis=1)
+    inner = E[:, N:].T @ E
+    scores = inner / temperature
+    rows = np.arange(N)
+    scores[rows, N + rows] = -np.inf
+    m = np.max(scores, axis=1, keepdims=True)
+    e = np.exp(scores - m)
+    denom = np.sum(e, axis=1)
+    total = float(np.sum(m[:, 0] + np.log(denom) - scores[rows, rows]))
+    G = e / denom[:, None]
+    G[rows, rows] -= 1.0
+    G /= temperature
+    d_anchor, d_E = E @ G.T, E[:, N:] @ G
+    d_E[:, N:] += d_anchor
+    return total, d_E[:, :N].copy(), d_E[:, N:].copy()
 
 
 def knn_readout_reference(train_emb, train_labels, test_emb, test_labels, k):

@@ -9,7 +9,7 @@ from mmcl import (AdamState, EncoderParams, KernelSpec, LossBatch, StaleTapeErro
                   save_params)
 from mmcl.encoder import add_grads, zero_grads
 
-from helpers import rel_err, unit_columns
+from helpers import backward_reference, forward_reference, rel_err, unit_columns
 
 
 def tiny_params(seed=0, in_dim=3, widths=(5, 4), head_hidden=4, out_dim=3):
@@ -156,6 +156,60 @@ class TestBackward:
                     fd[idx] = (lp - lm) / (2 * h)
                 analytic = grads[li][arr_index]
                 assert rel_err(analytic, fd) <= tol, f"layer {li} tensor {arr_index}"
+
+
+class TestAgainstReference:
+    """``forward`` and ``backward`` against the references of ``helpers``,
+    which keep every pre-activation and make a fresh array at every step."""
+
+    @staticmethod
+    def _case(seed):
+        # a column-major batch, as training passes view.T, and a zero column
+        # that meets a zero first-layer bias: its pre-activations are
+        # exactly 0, where the ReLU must pass no gradient
+        params = init_params(6, (16, 8), 8, 4, seed=seed)
+        W0, _ = params.layers[0]
+        params.layers[0] = (W0, np.zeros(W0.shape[0]))
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((40, 6)).T
+        X[:, 0] = 0.0
+        return params, X, rng.standard_normal((4, 40))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_for_bit(self, seed):
+        params, X, dE = self._case(seed)
+        E, tape = forward(params, X)
+        E_ref, tape_ref = forward_reference(params, X)
+        assert np.array_equal(E, E_ref)
+        assert len(tape.inputs) == len(tape_ref.inputs)
+        for H, H_ref in zip(tape.inputs, tape_ref.inputs):
+            assert np.array_equal(H, H_ref)
+        assert np.array_equal(tape.pre_norm, tape_ref.pre_norm)
+        assert np.array_equal(tape.norms, tape_ref.norms)
+        grads = backward(params, tape, dE)
+        for (gW, gb), (rW, rb) in zip(grads, backward_reference(params, tape_ref, dE)):
+            assert np.array_equal(gW, rW) and np.array_equal(gb, rb)
+
+    def test_caller_arrays_not_written(self):
+        params, X, dE = self._case(3)
+        X_before, dE_before = X.copy(), dE.copy()
+        E, tape = forward(params, X)
+        tape_before = [H.copy() for H in tape.inputs] + [tape.pre_norm.copy(), tape.norms.copy()]
+        backward(params, tape, dE)
+        assert np.array_equal(X, X_before) and np.array_equal(dE, dE_before)
+        tape_after = tape.inputs + [tape.pre_norm, tape.norms]
+        assert all(np.array_equal(a, b) for a, b in zip(tape_after, tape_before))
+
+    def test_calls_return_distinct_arrays(self):
+        params, X, dE = self._case(4)
+        (E1, tape1), (E2, tape2) = forward(params, X), forward(params, X)
+        made1 = [E1, tape1.pre_norm, *tape1.inputs[1:]]
+        made2 = [E2, tape2.pre_norm, *tape2.inputs[1:]]
+        assert not any(np.shares_memory(a, b) for a in made1 for b in made2 + [X])
+        grads1, grads2 = backward(params, tape1, dE), backward(params, tape1, dE)
+        flat1 = [g for pair in grads1 for g in pair]
+        flat2 = [g for pair in grads2 for g in pair]
+        assert not any(np.shares_memory(a, b) for a in flat1 for b in flat2 + [dE])
 
 
 class TestAdam:

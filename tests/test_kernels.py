@@ -197,3 +197,17 @@ class TestGramVjp:
         fd_B = central_diff(lambda v: weighted(v, "B"), B.ravel()).reshape(B.shape)
         assert rel_err(dA, fd_A) <= 1e-6
         assert rel_err(dB, fd_B) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_writes_neither_W_nor_K(self, kind):
+        # the linear kernel's M is W itself; two calls return new arrays
+        rng = np.random.default_rng(19)
+        spec = spec_for(kind)
+        A, B = unit_columns(rng, 5, 3), unit_columns(rng, 5, 4)
+        K, W = gram(spec, A, B), rng.standard_normal((3, 4))
+        K_before, W_before = K.copy(), W.copy()
+        first, second = gram_vjp(spec, A, B, K, W), gram_vjp(spec, A, B, K, W)
+        assert np.array_equal(K, K_before) and np.array_equal(W, W_before)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        assert not any(np.shares_memory(a, b) for a in first for b in (*second, A, B, K, W))

@@ -15,8 +15,8 @@ from mmcl.data import stream_rng
 from mmcl.loss import _dual_operator, _pgd_batched, _to_block, negative_indices, resolve_step_sizes
 from mmcl.svm import spectral_norm
 
-from helpers import (RecordingOperator, anchor_deltas, central_diff, rel_err, training_batches,
-                     unit_columns)
+from helpers import (RecordingOperator, anchor_deltas, central_diff, nce_batch_loss_reference,
+                     rel_err, training_batches, unit_columns)
 
 ALL_KINDS = ["linear", "rbf", "tanh"]
 
@@ -383,6 +383,65 @@ class TestBatchLoss:
         self._assert_close(total, ref_total, 1e-12)
         self._assert_close(g1, r1, 1e-12)
         self._assert_close(g2, r2, 1e-12)
+
+    @staticmethod
+    def _duplicated_views(rng, d, N):
+        # repeated columns within a view and across views, positives equal
+        # to their anchors, and a collapsed group of columns: exact ties
+        v1, v2 = unit_columns(rng, d, N), unit_columns(rng, d, N)
+        v1[:, 1] = v1[:, 0]
+        v2[:, 3] = v2[:, 2]
+        v2[:, 4] = v1[:, 5]
+        v2[:, 6:9] = v1[:, 6:9]
+        v1[:, 10:20] = v1[:, [9]]
+        v2[:, 10:20] = v1[:, [9]]
+        return v1, v2
+
+    @pytest.mark.parametrize("tau", [0.01, 0.5, 100.0])
+    def test_nce_batch_matches_per_anchor_with_duplicate_columns(self, tau):
+        rng = np.random.default_rng(29)
+        v1, v2 = self._duplicated_views(rng, 32, 256)
+        total, g1, g2 = nce_batch_loss(v1, v2, tau)
+        ref_total, r1, r2 = self._per_anchor(
+            v1, v2, lambda z, z_pos, Z_neg, k: (nce_loss(z, z_pos, Z_neg, tau),
+                                                nce_grad(z, z_pos, Z_neg, tau)))
+        self._assert_close(total, ref_total, 1e-12)
+        self._assert_close(g1, r1, 1e-12)
+        self._assert_close(g2, r2, 1e-12)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.5, 100.0])
+    def test_nce_batch_matches_reference(self, tau):
+        # the reference divides the scores by tau after the GEMM and keeps
+        # each stage in an array of its own
+        rng = np.random.default_rng(37)
+        v1, v2 = self._duplicated_views(rng, 16, 64)
+        for actual, reference in zip(nce_batch_loss(v1, v2, tau), nce_batch_loss_reference(v1, v2, tau)):
+            self._assert_close(actual, reference, 1e-12)
+
+    def test_nce_batch_writes_no_view_and_returns_new_arrays(self):
+        rng = np.random.default_rng(43)
+        v1, v2 = self._views(rng, 8, 16)
+        before = v1.copy(), v2.copy()
+        (_, *first), (_, *second) = nce_batch_loss(v1, v2, 0.5), nce_batch_loss(v1, v2, 0.5)
+        assert np.array_equal(v1, before[0]) and np.array_equal(v2, before[1])
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        assert not any(np.shares_memory(a, b) for a in first for b in (*second, v1, v2))
+
+    def test_nce_batch_allocates_at_most_two_score_buffers(self):
+        # the N x 2N score buffer is the one step-sized array; the softmax,
+        # its gradient and the VJP's weights reuse it (5.3 buffers before)
+        N, d = 256, 32
+        rng = np.random.default_rng(N)
+        v1, v2 = unit_columns(rng, d, N), unit_columns(rng, d, N)
+        nce_batch_loss(v1, v2, 0.5)
+        tracemalloc.start()
+        try:
+            nce_batch_loss(v1, v2, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * N * 2 * N * 8
 
     def test_fn_correction_applied(self):
         rng = np.random.default_rng(31)

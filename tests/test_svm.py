@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,23 @@ def interior(alpha, C):
     """The interior 0 < alpha < C: a free set whose face steps these tests
     work out by hand. PGD's own face steps use the binding free set."""
     return (alpha > 0.0) & (alpha < C)
+
+
+class TestNonfiniteDelta:
+    @pytest.mark.parametrize("solve", [
+        lambda inst: solve_pgd(inst, SolverConfig()), solve_inv, solve_oracle],
+        ids=["pgd", "inv", "oracle"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_never_converged_and_silent(self, solve, value):
+        # every per-anchor solver gives NaN alphas, reads unconverged, and
+        # warns about nothing; the oracle once stopped after one sweep,
+        # since max(0.0, nan) is 0.0, and read converged
+        inst = random_instance(np.random.default_rng(0), n=5)
+        inst.delta[0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(inst)
+        assert np.all(np.isnan(sol.alpha)) and not sol.converged
 
 
 class TestFaceStep:
