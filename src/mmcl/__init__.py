@@ -9,7 +9,7 @@ through kernel evaluations.
 from .kernels import KernelSpec, kernel_eval, gram, kernel_grad
 from .svm import (SvmInstance, DualSolution, SolverConfig, SingularInstanceError,
                   build_instance, dual_objective, solve_inv, solve_oracle, solve_pgd,
-                  classify_support, spectral_norm)
+                  classify_support)
 from .loss import (LossBatch, LossGrads, mmcl_loss, mmcl_grad, fn_correct, nce_loss, nce_grad,
                    batch_loss, nce_batch_loss)
 from .encoder import (EncoderParams, AdamState, ForwardTape, StaleTapeError,

@@ -27,7 +27,7 @@ from . import config as cfgmod
 from . import encoder as enc
 from .data import augment_batch, stream_rng
 from .loss import batch_loss, nce_batch_loss
-from .svm import (SingularInstanceError, SolverConfig, SvmInstance, assemble_delta,
+from .svm import (SingularInstanceError, SvmInstance, assemble_delta,
                   build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
 from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort, eval_split,
                        evaluation_split, format_metrics_row, held_out_accuracies, load_state,
@@ -132,20 +132,21 @@ def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
     raise ValueError(f"{path}: need either a K_YY section or a Z_neg section")
 
 
-def _solve_instance(inst: SvmInstance, method: str, solver: SolverConfig):
-    """Solve one dual by ``method`` (inv, oracle or pgd); ``oracle`` runs to
-    ``solver.tol``."""
+def _solve_instance(inst: SvmInstance, method: str, tc: TrainConfig):
+    """Solve one dual by ``method`` (inv, oracle or pgd) under ``tc``'s
+    solver settings: ``oracle`` runs to its ``tol``, and ``pgd`` starts
+    from a point drawn from ``tc.seed``."""
     if method == "inv":
         return solve_inv(inst)
     if method == "oracle":
-        return solve_oracle(inst, tol=solver.tol)
-    return solve_pgd(inst, solver)
+        return solve_oracle(inst, tol=tc.solver.tol)
+    return solve_pgd(inst, replace(tc.solver, seed=tc.seed))
 
 
 def cmd_solve(args) -> int:
     _, tc = _settings(args)
     inst = _parse_instance_file(args.instance, tc)
-    sol = _solve_instance(inst, args.solver, replace(tc.solver, seed=tc.seed))
+    sol = _solve_instance(inst, args.solver, tc)
     cats = classify_support(sol.alpha, inst.C)
     counts = [int(np.sum(cats == c)) for c in (0, 1, 2)]
     print("solver,n,objective,iterations,converged,alpha_x,n_zero,n_support,n_margin_violators")
@@ -194,7 +195,7 @@ def cmd_inspect(args) -> int:
     chosen = rng.choice(others, size=N - 1, replace=False)
     emb = _head_embeddings(params, dataset.samples[np.concatenate([[anchor], chosen])])
     inst = build_instance(tc.kernel, emb[:, 0], emb[:, 1:], tc.C, tc.beta)
-    sol = _solve_instance(inst, args.method, tc.solver)
+    sol = _solve_instance(inst, args.method, tc)
     cats = classify_support(sol.alpha, inst.C)
     print("anchor_index,anchor_label,n_negatives,C,alpha_x")
     print(f"{anchor},{dataset.labels[anchor]},{inst.n},{tc.C!r},{sol.alpha_x!r}")
@@ -272,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--solver", choices=("pgd", "inv", "oracle"), default="pgd")
 
     p_inspect = command("inspect", cmd_inspect, "per-negative dual weights for an anchor",
-                        "out.checkpoint, data.*, batch_size, seed, kernel.*, C, beta, "
-                        "solver.*, fn_correction and aug.*")
+                        "out.checkpoint, data.*, batch_size, seed (the drawn batch and the pgd "
+                        "start), kernel.*, C, beta, solver.*, fn_correction and aug.*")
     p_inspect.add_argument("--anchor", type=int, default=0)
     p_inspect.add_argument("--all-anchors", action="store_true",
                            help="dump every anchor of a two-view batch instead")

@@ -1,14 +1,13 @@
 """Flat ``key = value`` configuration, the one settings surface of every
-``mmcl`` subcommand: parsing, overrides, serialization, and construction
-of the runtime objects.
+``mmcl`` subcommand: parsing, overrides, and construction of the runtime
+objects.
 
 Lines are ``key = value`` with ``#`` comments; no nesting. Every key has a
 default and can be overridden with ``--set key=value``; precedence is
-CLI > file > default. ``parse -> serialize -> parse`` is the identity.
-Each training key sets one field of ``TrainConfig`` or of one of its parts
-and takes that field's default; only the data keys (the dataset that
-``load_dataset`` builds) and the output paths, which no dataclass holds,
-carry their own.
+CLI > file > default. Each training key sets one field of ``TrainConfig``
+or of one of its parts and takes that field's default; only the data keys
+(the dataset that ``load_dataset`` builds) and the output paths, which no
+dataclass holds, carry their own.
 """
 
 from __future__ import annotations
@@ -54,18 +53,6 @@ def _parse_schedules(text: str) -> tuple:
 def _parse_step_size(text: str):
     t = text.strip()
     return "auto" if t == "auto" else float(t)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):  # schedules
-            return ";".join(f"{e}:{f}:{repr(float(v))}" for e, f, v in value)
-        return ",".join(str(v) for v in value)
-    return str(value)
 
 
 # The data and output keys, which no dataclass holds: key -> (parser, default).
@@ -166,10 +153,6 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         key, value = item.split("=", 1)
         set_key(cfg, key.strip(), value)
     return cfg
-
-
-def serialize_config(cfg: dict) -> str:
-    return "\n".join(f"{k} = {_fmt(cfg[k])}" for k in _PARSERS) + "\n"
 
 
 def build_train_config(cfg: dict) -> TrainConfig:

@@ -197,10 +197,6 @@ def zero_grads(params: EncoderParams) -> list:
     return [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.all_layers()]
 
 
-def add_grads(acc: list, grads: list) -> list:
-    return [(aW + gW, ab + gb) for (aW, ab), (gW, gb) in zip(acc, grads)]
-
-
 def save_params(params: EncoderParams, fh) -> None:
     """Write the checkpoint layout documented in the module docstring."""
     all_layers = params.all_layers()

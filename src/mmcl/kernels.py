@@ -15,6 +15,7 @@ clamped at zero to avoid tiny negative round-off before exponentiation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ class KernelSpec:
     """Which kernel to evaluate and its hyperparameters.
 
     ``sigma_sq`` is the RBF bandwidth (must be positive for rbf),
-    ``gamma`` and ``bias`` parameterize the tanh kernel. ``positive_gamma``
-    flips the tanh slope from the default -gamma to +gamma.
+    ``gamma`` and ``bias`` parameterize the tanh kernel; all three must be
+    finite, whatever the kind. ``positive_gamma`` flips the tanh slope
+    from the default -gamma to +gamma.
     """
 
     kind: str = "rbf"
@@ -40,6 +42,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
+        for name in ("sigma_sq", "gamma", "bias"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"kernel.{name} must be finite, got {getattr(self, name)}")
         if self.kind == "rbf" and not self.sigma_sq > 0:
             raise ValueError(f"rbf kernel requires sigma_sq > 0, got {self.sigma_sq}")
 

@@ -62,11 +62,12 @@ class SingularInstanceError(RuntimeError):
 
 
 def _check_C_beta(C: float, beta: float) -> None:
-    """Every path that builds a dual needs C > 0 (inf allowed) and beta >= 0."""
+    """Every path that builds a dual needs C > 0 (inf allowed) and a finite
+    beta >= 0."""
     if not C > 0:
         raise ValueError(f"C must be positive, got {C}")
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
 
 
 @dataclass
@@ -137,12 +138,12 @@ class SolverConfig:
         if isinstance(self.step_size, str):
             if self.step_size != "auto":
                 raise ValueError(f"step_size must be positive or 'auto', got {self.step_size!r}")
-        elif not self.step_size > 0:
-            raise ValueError(f"step_size must be positive or 'auto', got {self.step_size}")
+        elif not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite or 'auto', got {self.step_size}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 def assemble_delta(k_xx: float, k_xY: np.ndarray, K_YY: np.ndarray, beta: float) -> np.ndarray:
@@ -202,17 +203,6 @@ def _dense_operator(delta: np.ndarray):
     batch of one."""
     return (lambda alpha: (delta @ alpha.T).T,
             lambda rows, cols: delta[cols[:, :, None], cols[:, None, :]])
-
-
-def spectral_norm(delta) -> float:
-    """||D||_2 of one symmetric (n, n) matrix: its largest |eigenvalue|.
-    NaN when D is not finite."""
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
-        raise ValueError(f"delta must be square, got shape {delta.shape}")
-    if not np.all(np.isfinite(delta)):
-        return math.nan
-    return float(np.max(np.abs(np.linalg.eigvalsh(delta))))
 
 
 def _draw_alpha0(n: int, C: float, seed) -> np.ndarray:
@@ -482,7 +472,7 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, step_sizes, alpha0: np
 def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution:
     """Run (optionally Nesterov-accelerated) projected gradient, with face
     steps, on one instance: ``_pgd_batched`` on a batch of one dense D,
-    with the step 1 / ``spectral_norm(D)`` for "auto". Raises
+    with the step 1 / lambda_max(D) = 1 / ||D||_2 for "auto". Raises
     ``SingularInstanceError`` when D is not positive definite.
 
     ``alpha0`` overrides the seeded random initial point; it is projected
@@ -497,9 +487,13 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution
     a0 = np.asarray(alpha0, dtype=np.float64)[None]
 
     def step_sizes():
-        if cfg.step_size == "auto":
-            return np.array([1.0 / max(spectral_norm(inst.delta), 1e-300)])
-        return np.array([float(cfg.step_size)])
+        if cfg.step_size != "auto":
+            return np.array([float(cfg.step_size)])
+        # D is positive definite, so ||D||_2 is its largest eigenvalue; a
+        # non-finite D, which ``_cholesky`` does not judge, gets NaN
+        if not np.all(np.isfinite(inst.delta)):
+            return np.array([math.nan])
+        return np.array([1.0 / np.linalg.eigvalsh(inst.delta)[-1]])
 
     alpha, iters, converged = _pgd_batched(
         matvec, gather, b, inst.C, step_sizes, a0, cfg.max_iters, cfg.tol, cfg.nesterov)

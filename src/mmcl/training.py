@@ -180,8 +180,10 @@ def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
         rows = dataset.samples[order[b * N:(b + 1) * N]]
         view1 = augment_batch(config.augmentation, rows, stream_rng(config.seed, "aug", epoch, b, 0)).T
         view2 = augment_batch(config.augmentation, rows, stream_rng(config.seed, "aug", epoch, b, 1)).T
-        emb1, tape1 = enc.forward(state.params, view1)
-        emb2, tape2 = enc.forward(state.params, view2)
+        # one encoder pass over the 2N columns of both views, which the
+        # loss contrasts as one batch; the encoder maps each column alone
+        emb, tape = enc.forward(state.params, np.concatenate([view1, view2], axis=1))
+        emb1, emb2 = emb[:, :N], emb[:, N:]
         if config.loss == "nce":
             total, g1, g2 = nce_batch_loss(emb1, emb2, config.temperature)
             alphas = None
@@ -193,8 +195,7 @@ def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
             raise TrainingAbort(
                 f"non-finite loss {total} at epoch {epoch}, batch {b}",
                 _abort_diagnostics(epoch, b, total, emb1, emb2, alphas))
-        grads = enc.add_grads(enc.backward(state.params, tape1, g1),
-                              enc.backward(state.params, tape2, g2))
+        grads = enc.backward(state.params, tape, np.concatenate([g1, g2], axis=1))
         state.params, state.adam = enc.adam_step(state.params, grads, state.adam)
         losses.append(total)
     state.epoch = epoch + 1

@@ -69,7 +69,8 @@ class TestTrainCommand:
         ("eval.test_fraction", 1.0), ("eval.probe_epochs", 0), ("eval.k", 0), ("eval.probe_lr", 0.0),
         ("C", -1.0), ("beta", -1.0), ("temperature", 0.0), ("eval_every", -1), ("lr", -1.0),
         ("model.backbone_widths", "8,0"), ("model.head_hidden", 0), ("model.out_dim", 0),
-        ("schedules", "2:C:-1"), ("schedules", "2:sigma_sq:-1")])
+        ("schedules", "2:C:-1"), ("schedules", "2:sigma_sq:-1"), ("beta", "nan"),
+        ("kernel.sigma_sq", "inf"), ("schedules", "2:sigma_sq:inf")])
     def test_unusable_eval_setting_exits_2_before_training(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "blobs.cfg"
         write_blobs_config(cfg, tmp_path, **{"eval_every": 1, "epochs": 3, key: value})
@@ -402,6 +403,28 @@ class TestInspectCommand:
         assert out == ""
         assert err.startswith("error: anchor 0 of 8: " if all_anchors else "error: D of ")
         assert "not positive definite" in err
+
+    def test_pgd_starts_from_the_configured_seed(self, tmp_path, capsys, monkeypatch):
+        # solve and the single-anchor inspect both draw PGD's start from the seed key
+        cfg = self._setup(tmp_path, capsys)
+        seeds = []
+        real = cli.solve_pgd
+
+        def recording(inst, solver, *args, **kwargs):
+            seeds.append(solver.seed)
+            return real(inst, solver, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_pgd", recording)
+        inst = tmp_path / "inst.txt"
+        inst.write_text(TestSolveCommand.EMBEDDINGS)
+        for seed in (0, 7):
+            code, _, _ = run_cli(capsys, "solve", "--config", str(cfg), "--instance", str(inst),
+                                 "--solver", "pgd", "--set", f"seed={seed}")
+            assert code == 0
+            code, _, _ = run_cli(capsys, "inspect", "--config", str(cfg), "--anchor", "0",
+                                 "--method", "pgd", "--set", "batch_size=8", "--set", f"seed={seed}")
+            assert code == 0
+        assert seeds == [0, 0, 7, 7]
 
     def test_oracle_is_for_a_single_anchor_only(self, tmp_path, capsys):
         # batch_loss solves with the paper's pgd or inv; the exact oracle

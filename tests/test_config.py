@@ -5,7 +5,7 @@ import re
 import pytest
 
 from mmcl.config import (SCHEMA, ConfigError, apply_overrides, build_train_config,
-                         default_config, load_dataset, parse_config_text, serialize_config)
+                         default_config, load_dataset, parse_config_text)
 from mmcl.training import TrainConfig
 
 
@@ -45,23 +45,6 @@ class TestParsing:
     def test_widths_list(self):
         cfg = parse_config_text("model.backbone_widths = 8,16,32\n")
         assert cfg["model.backbone_widths"] == (8, 16, 32)
-
-
-class TestRoundTrip:
-    def test_parse_serialize_parse_identity(self):
-        text = (
-            "data.kind = moons\ndata.per_class = 100\nC = inf\n"
-            "schedules = 5:C:10;9:sigma_sq:0.5\nsolver.step_size = auto\n"
-            "kernel.kind = tanh\nkernel.positive_gamma = true\nlr = 0.0005\n"
-        )
-        first = parse_config_text(text)
-        second = parse_config_text(serialize_config(first))
-        assert first == second
-
-    def test_serialize_covers_every_key(self):
-        dumped = serialize_config(default_config())
-        for key in default_config():
-            assert f"{key} = " in dumped
 
 
 class TestOverrides:

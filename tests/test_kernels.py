@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,13 @@ class TestKernelEval:
     def test_bad_rbf_bandwidth(self):
         with pytest.raises(ValueError):
             KernelSpec(kind="rbf", sigma_sq=0.0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("name", ["sigma_sq", "gamma", "bias"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_nonfinite_parameters(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"kernel.{name} must be finite"):
+            KernelSpec(kind=kind, **{name: value})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

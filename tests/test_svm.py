@@ -6,7 +6,7 @@ import pytest
 
 from mmcl import (KernelSpec, SolverConfig, SingularInstanceError, SvmInstance,
                   build_instance, dual_objective, kernel_eval, solve_inv,
-                  solve_oracle, solve_pgd, spectral_norm)
+                  solve_oracle, solve_pgd)
 from mmcl import svm as svm_module
 from mmcl.loss import _to_block, negative_indices
 from mmcl.svm import _binding_free, _dense_operator, _face_steps
@@ -164,6 +164,24 @@ class TestSolvePgd:
         sol = solve_pgd(inst, cfg, alpha0=np.zeros(4))
         assert np.array_equal(sol.alpha, np.ones(4))
         assert sol.iterations == 1
+
+    def test_auto_step_is_one_over_the_spectral_norm(self, monkeypatch):
+        # every D that solve_pgd accepts is positive definite, so 1 / ||D||_2
+        # is 1 / lambda_max; a non-finite D gets a NaN step
+        steps = []
+        real = svm_module._pgd_batched
+
+        def recording(matvec, gather, b, C, step_sizes, *args):
+            steps.append(step_sizes())
+            return real(matvec, gather, b, C, step_sizes, *args)
+
+        monkeypatch.setattr(svm_module, "_pgd_batched", recording)
+        inst = random_instance(np.random.default_rng(2), n=12)
+        solve_pgd(inst, SolverConfig())
+        assert steps[0] == pytest.approx([1.0 / np.linalg.norm(inst.delta, 2)], rel=1e-12)
+        inst.delta[1, 3] = inst.delta[3, 1] = np.inf
+        solve_pgd(inst, SolverConfig())
+        assert steps[1].shape == (1,) and np.isnan(steps[1][0])
 
     def test_zero_iteration_budget(self):
         inst = make_instance(2.0 * np.eye(3), C=0.5)
@@ -458,29 +476,6 @@ class TestSparsity:
         assert np.all(sol.alpha[:-1] > 0.0)
 
 
-class TestSpectralNorm:
-    def test_matches_eigvalsh(self):
-        # the largest |eigenvalue|, also when it is negative
-        for seed in range(5):
-            inst = random_instance(np.random.default_rng(seed), n=20)
-            exact = np.linalg.eigvalsh(inst.delta).max()
-            assert spectral_norm(inst.delta) == pytest.approx(exact, rel=1e-12)
-        assert spectral_norm(np.diag([2.0, -3.0, 1.0])) == pytest.approx(3.0, rel=1e-15)
-
-    def test_nonfinite_matrix_gives_nan(self):
-        # instead of the LinAlgError of an eigenvalue solve, so that
-        # solve_pgd returns NaN alphas
-        delta = random_instance(np.random.default_rng(6), n=5).delta
-        delta[1, 3] = np.inf
-        assert math.isnan(spectral_norm(delta))
-
-    def test_rejects_stacked_matrices(self):
-        # one matrix only: batched PGD bounds its step sizes from K + beta I
-        deltas = np.stack([random_instance(np.random.default_rng(s), n=6).delta for s in range(4)])
-        with pytest.raises(ValueError, match="square"):
-            spectral_norm(deltas)
-
-
 class TestSolverConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -491,6 +486,11 @@ class TestSolverConfig:
             SolverConfig(max_iters=-1)
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="step_size must be positive and finite"):
+                SolverConfig(step_size=bad)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                SolverConfig(tol=bad)
 
     def test_alpha_x_property(self):
         inst = make_instance([[2.0, 1.0], [1.0, 2.0]])

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mmcl import (KernelSpec, LossBatch, SolverConfig, TrainConfig,
-                  TrainingAbort, apply_schedules, batch_loss, forward, init_state,
-                  load_state, make_blobs, mmcl_loss, run_epoch, save_state, stream_rng,
-                  train)
+from mmcl import (Dataset, KernelSpec, LossBatch, SolverConfig, TrainConfig,
+                  TrainingAbort, adam_step, apply_schedules, backward, batch_loss, forward,
+                  init_state, load_state, make_blobs, mmcl_loss, run_epoch, save_state,
+                  stream_rng, train)
+from mmcl import encoder, training
 from mmcl.data import augment_batch
 from mmcl.loss import nce_batch_loss
+
+from helpers import rel_err
 
 
 def small_config(**kw):
@@ -88,6 +91,61 @@ class TestRunEpoch:
         ds = small_blobs()
         state, _ = run_epoch(init_state(cfg, ds.dim), cfg, ds)
         assert state.adam.step == 5
+
+    @pytest.mark.parametrize("loss_kind", ["mmcl_pgd", "mmcl_inv", "nce"])
+    def test_one_pass_matches_per_view_reference(self, loss_kind, monkeypatch):
+        # one run_epoch batch against two forwards and two backwards, one
+        # per view, summed, then Adam: the embeddings the loss sees are the
+        # same bits, and only the order of the gradient sums differs
+        cfg = small_config(loss=loss_kind, lr=1e-2)
+        ds = Dataset(small_blobs().samples[:cfg.batch_size])
+        state = init_state(cfg, ds.dim)
+        seen = []
+        for name in ("batch_loss", "nce_batch_loss"):
+            real = getattr(training, name)
+
+            def recording(e1, e2, *args, real=real, **kwargs):
+                seen.append((e1.copy(), e2.copy()))
+                return real(e1, e2, *args, **kwargs)
+
+            monkeypatch.setattr(training, name, recording)
+
+        rows = ds.samples[stream_rng(cfg.seed, "shuffle", 0).permutation(len(ds))]
+        v1, v2 = (augment_batch(cfg.augmentation, rows, stream_rng(cfg.seed, "aug", 0, 0, v)).T
+                  for v in (0, 1))
+        e1, tape1 = forward(state.params, v1)
+        e2, tape2 = forward(state.params, v2)
+        if loss_kind == "nce":
+            _, g1, g2 = nce_batch_loss(e1, e2, cfg.temperature)
+        else:
+            _, g1, g2, _ = batch_loss(e1, e2, cfg.kernel, cfg.C, cfg.beta, cfg.solver,
+                                      method=loss_kind.removeprefix("mmcl_"))
+        grads = [(gW1 + gW2, gb1 + gb2) for (gW1, gb1), (gW2, gb2) in
+                 zip(backward(state.params, tape1, g1), backward(state.params, tape2, g2))]
+        expected, _ = adam_step(state.params, grads, state.adam)
+
+        state, _ = run_epoch(state, cfg, ds)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0][0], e1) and np.array_equal(seen[0][1], e2)
+        for (W, b), (W_ref, b_ref) in zip(state.params.all_layers(), expected.all_layers()):
+            assert rel_err(W, W_ref) <= 1e-12 and rel_err(b, b_ref) <= 1e-12
+
+    def test_one_encoder_pass_per_batch(self, monkeypatch):
+        cfg = small_config()
+        ds = small_blobs()
+        calls = {"forward": 0, "backward": 0}
+        for name in calls:
+            real = getattr(encoder, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(encoder, name, counting)
+        state, _ = run_epoch(init_state(cfg, ds.dim), cfg, ds)
+        batches = len(ds) // cfg.batch_size
+        assert state.adam.step == batches
+        assert calls == {"forward": batches, "backward": batches}
 
     def test_small_dataset_rejected(self):
         cfg = small_config(batch_size=64)
