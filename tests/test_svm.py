@@ -165,24 +165,6 @@ class TestSolvePgd:
         assert np.array_equal(sol.alpha, np.ones(4))
         assert sol.iterations == 1
 
-    def test_auto_step_is_one_over_the_spectral_norm(self, monkeypatch):
-        # every D that solve_pgd accepts is positive definite, so 1 / ||D||_2
-        # is 1 / lambda_max; a non-finite D gets a NaN step
-        steps = []
-        real = svm_module._pgd_batched
-
-        def recording(matvec, gather, b, C, step_sizes, *args):
-            steps.append(step_sizes())
-            return real(matvec, gather, b, C, step_sizes, *args)
-
-        monkeypatch.setattr(svm_module, "_pgd_batched", recording)
-        inst = random_instance(np.random.default_rng(2), n=12)
-        solve_pgd(inst, SolverConfig())
-        assert steps[0] == pytest.approx([1.0 / np.linalg.norm(inst.delta, 2)], rel=1e-12)
-        inst.delta[1, 3] = inst.delta[3, 1] = np.inf
-        solve_pgd(inst, SolverConfig())
-        assert steps[1].shape == (1,) and np.isnan(steps[1][0])
-
     def test_zero_iteration_budget(self):
         inst = make_instance(2.0 * np.eye(3), C=0.5)
         cfg = SolverConfig(max_iters=0, seed=3)
@@ -474,6 +456,42 @@ class TestSparsity:
         sol = solve_oracle(inst, tol=1e-12)
         assert sol.alpha[-1] == 0.0
         assert np.all(sol.alpha[:-1] > 0.0)
+
+
+class TestSpectralNorm:
+    # solve_pgd's "auto" step is 1 / ||D||_2; every D it accepts is positive
+    # definite, so that is 1 / lambda_max
+    @staticmethod
+    def _auto_steps(monkeypatch, *instances):
+        steps = []
+        real = svm_module._pgd_batched
+
+        def recording(matvec, gather, b, C, step_sizes, *args):
+            steps.append(step_sizes())
+            return real(matvec, gather, b, C, step_sizes, *args)
+
+        monkeypatch.setattr(svm_module, "_pgd_batched", recording)
+        for inst in instances:
+            solve_pgd(inst, SolverConfig(max_iters=5))
+        return steps
+
+    def test_matches_eigvalsh(self, monkeypatch):
+        instances = [random_instance(np.random.default_rng(seed), n=20) for seed in range(5)]
+        instances.append(make_instance(np.diag([2.0, 3.0, 1.0])))
+        steps = self._auto_steps(monkeypatch, *instances)
+        for inst, step in zip(instances, steps):
+            exact = np.linalg.eigvalsh(inst.delta).max()
+            assert step.shape == (1,)
+            assert step[0] == pytest.approx(1.0 / exact, rel=1e-12)
+        assert steps[-1][0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_nonfinite_matrix_gives_nan(self, monkeypatch):
+        # instead of the LinAlgError of an eigenvalue solve, so that
+        # solve_pgd returns NaN alphas
+        inst = random_instance(np.random.default_rng(6), n=5)
+        inst.delta[1, 3] = inst.delta[3, 1] = np.inf
+        steps = self._auto_steps(monkeypatch, inst)
+        assert steps[0].shape == (1,) and math.isnan(steps[0][0])
 
 
 class TestSolverConfig:
