@@ -29,9 +29,9 @@ from .data import augment_batch, stream_rng
 from .loss import batch_loss, nce_batch_loss
 from .svm import (SingularInstanceError, SvmInstance, assemble_delta,
                   build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
-from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort, eval_split,
-                       evaluation_split, format_metrics_row, held_out_accuracies, load_state,
-                       save_state, train)
+from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort, check_batch_size,
+                       eval_split, evaluation_split, format_metrics_row, held_out_accuracies,
+                       load_state, save_state, train)
 
 CATEGORY_NAMES = {0: "non-support", 1: "support", 2: "margin-violator"}
 
@@ -55,7 +55,8 @@ def _load_checkpoint_params(path) -> enc.EncoderParams:
 def cmd_train(args) -> int:
     cfg, tc = _settings(args)
     dataset = cfgmod.load_dataset(cfg)
-    evaluation_split(tc, dataset)  # an unusable dataset exits before metrics.csv is opened
+    check_batch_size(tc, dataset)  # an unusable dataset exits before metrics.csv is opened
+    evaluation_split(tc, dataset)
     metrics_path = cfg["out.metrics"]
     ckpt_path = cfg["out.checkpoint"]
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics:
@@ -119,11 +120,17 @@ def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
             if current is None:
                 raise ValueError(f"{path}: content before any [section] header")
             sections[current].append(line)
+    for block, needed in (("K_YY", "k_xY"), ("Z_neg", "z_pos")):
+        if block in sections and needed not in sections:
+            raise ValueError(f"{path}: a [{block}] section needs a [{needed}] section")
     if "K_YY" in sections:
         k_xY = np.array([float(v) for v in ",".join(sections["k_xY"]).split(",")])
         K_YY = np.array([[float(v) for v in row.split(",")] for row in sections["K_YY"]])
-        k_xx = float(sections["k_xx"][0]) if "k_xx" in sections else 1.0
+        k_xx = float(",".join(sections["k_xx"])) if "k_xx" in sections else 1.0
         delta = assemble_delta(k_xx, k_xY, K_YY, tc.beta)
+        asym = float(np.max(np.abs(K_YY - K_YY.T)))  # inv would factor one triangle of D
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(K_YY)))):
+            raise ValueError(f"{path}: [K_YY] is not symmetric (max |K_YY - K_YY'| = {asym!r})")
         return SvmInstance(delta=delta, C=tc.C, beta=tc.beta)
     if "Z_neg" in sections:
         z_pos = np.array([float(v) for v in ",".join(sections["z_pos"]).split(",")])
@@ -166,10 +173,8 @@ def cmd_inspect(args) -> int:
     if dataset.labels is None:
         print("inspect requires a labeled dataset", file=sys.stderr)
         return 2
+    check_batch_size(tc, dataset)
     N = tc.batch_size
-    if len(dataset) < N:
-        print(f"dataset has {len(dataset)} samples, need at least {N}", file=sys.stderr)
-        return 2
 
     if args.all_anchors:
         rng = stream_rng(tc.seed, "inspect-batch")
@@ -214,15 +219,10 @@ def _head_embeddings(params, samples) -> np.ndarray:
 def cmd_bench(args) -> int:
     _, tc = _settings(args)
     sizes = sorted(int(s) for s in args.sizes.split(","))
-    if any(s < 2 for s in sizes):
-        print("bench sizes must be >= 2", file=sys.stderr)
-        return 2
-    if args.dim < 1:
-        print("bench --dim must be >= 1", file=sys.stderr)
-        return 2
-    if args.reps < 1:
-        print("bench --reps must be >= 1", file=sys.stderr)
-        return 2
+    for name, value, low in (("sizes", min(sizes), 2), ("--dim", args.dim, 1), ("--reps", args.reps, 1)):
+        if value < low:
+            print(f"bench {name} must be >= {low}", file=sys.stderr)
+            return 2
     print("batch_size,loss_variant,ms_per_iter")
     for N in sizes:
         rng = stream_rng(tc.seed, "bench", N)

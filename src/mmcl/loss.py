@@ -11,8 +11,9 @@ function w(z) = alpha' (k(z+, z) 1 - k(Z-, z)) is the negated loss.
 
 ``batch_loss`` applies this per anchor over a two-view batch: anchor k uses
 view1[k] as the SVM positive, view2[k] as the scored point, and the other
-2(N-1) columns of both views as negatives. It solves all N duals at once
-and returns their solutions as one (N, 2N-2) array; the loss and its
+2(N-1) columns of both views as negatives. Its N duals live in one
+N x 2N block of alphas, zero in row k at anchor k's own columns k and
+N+k, from the dual solve to the gradient weights, and the loss and its
 gradient over all anchors come from one ``kernels.gram_vjp`` call, as do
 those of ``nce_batch_loss``. The per-anchor functions (``mmcl_loss``,
 ``mmcl_grad``, ``nce_loss``, ``nce_grad``) are the references they are
@@ -54,7 +55,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .kernels import KernelSpec, gram, gram_vjp, kernel_grad
-from .svm import SingularInstanceError, SolverConfig, _check_C_beta, _pgd_batched
+from .svm import SingularInstanceError, SolverConfig, _check_C_beta, _pgd_batched, classify_support
 
 _LINEAR = KernelSpec(kind="linear")
 
@@ -113,16 +114,15 @@ def mmcl_grad(batch: LossBatch, spec: KernelSpec) -> LossGrads:
 
 
 def fn_correct(alpha: np.ndarray, C: float, tol: float = 1e-9) -> np.ndarray:
-    """False-negative correction: zero every coordinate at the box bound C.
+    """False-negative correction: zero every coordinate at the box bound C,
+    exactly those that ``svm.classify_support`` labels 2 under ``tol``.
 
     Equality is tested with absolute tolerance ``tol`` since solver
     projection sets boundary values exactly but the least-squares clip can
     leave round-off. Idempotent; a no-op for C = inf.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    if not math.isfinite(C):
-        return alpha.copy()
-    return np.where(np.abs(alpha - C) <= tol, 0.0, alpha)
+    return np.where(classify_support(alpha, C, tol) == 2, 0.0, alpha)
 
 
 def nce_loss(z, z_pos, Z_neg, temperature: float) -> float:
@@ -167,12 +167,8 @@ def negative_indices(N: int) -> np.ndarray:
     """Row k lists the 2(N-1) stacked-column indices of anchor k's negatives:
     view-1 columns of the other batch items, then their view-2 columns.
     The cached array is read-only."""
-    idx = np.empty((N, 2 * (N - 1)), dtype=np.int64)
-    all_idx = np.arange(2 * N)
-    for k in range(N):
-        others = np.concatenate([all_idx[:N][all_idx[:N] != k],
-                                 all_idx[N:][all_idx[N:] != N + k]])
-        idx[k] = others
+    others = np.arange(2 * N) % N != np.arange(N)[:, None]
+    idx = np.nonzero(others)[1].reshape(N, 2 * (N - 1))
     idx.setflags(write=False)
     return idx
 
@@ -199,42 +195,36 @@ def _lower_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _to_block(neg_idx: np.ndarray, values) -> np.ndarray:
-    """N x 2N block with row k of ``values`` at anchor k's negatives
-    ``neg_idx[k]`` and 0 at its own columns k and N+k."""
-    N = neg_idx.shape[0]
-    block = np.zeros((N, 2 * N))
-    np.put_along_axis(block, neg_idx, values, axis=1)
+def _zero_own_columns(block: np.ndarray) -> np.ndarray:
+    """Zero every anchor k's own columns k and N+k of the N x 2N ``block``
+    in place, and return it."""
+    N = block.shape[0]
+    block.flat[::2 * N + 1] = 0.0
+    block.flat[N::2 * N + 1] = 0.0
     return block
 
 
-def _dual_operator(K_full: np.ndarray, beta: float):
+def _dual_operator(K_full: np.ndarray, M: np.ndarray):
     """Every anchor's D_k as one ``svm._pgd_batched`` operator on an N x 2N
     block of alphas whose row k is zero at anchor k's own columns k and N+k.
 
-    With M = K_full + beta I and R anchor k's negatives,
-    D_k a = M[R,R] a + (1'a)(k_xx - K[k,R]) - (K[k,R]'a) 1, and one GEMM
-    Q = A M holds M[R,R] a at row k's columns R and K[k,R]'a at Q[k,k],
-    in O(N^3) time and O(N^2) memory. Returns ``(matvec, gather)``; the
-    face-block gather takes D_k[i,j] = M[i,j] + H[k,i] + H[k,j] with
-    H[k,i] = k_xx / 2 - K[k,i], for block columns i, j in R.
+    With M = K_full + beta I, shared with ``_inv_batched``, and R anchor
+    k's negatives, D_k a = M[R,R] a + (1'a)(k_xx - K[k,R]) - (K[k,R]'a) 1,
+    and one GEMM Q = A M holds M[R,R] a at row k's columns R and K[k,R]'a
+    at Q[k,k], in O(N^3) time and O(N^2) memory. Returns ``(matvec,
+    gather)``; the face-block gather takes D_k[i,j] = M[i,j] + H[k,i] +
+    H[k,j] with H[k,i] = k_xx / 2 - K[k,i], for block columns i, j in R.
     """
     N = K_full.shape[0] // 2
-    M = K_full + beta * np.eye(2 * N)
     k_xx = np.diag(K_full)[:N, None]
     P = k_xx - K_full[:N]
     H = 0.5 * k_xx - K_full[:N]
-    # in the flattened N x 2N block, Q[k, k] sits at k (2N + 1) and Q[k, N + k] N further
-    own_k, own_Nk = slice(0, None, 2 * N + 1), slice(N, None, 2 * N + 1)
 
     def matvec(A):
         Q = A @ M
-        flat = Q.reshape(-1)
-        Q -= flat[own_k][:, None]
+        Q -= Q.diagonal()[:, None]
         Q += np.add.reduce(A, axis=1)[:, None] * P
-        flat[own_k] = 0.0
-        flat[own_Nk] = 0.0
-        return Q
+        return _zero_own_columns(Q)
 
     def gather(rows, cols):
         blocks = M.take(cols[:, :, None] * (2 * N) + cols[:, None, :])
@@ -252,9 +242,9 @@ def _count_signs(det, trace, sign):
     return (det < 0) + 2 * ((det > 0) & (sign * trace > 0))
 
 
-def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float) -> np.ndarray:
+def _inv_batched(M: np.ndarray, beta: float, C: float) -> np.ndarray:
     """clip(2 D_k^{-1} 1, 0, C) for every anchor k from one LDL' factorization
-    of M = K_full + beta I, once every D_k is known positive definite.
+    of the batch's M = K + beta I, once every D_k is known positive definite.
 
     Anchor k's dual matrix is a principal submatrix of M plus a rank-2
     term: D_k = M[R,R] + U W U' with S = {k, N+k}, R the other indices,
@@ -271,15 +261,14 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
     inertia is that of the block-diagonal factor (Sylvester), where every
     2x2 Bunch-Kaufman pivot has one negative eigenvalue.
 
-    Returns the (N, 2N-2) alphas. Raises ``SingularInstanceError`` naming
-    the first anchor whose D_k is not positive definite, or M when it is
-    singular to working precision. Non-finite kernel values give NaN
-    alphas and reject no anchor.
+    Returns a new N x 2N block of alphas, zero at the own columns. Raises
+    ``SingularInstanceError`` naming the first anchor whose D_k is not
+    positive definite, or M when it is singular to working precision.
+    Non-finite kernel values give NaN alphas and reject no anchor.
     """
-    N = neg_idx.shape[0]
-    if not np.all(np.isfinite(K_full)):
-        return np.full(neg_idx.shape, np.nan)
-    M = K_full + beta * np.eye(2 * N)
+    N = M.shape[0] // 2
+    if not np.all(np.isfinite(M)):
+        return _zero_own_columns(np.full((N, 2 * N), np.nan))
     ldu, ipiv, info = lapack.dsytrf(M, lower=1)
     if info == 0:
         P, info = lapack.dsytri(ldu, ipiv, lower=1)
@@ -319,12 +308,13 @@ def _inv_batched(K_full: np.ndarray, neg_idx: np.ndarray, beta: float, C: float)
                 f"(beta = {beta})")
 
         # D^{-1} 1 = c1 M[R,R]^{-1} 1 + c2 M[R,R]^{-1} M[R,k] with c = cap^{-1} (0, -1)',
-        # column k of X over the rows R
+        # row k of X at the columns R
         c1, c2 = cap12 / cap_det, -cap11 / cap_det
         w_a = c1 * t_a + c2 * q_bb / q_det
         w_b = c1 * t_b - c2 * q_ab / q_det
-        X = r[:, None] * c1 - P[:, :N] * (c1 + w_a) - P[:, N:] * (c1 + w_b)
-    return np.clip(2.0 * np.take_along_axis(X.T, neg_idx, axis=1), 0.0, C)
+        X = r * c1[:, None] - P[:N] * (c1 + w_a)[:, None] - P[N:] * (c1 + w_b)[:, None]
+    np.multiply(_zero_own_columns(X), 2.0, out=X)
+    return np.clip(X, 0.0, C, out=X)
 
 
 def resolve_step_sizes(K_full: np.ndarray, beta: float, step_size) -> np.ndarray:
@@ -367,15 +357,14 @@ def resolve_step_sizes(K_full: np.ndarray, beta: float, step_size) -> np.ndarray
     return 1.0 / (eig[-1] + half_trace + root)
 
 
-def _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas):
+def _accumulate_anchor_terms(spec, E, K_full, W):
     """Total loss and its gradient w.r.t. the stacked embeddings E for every
     anchor, reusing the batch Gram matrix. Row k of the N x 2N weight block
-    W holds anchor k's alphas at its negatives and -sum(alpha) at its SVM
-    positive, so the total is <W, K(E[:, N:], E)>. Matches the composition
-    of ``mmcl_loss`` / ``mmcl_grad`` over anchors to float round-off."""
-    N = neg_idx.shape[0]
-    W = _to_block(neg_idx, alphas)
-    W[np.arange(N), np.arange(N)] = -np.sum(alphas, axis=1)
+    W holds anchor k's alphas at its negatives, -alpha_x at its SVM
+    positive (column k) and 0 at its scored point (column N+k), so the
+    total is <W, K(E[:, N:], E)>. Matches the composition of
+    ``mmcl_loss`` / ``mmcl_grad`` over anchors to float round-off."""
+    N = W.shape[0]
     K_anchor = K_full[N:]
     d_anchor, d_E = gram_vjp(spec, E[:, N:], E, K_anchor, W)
     d_E[:, N:] += d_anchor
@@ -392,9 +381,11 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     negatives are the 2(N-1) other columns of both views, ordered as in
     ``negative_indices``. Returns ``(total_loss, grads1, grads2, alphas)``
     where grads1/grads2 are the accumulated loss gradients w.r.t. each
-    view's embedding matrix and ``alphas`` is an (N, 2N-2) array whose row
-    k is anchor k's dual vector (post-correction when ``fn_correction`` is
-    set).
+    view's embedding matrix, the halves of one new d' x 2N array, and
+    ``alphas`` is an (N, 2N-2) array whose row k is anchor k's dual vector
+    (post-correction when ``fn_correction`` is set). The views are not
+    written, and no returned array shares memory with an input or with
+    another call's output.
 
     ``method`` picks the dual solver, one of the paper's two: ``inv`` takes
     every anchor's clip(2 D_k^{-1} 1, 0, C) from one factorization of the
@@ -428,20 +419,21 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
         raise ValueError(f"unknown solver method {method!r}: batch_loss solves with 'pgd' or 'inv'")
     _check_C_beta(C, beta)
     K_full = gram(spec, E, E)
-    neg_idx = negative_indices(N)
-    alphas = _inv_batched(K_full, neg_idx, beta, C)
+    M = K_full.copy()
+    M.flat[::2 * N + 1] += beta
+    block = _inv_batched(M, beta, C)
     if method == "pgd":
-        matvec, gather = _dual_operator(K_full, beta)
-        alpha_block, _, _ = _pgd_batched(
-            matvec, gather, _to_block(neg_idx, 2.0), C,
-            lambda: resolve_step_sizes(K_full, beta, solver.step_size), _to_block(neg_idx, alphas),
+        matvec, gather = _dual_operator(K_full, M)
+        block, _, _ = _pgd_batched(
+            matvec, gather, _zero_own_columns(np.full((N, 2 * N), 2.0)), C,
+            lambda: resolve_step_sizes(K_full, beta, solver.step_size), block,
             solver.max_iters, solver.tol, solver.nesterov)
-        alphas = np.take_along_axis(alpha_block, neg_idx, axis=1)
-
     if fn_correction:
-        alphas = fn_correct(alphas, C)
-    total, d_E = _accumulate_anchor_terms(spec, E, K_full, neg_idx, alphas)
-    return total, d_E[:, :N].copy(), d_E[:, N:].copy(), alphas
+        block = fn_correct(block, C)
+    alphas = np.take_along_axis(block, negative_indices(N), axis=1)
+    np.fill_diagonal(block, -np.sum(alphas, axis=1))
+    total, d_E = _accumulate_anchor_terms(spec, E, K_full, block)
+    return total, d_E[:, :N], d_E[:, N:], alphas
 
 
 def nce_batch_loss(embeddings_view1, embeddings_view2, temperature: float):
@@ -456,7 +448,8 @@ def nce_batch_loss(embeddings_view1, embeddings_view2, temperature: float):
     N x 2N score buffer is the only step-sized array: the masking, the
     max-shift, the softmax and the gradient w.r.t. the scores are formed
     in it in place, and ``kernels.gram_vjp`` takes it as its weight W.
-    The views are not written, and every returned array is new.
+    The views are not written, and no returned array shares memory with
+    an input or with another call's output.
     """
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -480,4 +473,4 @@ def nce_batch_loss(embeddings_view1, embeddings_view2, temperature: float):
     d_anchors, d_E = gram_vjp(_LINEAR, anchors, E, S, S)
     d_anchors /= temperature  # the chain rule through anchors = E[:, N:] / temperature
     d_E[:, N:] += d_anchors
-    return total, d_E[:, :N].copy(), d_E[:, N:].copy()
+    return total, d_E[:, :N], d_E[:, N:]

@@ -154,6 +154,12 @@ def apply_schedules(config: TrainConfig, epoch: int):
     return C, spec
 
 
+def check_batch_size(config: TrainConfig, dataset: Dataset) -> None:
+    """ValueError naming ``batch_size`` when one batch does not fit in ``dataset``."""
+    if len(dataset) < config.batch_size:
+        raise ValueError(f"batch_size = {config.batch_size} exceeds the dataset's {len(dataset)} samples")
+
+
 def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
     """Train one epoch in place of ``state``; returns (state, mean batch loss).
 
@@ -167,9 +173,8 @@ def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
     from one epoch to the next while the Adam steps still lower the loss
     at fixed alpha that they differentiate.
     """
+    check_batch_size(config, dataset)
     N = config.batch_size
-    if len(dataset) < N:
-        raise ValueError(f"dataset has {len(dataset)} samples, need at least {N}")
     epoch = state.epoch
     C, spec = apply_schedules(config, epoch)
     order = stream_rng(config.seed, "shuffle", epoch).permutation(len(dataset))

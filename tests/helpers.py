@@ -14,6 +14,15 @@ from mmcl.encoder import NORM_FLOOR
 from mmcl.loss import negative_indices
 
 
+def _to_block(neg_idx: np.ndarray, values) -> np.ndarray:
+    """N x 2N block with row k of ``values`` at anchor k's negatives
+    ``neg_idx[k]`` and 0 at its own columns k and N+k."""
+    N = neg_idx.shape[0]
+    block = np.zeros((N, 2 * N))
+    np.put_along_axis(block, neg_idx, values, axis=1)
+    return block
+
+
 def rel_err(a, b, floor=1e-12) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

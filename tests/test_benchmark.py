@@ -44,6 +44,18 @@ def test_traced_run_passes():
     assert result["correct"] and result["failed"] == 0
 
 
+def test_traced_inv_run_passes():
+    # the traced path on inv steps: the inv scaling sweep and the
+    # _accumulate_anchor_terms span, which test_traced_run_passes takes on
+    # pgd steps only
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "inv_b128",
+                           "--seed", "1", "--seconds", "1", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+
+
 def test_traced_hooks_resolve(monkeypatch):
     # a traced run reports the span of a hook that no longer resolves as
     # absent, so a refactor that renames a hooked function shows here, not

@@ -70,7 +70,7 @@ class TestTrainCommand:
         ("C", -1.0), ("beta", -1.0), ("temperature", 0.0), ("eval_every", -1), ("lr", -1.0),
         ("model.backbone_widths", "8,0"), ("model.head_hidden", 0), ("model.out_dim", 0),
         ("schedules", "2:C:-1"), ("schedules", "2:sigma_sq:-1"), ("beta", "nan"),
-        ("kernel.sigma_sq", "inf"), ("schedules", "2:sigma_sq:inf")])
+        ("kernel.sigma_sq", "inf"), ("schedules", "2:sigma_sq:inf"), ("batch_size", 64)])
     def test_unusable_eval_setting_exits_2_before_training(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "blobs.cfg"
         write_blobs_config(cfg, tmp_path, **{"eval_every": 1, "epochs": 3, key: value})
@@ -240,10 +240,18 @@ class TestSolveCommand:
         assert message in err
 
     def test_malformed_instance_exits_2(self, tmp_path, capsys):
+        # a missing section and an asymmetric [K_YY] are named, for every
+        # solver, before any solve
         inst = tmp_path / "bad.txt"
-        inst.write_text("just some text\n")
-        code, _, err = run_cli(capsys, "solve", "--instance", str(inst))
-        assert code == 2
+        for text, message in (("just some text\n", "before any [section]"),
+                              ("[K_YY]\n1,0\n0,1\n", "needs a [k_xY] section"),
+                              ("[Z_neg]\n1,0\n0,1\n", "needs a [z_pos] section"),
+                              ("[k_xY]\n0.2,0.1\n[K_YY]\n1,0.9\n-0.5,1\n", "not symmetric")):
+            inst.write_text(text)
+            for solver in ("pgd", "inv", "oracle"):
+                code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver)
+                assert code == 2 and out == ""
+                assert message in err
 
     def test_alpha_x_equals_alpha_sum(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
@@ -376,6 +384,15 @@ class TestInspectCommand:
         code, out, _ = run_cli(capsys, "inspect", "--config", str(cfg), "--anchor", "0",
                                "--set", "batch_size=8")
         assert code == 0
+
+    @pytest.mark.parametrize("all_anchors", [False, True])
+    def test_batch_larger_than_dataset_exits_2(self, tmp_path, capsys, all_anchors):
+        # the check that training makes, with the same message
+        cfg = self._setup(tmp_path, capsys)
+        code, out, err = run_cli(capsys, "inspect", "--config", str(cfg), "--set", "batch_size=64",
+                                 *(["--all-anchors"] if all_anchors else []))
+        assert code == 2 and out == ""
+        assert "batch_size = 64" in err
 
     def test_anchor_out_of_range_exits_2(self, tmp_path, capsys):
         cfg = self._setup(tmp_path, capsys)

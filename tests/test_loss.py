@@ -12,10 +12,10 @@ from mmcl import config as cfgmod
 from mmcl import loss as loss_module
 from mmcl import svm as svm_module
 from mmcl.data import stream_rng
-from mmcl.loss import _dual_operator, _pgd_batched, _to_block, negative_indices, resolve_step_sizes
+from mmcl.loss import _dual_operator, _pgd_batched, negative_indices, resolve_step_sizes
 
-from helpers import (RecordingOperator, anchor_deltas, central_diff, nce_batch_loss_reference,
-                     rel_err, training_batches, unit_columns)
+from helpers import (RecordingOperator, _to_block, anchor_deltas, central_diff,
+                     nce_batch_loss_reference, rel_err, training_batches, unit_columns)
 
 ALL_KINDS = ["linear", "rbf", "tanh"]
 
@@ -227,6 +227,16 @@ class TestBatchLoss:
         assert len(alphas) == N
         assert all(a.size == expected for a in alphas)
 
+    @pytest.mark.parametrize("N", [2, 3, 7, 64])
+    def test_negative_indices_order(self, N):
+        # view-1 columns of the other batch items, then their view-2
+        # columns, as a read-only cached array
+        idx = negative_indices(N)
+        assert idx.dtype == np.int64 and not idx.flags.writeable
+        for k, cols in enumerate(idx):
+            others = [j for j in range(N) if j != k]
+            assert cols.tolist() == others + [N + j for j in others]
+
     def test_rejects_tiny_batch(self):
         rng = np.random.default_rng(0)
         v1, v2 = self._views(rng, 4, 1)
@@ -429,6 +439,25 @@ class TestBatchLoss:
             assert np.array_equal(a, b)
         assert not any(np.shares_memory(a, b) for a in first for b in (*second, v1, v2))
 
+    @pytest.mark.parametrize("fn_correction", [False, True])
+    @pytest.mark.parametrize("method", ["pgd", "inv"])
+    def test_batch_writes_no_view_and_returns_new_arrays(self, method, fn_correction):
+        # the gradients are the two halves of one new array, and the alphas
+        # are gathered from the block that the solve and the gradient
+        # weights share; C = 0.05 puts alphas at the bound for fn_correction
+        rng = np.random.default_rng(47)
+        v1, v2 = self._views(rng, 8, 16)
+        before = v1.copy(), v2.copy()
+        first, second = (batch_loss(v1, v2, KernelSpec(kind="rbf"), 0.05, 0.1, SolverConfig(),
+                                    fn_correction=fn_correction, method=method) for _ in range(2))
+        assert np.array_equal(v1, before[0]) and np.array_equal(v2, before[1])
+        assert first[0] == second[0]
+        first, second = first[1:], second[1:]
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        assert not any(np.shares_memory(a, b) for a in first for b in (*second, v1, v2))
+        assert not any(np.shares_memory(first[2], g) for g in first[:2])
+
     def test_nce_batch_allocates_at_most_two_score_buffers(self):
         # the N x 2N score buffer is the one step-sized array; the softmax,
         # its gradient and the VJP's weights reuse it (5.3 buffers before)
@@ -493,7 +522,7 @@ class TestDualOperator:
     @classmethod
     def _batch(cls, kernel, N):
         rng, v1, v2, K = cls._gram(kernel, N)
-        return (rng, *_dual_operator(K, cls.BETA),
+        return (rng, *_dual_operator(K, K + cls.BETA * np.eye(len(K))),
                 anchor_deltas(v1, v2, EQUIVALENCE_KERNELS[kernel], cls.BETA))
 
     @pytest.mark.parametrize("N", [2, 3, 32])
@@ -621,7 +650,7 @@ class TestDualOperator:
         # anchor)
         for N in (32, 128):
             rng, _, _, K = self._gram("rbf", N)
-            matvec, gather = _dual_operator(K, self.BETA)
+            matvec, gather = _dual_operator(K, K + self.BETA * np.eye(len(K)))
             b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
             shapes = []
 
@@ -1021,3 +1050,21 @@ class TestSharedFactorizationInv:
                 tracemalloc.stop()
         assert peaks[128] < 16e6
         assert peaks[256] < 6 * peaks[128]
+
+    def test_inv_allocates_at_most_5_4_matrices_of_size_2N(self):
+        # the (2N)^2 arrays of one inv call are K, M = K + beta I (built
+        # once per batch, without an identity temporary), the LDL' factor,
+        # the inverse and its symmetrized copy; the rest is N x 2N blocks.
+        # Building M twice with np.eye temporaries peaked at 5.58
+        N = 256
+        rng = np.random.default_rng(N)
+        v1, v2 = unit_columns(rng, 32, N), unit_columns(rng, 32, N)
+        args = (v1, v2, KernelSpec(kind="rbf"), 100.0, 0.1, SolverConfig())
+        batch_loss(*args, method="inv")
+        tracemalloc.start()
+        try:
+            batch_loss(*args, method="inv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.4 * (2 * N) ** 2 * 8

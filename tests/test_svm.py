@@ -8,11 +8,11 @@ from mmcl import (KernelSpec, SolverConfig, SingularInstanceError, SvmInstance,
                   build_instance, dual_objective, kernel_eval, solve_inv,
                   solve_oracle, solve_pgd)
 from mmcl import svm as svm_module
-from mmcl.loss import _to_block, negative_indices
+from mmcl.loss import negative_indices
 from mmcl.svm import _binding_free, _dense_operator, _face_steps
 
 import test_loss
-from helpers import (RecordingOperator, face_search_reference, random_instance,
+from helpers import (RecordingOperator, _to_block, face_search_reference, random_instance,
                      rotated_spectrum_delta, unit_columns)
 
 

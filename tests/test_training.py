@@ -150,7 +150,7 @@ class TestRunEpoch:
     def test_small_dataset_rejected(self):
         cfg = small_config(batch_size=64)
         ds = small_blobs()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batch_size"):
             run_epoch(init_state(cfg, ds.dim), cfg, ds)
 
     def test_abort_on_nonfinite_loss(self):
