@@ -28,6 +28,12 @@ same factorization gives every anchor's definiteness verdict, from the
 inertia of M (Haynsworth) rather than by factorizing D_k, and both
 methods raise ``SingularInstanceError`` on a batch where some D_k is not
 positive definite, as the per-anchor solvers of ``svm`` do on that D_k.
+The factorization is LAPACK's Bunch-Kaufman ``dsytrf``, given the
+optimal workspace it reports (queried once per size) so that it factors
+by blocks once 2N exceeds its block size, and ``dsytri`` turns the
+factor into M^{-1} in the factor's own buffer, with no separate inverse
+or symmetrized copy. scipy.linalg is imported only where a matrix is
+factored, so that ``import mmcl`` and InfoNCE training do not load it.
 ``pgd`` starts every anchor at that ``inv`` solution, the paper's
 truncated least-squares approximation (the "alpha seeding" of DeCoste &
 Wagstaff 2000), and runs on every anchor at once through one operator
@@ -52,7 +58,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .kernels import KernelSpec, gram, gram_vjp, kernel_grad
 from .svm import SingularInstanceError, SolverConfig, _check_C_beta, _pgd_batched, classify_support
@@ -187,12 +192,22 @@ def _stack_views(embeddings_view1, embeddings_view2):
 
 
 @lru_cache(maxsize=32)
-def _lower_mask(n: int) -> np.ndarray:
-    """(n, n) mask of the lower triangle, diagonal included. The cached
-    array is read-only."""
-    mask = np.tri(n, dtype=bool)
+def _upper_mask(n: int) -> np.ndarray:
+    """(n, n) mask of the strict upper triangle. The cached array is
+    read-only."""
+    mask = ~np.tri(n, dtype=bool)
     mask.setflags(write=False)
     return mask
+
+
+@lru_cache(maxsize=32)
+def _dsytrf_lwork(n: int) -> int:
+    """LAPACK's optimal ``dsytrf`` workspace for order n. Only with it does
+    ``dsytrf`` run its blocked Bunch-Kaufman; with SciPy's default
+    lwork = n it runs the unblocked one."""
+    from scipy.linalg import lapack
+
+    return int(lapack.dsytrf_lwork(n, lower=1)[0])
 
 
 def _zero_own_columns(block: np.ndarray) -> np.ndarray:
@@ -261,6 +276,12 @@ def _inv_batched(M: np.ndarray, beta: float, C: float) -> np.ndarray:
     inertia is that of the block-diagonal factor (Sylvester), where every
     2x2 Bunch-Kaufman pivot has one negative eigenvalue.
 
+    ``dsytrf`` runs blocked, with the workspace of ``_dsytrf_lwork``, on
+    M.T, which is M in Fortran order, so its input copy is a plain one.
+    The inertia is read from the factor's pivot diagonal before ``dsytri``
+    overwrites the factor with the lower triangle of P in place; block
+    copies then mirror that triangle, and the C-ordered P.T serves as P.
+
     Returns a new N x 2N block of alphas, zero at the own columns. Raises
     ``SingularInstanceError`` naming the first anchor whose D_k is not
     positive definite, or M when it is singular to working precision.
@@ -269,10 +290,17 @@ def _inv_batched(M: np.ndarray, beta: float, C: float) -> np.ndarray:
     N = M.shape[0] // 2
     if not np.all(np.isfinite(M)):
         return _zero_own_columns(np.full((N, 2 * N), np.nan))
-    ldu, ipiv, info = lapack.dsytrf(M, lower=1)
+    from scipy.linalg import lapack
+
+    P, ipiv, info = lapack.dsytrf(M.T, lower=1, lwork=_dsytrf_lwork(2 * N))
     if info == 0:
-        P, info = lapack.dsytri(ldu, ipiv, lower=1)
-        P = np.where(_lower_mask(2 * N), P, P.T)
+        # the inertia of M, before dsytri overwrites the pivots
+        n_neg_M = np.count_nonzero(P.diagonal()[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2
+        P, info = lapack.dsytri(P, ipiv, lower=1, overwrite_a=1)
+        P[:N, N:] = P[N:, :N].T
+        for half in (P[:N, :N], P[N:, N:]):
+            np.copyto(half, half.T, where=_upper_mask(N))
+        P = P.T
     # singular to working precision: 1-norm condition number >= 1 / (2N eps)
     if info != 0 or not (2 * N * np.finfo(np.float64).eps * np.max(np.sum(np.abs(M), axis=0))
                          * np.max(np.sum(np.abs(P), axis=0)) < 1.0):
@@ -298,7 +326,6 @@ def _inv_batched(M: np.ndarray, beta: float, C: float) -> np.ndarray:
         cap22 = beta - q_bb / q_det
         cap_det = cap11 * cap22 - cap12 * cap12
 
-        n_neg_M = np.count_nonzero(np.diag(ldu)[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2
         n_neg = (n_neg_M - _count_signs(q_det, q_aa + q_bb, -1)
                  + _count_signs(cap_det, cap11 + cap22, 1) - 1)
         definite = (n_neg == 0) & (q_det != 0) & (cap_det != 0) & np.isfinite(cap_det)

@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .kernels import KernelSpec, gram
 
@@ -180,6 +179,10 @@ def _cholesky(inst: SvmInstance):
     """The Cholesky factor of D, the verdict of every per-anchor solver:
     raises ``SingularInstanceError`` when D is not positive definite. A
     non-finite D is not judged, and its factor is NaN."""
+    # imported here, so that ``import mmcl`` and InfoNCE training, which
+    # factor nothing, do not load scipy.linalg
+    from scipy.linalg import LinAlgError, cho_factor
+
     if not np.all(np.isfinite(inst.delta)):
         return np.full(inst.delta.shape, np.nan), False
     try:
@@ -510,6 +513,8 @@ def solve_inv(inst: SvmInstance) -> DualSolution:
     """Truncated least squares: clip(2 D^{-1} 1, 0, C) via a Cholesky solve.
     Raises ``SingularInstanceError`` when D is not positive definite. A
     non-finite D gives NaN alphas, not converged."""
+    from scipy.linalg import cho_solve
+
     unconstrained = 2.0 * cho_solve(_cholesky(inst), np.ones(inst.n), check_finite=False)
     alpha = np.clip(unconstrained, 0.0, inst.C)
     return DualSolution(

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from mmcl import (KernelSpec, LossBatch, SingularInstanceError, SolverConfig, batch_loss,
                   build_instance, dual_objective, fn_correct, gram, kernel_eval, mmcl_grad,
@@ -12,7 +13,8 @@ from mmcl import config as cfgmod
 from mmcl import loss as loss_module
 from mmcl import svm as svm_module
 from mmcl.data import stream_rng
-from mmcl.loss import _dual_operator, _pgd_batched, negative_indices, resolve_step_sizes
+from mmcl.loss import (_dsytrf_lwork, _dual_operator, _pgd_batched, negative_indices,
+                       resolve_step_sizes)
 
 from helpers import (RecordingOperator, _to_block, anchor_deltas, central_diff,
                      nce_batch_loss_reference, rel_err, training_batches, unit_columns)
@@ -947,8 +949,8 @@ class TestSharedFactorizationInv:
         # raises on the same batches, naming the same anchor
         self._check_definiteness_verdict("pgd")
 
-    @staticmethod
-    def _check_definiteness_verdict(method):
+    @classmethod
+    def _check_definiteness_verdict(cls, method):
         raised = indefinite_ok = 0
         for seed in range(80):
             rng = np.random.default_rng([seed, 11])
@@ -958,22 +960,57 @@ class TestSharedFactorizationInv:
                               positive_gamma=bool(rng.integers(2)))
             beta = float(rng.uniform(0.05, 1.0))
             v1, v2 = unit_columns(rng, d, N), unit_columns(rng, d, N)
-            rejected = rejected_anchors(v1, v2, spec, beta)
-            if rejected:
-                with pytest.raises(SingularInstanceError, match=rf"^anchor {rejected[0]} of {N}: "):
-                    batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(), method=method)
-                raised += 1
-                continue
-            _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(max_iters=0),
-                                         method=method)
-            E = np.concatenate([v1, v2], axis=1)
-            for k, cols in enumerate(negative_indices(N)):
-                ref = solve_inv(build_instance(spec, E[:, k], E[:, cols], 3.0, beta)).alpha
-                TestBatchLoss._assert_close(alphas[k], ref, 1e-10)
-            if np.linalg.eigvalsh(gram(spec, E, E) + beta * np.eye(2 * N))[0] < 0:
-                indefinite_ok += 1
+            outcome = cls._check_verdict(v1, v2, spec, beta, method)
+            raised += outcome == "raised"
+            indefinite_ok += outcome == "indefinite_ok"
         assert raised > 0
         assert indefinite_ok > 0
+
+        # 2N > 64, where dsytrf factors by blocks. A positive slope and a
+        # negative bias make K + beta I indefinite through the near-constant
+        # part of K, which every D_k cancels. D_k is positive definite for
+        # beta above -lambda_min(D_k at beta = 0); beta splits the largest
+        # gap among the four largest of these thresholds, rejecting one to
+        # three anchors, or lies above all of them
+        for N in (48, 64):
+            for seed in range(3):
+                rng = np.random.default_rng([seed, N, 11])
+                d = int(rng.integers(2, 6))
+                spec = KernelSpec(kind="tanh", gamma=float(rng.uniform(0.2, 1.0)),
+                                  bias=float(rng.uniform(-1.0, -0.2)), positive_gamma=True)
+                v1, v2 = unit_columns(rng, d, N), unit_columns(rng, d, N)
+                top = np.sort(-np.linalg.eigvalsh(anchor_deltas(v1, v2, spec, 0.0))[:, 0])[-4:]
+                i = int(np.argmax(np.diff(top)))
+                assert cls._check_verdict(v1, v2, spec, (top[i] + top[i + 1]) / 2, method) == "raised"
+                beta = top[-1] + 0.05
+                assert cls._check_verdict(v1, v2, spec, beta, method) == "indefinite_ok"
+                # the factor has 2x2 pivots, whose negative eigenvalue the verdict counts
+                E = np.concatenate([v1, v2], axis=1)
+                ipiv = lapack.dsytrf(gram(spec, E, E) + beta * np.eye(2 * N), lower=1,
+                                     lwork=_dsytrf_lwork(2 * N))[1]
+                assert np.any(ipiv < 0)
+
+    @staticmethod
+    def _check_verdict(v1, v2, spec, beta, method):
+        """Check ``batch_loss`` against the per-anchor solvers on one batch:
+        it raises naming the first anchor they reject, or returns their
+        alphas. Returns "raised", "indefinite_ok" when it solved a batch
+        whose K + beta I is indefinite, or "ok"."""
+        N = v1.shape[1]
+        rejected = rejected_anchors(v1, v2, spec, beta)
+        if rejected:
+            with pytest.raises(SingularInstanceError, match=rf"^anchor {rejected[0]} of {N}: "):
+                batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(), method=method)
+            return "raised"
+        _, _, _, alphas = batch_loss(v1, v2, spec, 3.0, beta, SolverConfig(max_iters=0),
+                                     method=method)
+        E = np.concatenate([v1, v2], axis=1)
+        for k, cols in enumerate(negative_indices(N)):
+            ref = solve_inv(build_instance(spec, E[:, k], E[:, cols], 3.0, beta)).alpha
+            TestBatchLoss._assert_close(alphas[k], ref, 1e-10)
+        if np.linalg.eigvalsh(gram(spec, E, E) + beta * np.eye(2 * N))[0] < 0:
+            return "indefinite_ok"
+        return "ok"
 
     def test_singular_shared_matrix_raises(self):
         # beta = 0 and a repeated column make K + beta I singular; the
@@ -1054,8 +1091,11 @@ class TestSharedFactorizationInv:
     def test_inv_allocates_at_most_5_4_matrices_of_size_2N(self):
         # the (2N)^2 arrays of one inv call are K, M = K + beta I (built
         # once per batch, without an identity temporary), the LDL' factor,
-        # the inverse and its symmetrized copy; the rest is N x 2N blocks.
-        # Building M twice with np.eye temporaries peaked at 5.58
+        # which dsytri overwrites with the inverse, and the |M| or |P| of
+        # the singularity test; the rest is N x 2N blocks. A separate
+        # inverse and its symmetrized copy peaked at 5.12, and building M
+        # twice with np.eye temporaries at 5.58. The test's name keeps the
+        # bound of 5.4 it was written with
         N = 256
         rng = np.random.default_rng(N)
         v1, v2 = unit_columns(rng, 32, N), unit_columns(rng, 32, N)
@@ -1067,4 +1107,4 @@ class TestSharedFactorizationInv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.4 * (2 * N) ** 2 * 8
+        assert peak <= 4.12 * (2 * N) ** 2 * 8

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,30 @@ class TestApplySchedules:
             small_config(schedules=[(10, "lr", 1.0)])
         with pytest.raises(ValueError):
             apply_schedules(small_config(), -1)
+
+
+SCIPY_LINALG_PROBE = """
+import sys
+from mmcl import KernelSpec, SolverConfig, TrainConfig, batch_loss, init_state, make_blobs, run_epoch
+cfg = TrainConfig(batch_size=8, loss="nce", backbone_widths=(16,), head_hidden=16, out_dim=8)
+ds = make_blobs(num_classes=2, per_class=24, d=6, separation=6.0, seed=0)
+run_epoch(init_state(cfg, ds.dim), cfg, ds)
+print("scipy.linalg" in sys.modules)
+E = ds.samples[:16].T
+batch_loss(E[:, :8], E[:, 8:], KernelSpec(), 100.0, 0.1, SolverConfig(), method="inv")
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_linalg_loads_only_when_a_matrix_is_factored():
+    # InfoNCE factors no matrix, so importing mmcl and training with it
+    # does not load scipy.linalg (about 0.1 s and 27 MB); an inv batch does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_LINALG_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 class TestRunEpoch:
