@@ -19,7 +19,7 @@ those of ``nce_batch_loss``. The per-anchor functions (``mmcl_loss``,
 ``mmcl_grad``, ``nce_loss``, ``nce_grad``) are the references they are
 tested against.
 
-Every anchor's dual matrix D_k is a principal submatrix of the shared
+Every anchor's dual matrix D_k is a principal submatrix of the batch's
 2N x 2N matrix M = K + beta I plus a rank-2 term, and no batched method
 builds the (N, 2N-2, 2N-2) stack of D_k. ``inv`` factorizes M once and
 derives each clip(2 D_k^{-1} 1, 0, C) by a two-index downdate and a
@@ -30,21 +30,22 @@ methods raise ``SingularInstanceError`` on a batch where some D_k is not
 positive definite, as the per-anchor solvers of ``svm`` do on that D_k.
 The factorization is LAPACK's Bunch-Kaufman ``dsytrf``, given the
 optimal workspace it reports (queried once per size) so that it factors
-by blocks once 2N exceeds its block size, and ``dsytri`` turns the
-factor into M^{-1} in the factor's own buffer, with no separate inverse
-or symmetrized copy. scipy.linalg is imported only where a matrix is
-factored, so that ``import mmcl`` and InfoNCE training do not load it.
-``pgd`` starts every anchor at that ``inv`` solution, the paper's
-truncated least-squares approximation (the "alpha seeding" of DeCoste &
-Wagstaff 2000), and runs on every anchor at once through one operator
-(``_dual_operator``) whose product with the N x 2N block of alphas is one
-GEMM with M; each PGD step makes one such product. Its face steps, from
-the first step on, read the blocks D_k[F,F] of each anchor's binding
-free set F (the free coordinates and those at a bound whose gradient
-points into the box) from M and the rank-2 term, stacked by size, and
-search along the Newton direction on them without a further product. An
-anchor steps along its projected gradient only where it takes no face
-step, with its step from a closed-form bound on ||D_k||_2
+by blocks once 2N exceeds its block size. ``inv`` builds M in one new
+buffer, which ``dsytrf`` overwrites with the factor and ``dsytri`` with
+M^{-1}; K itself is never written, since the gradient reuses it.
+scipy.linalg is imported only where a matrix is factored, so that
+``import mmcl`` and InfoNCE training do not load it. ``pgd`` starts every
+anchor at that ``inv`` solution, the paper's truncated least-squares
+approximation (the "alpha seeding" of DeCoste & Wagstaff 2000), and runs
+on every anchor at once through one operator (``_dual_operator``) whose
+product with the N x 2N block of alphas is one GEMM with M, built again
+for it since ``inv`` overwrites its own; each PGD step makes one such
+product. Its face steps, from the first step on, read the blocks D_k[F,F]
+of each anchor's binding free set F (the free coordinates and those at a
+bound whose gradient points into the box) from M and the rank-2 term,
+stacked by size, and search along the Newton direction on them without a
+further product. An anchor steps along its projected gradient only where
+it takes no face step, with its step from a closed-form bound on ||D_k||_2
 (``resolve_step_sizes``), computed for the batch the first time such a
 step is taken; on recorded N = 32 training batches face steps take every
 step and the bound is never computed. Nothing in this module assembles a
@@ -178,6 +179,16 @@ def negative_indices(N: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=32)
+def _negative_flat_index(N: int) -> np.ndarray:
+    """``negative_indices(N)`` as indices into a flattened N x 2N block, so
+    that ``block.take`` gathers every anchor's alphas. The cached array is
+    read-only."""
+    flat = negative_indices(N) + 2 * N * np.arange(N)[:, None]
+    flat.setflags(write=False)
+    return flat
+
+
 def _stack_views(embeddings_view1, embeddings_view2):
     """(E, N): the two d' x N views side by side, columns 0..N-1 from view 1
     and N..2N-1 from view 2."""
@@ -210,6 +221,13 @@ def _dsytrf_lwork(n: int) -> int:
     return int(lapack.dsytrf_lwork(n, lower=1)[0])
 
 
+def _plus_beta_identity(K_full: np.ndarray, beta: float) -> np.ndarray:
+    """M = K_full + beta I as a new array, with no identity temporary."""
+    M = K_full.copy()
+    M.flat[::len(M) + 1] += beta
+    return M
+
+
 def _zero_own_columns(block: np.ndarray) -> np.ndarray:
     """Zero every anchor k's own columns k and N+k of the N x 2N ``block``
     in place, and return it."""
@@ -223,10 +241,11 @@ def _dual_operator(K_full: np.ndarray, M: np.ndarray):
     """Every anchor's D_k as one ``svm._pgd_batched`` operator on an N x 2N
     block of alphas whose row k is zero at anchor k's own columns k and N+k.
 
-    With M = K_full + beta I, shared with ``_inv_batched``, and R anchor
-    k's negatives, D_k a = M[R,R] a + (1'a)(k_xx - K[k,R]) - (K[k,R]'a) 1,
-    and one GEMM Q = A M holds M[R,R] a at row k's columns R and K[k,R]'a
-    at Q[k,k], in O(N^3) time and O(N^2) memory. Returns ``(matvec,
+    With M = K_full + beta I, which the caller builds and the operator
+    only reads, and R anchor k's negatives,
+    D_k a = M[R,R] a + (1'a)(k_xx - K[k,R]) - (K[k,R]'a) 1, and one GEMM
+    Q = A M holds M[R,R] a at row k's columns R and K[k,R]'a at Q[k,k],
+    in O(N^3) time and O(N^2) memory. Returns ``(matvec,
     gather)``; the face-block gather takes D_k[i,j] = M[i,j] + H[k,i] +
     H[k,j] with H[k,i] = k_xx / 2 - K[k,i], for block columns i, j in R.
     """
@@ -257,9 +276,10 @@ def _count_signs(det, trace, sign):
     return (det < 0) + 2 * ((det > 0) & (sign * trace > 0))
 
 
-def _inv_batched(M: np.ndarray, beta: float, C: float) -> np.ndarray:
+def _inv_batched(K_full: np.ndarray, beta: float, C: float) -> np.ndarray:
     """clip(2 D_k^{-1} 1, 0, C) for every anchor k from one LDL' factorization
-    of the batch's M = K + beta I, once every D_k is known positive definite.
+    of the batch's M = K_full + beta I, once every D_k is known positive
+    definite.
 
     Anchor k's dual matrix is a principal submatrix of M plus a rank-2
     term: D_k = M[R,R] + U W U' with S = {k, N+k}, R the other indices,
@@ -276,23 +296,28 @@ def _inv_batched(M: np.ndarray, beta: float, C: float) -> np.ndarray:
     inertia is that of the block-diagonal factor (Sylvester), where every
     2x2 Bunch-Kaufman pivot has one negative eigenvalue.
 
-    ``dsytrf`` runs blocked, with the workspace of ``_dsytrf_lwork``, on
-    M.T, which is M in Fortran order, so its input copy is a plain one.
-    The inertia is read from the factor's pivot diagonal before ``dsytri``
-    overwrites the factor with the lower triangle of P in place; block
-    copies then mirror that triangle, and the C-ordered P.T serves as P.
+    M is built here as one new array, and K_full is never written. Its
+    1-norm for the singularity test is taken first; then ``dsytrf`` runs
+    blocked, with the workspace of ``_dsytrf_lwork``, on M.T, which is M
+    in Fortran order, so that with ``overwrite_a`` it factors M's own
+    buffer without a copy. The inertia is read from the factor's pivot
+    diagonal before ``dsytri`` overwrites the factor, in the same buffer,
+    with the lower triangle of P; block copies then mirror that triangle,
+    and the C-ordered P.T serves as P.
 
     Returns a new N x 2N block of alphas, zero at the own columns. Raises
     ``SingularInstanceError`` naming the first anchor whose D_k is not
     positive definite, or M when it is singular to working precision.
     Non-finite kernel values give NaN alphas and reject no anchor.
     """
-    N = M.shape[0] // 2
+    N = K_full.shape[0] // 2
+    M = _plus_beta_identity(K_full, beta)
     if not np.all(np.isfinite(M)):
         return _zero_own_columns(np.full((N, 2 * N), np.nan))
     from scipy.linalg import lapack
 
-    P, ipiv, info = lapack.dsytrf(M.T, lower=1, lwork=_dsytrf_lwork(2 * N))
+    norm_M = np.max(np.sum(np.abs(M), axis=0))
+    P, ipiv, info = lapack.dsytrf(M.T, lower=1, lwork=_dsytrf_lwork(2 * N), overwrite_a=1)
     if info == 0:
         # the inertia of M, before dsytri overwrites the pivots
         n_neg_M = np.count_nonzero(P.diagonal()[ipiv > 0] < 0) + np.count_nonzero(ipiv < 0) // 2
@@ -302,7 +327,7 @@ def _inv_batched(M: np.ndarray, beta: float, C: float) -> np.ndarray:
             np.copyto(half, half.T, where=_upper_mask(N))
         P = P.T
     # singular to working precision: 1-norm condition number >= 1 / (2N eps)
-    if info != 0 or not (2 * N * np.finfo(np.float64).eps * np.max(np.sum(np.abs(M), axis=0))
+    if info != 0 or not (2 * N * np.finfo(np.float64).eps * norm_M
                          * np.max(np.sum(np.abs(P), axis=0)) < 1.0):
         raise SingularInstanceError(
             f"K + beta I of the batch of {N} is singular (beta = {beta}), "
@@ -416,16 +441,19 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
 
     ``method`` picks the dual solver, one of the paper's two: ``inv`` takes
     every anchor's clip(2 D_k^{-1} 1, 0, C) from one factorization of the
-    2N x 2N matrix K + beta I (see ``_inv_batched``), and ``pgd`` runs one
-    batched PGD over every anchor's dual through ``_dual_operator`` (see
-    ``svm._pgd_batched`` for its face steps and convergence rule). ``pgd``
-    starts each anchor at its ``inv`` solution, which ``max_iters = 0``
-    returns. Each step is a face step where one is accepted and a
-    projected-gradient step otherwise, of length ``solver.step_size``, or
-    for "auto" 1 / a closed-form bound on each ||D_k||_2 (see
-    ``resolve_step_sizes``), computed only on the first step that needs
-    it. Non-finite embeddings give NaN alphas. Both methods cost O(N^2)
-    memory, and O(N^3) time per ``inv`` call or per PGD step.
+    2N x 2N matrix K + beta I, made and inverted in one buffer of its own
+    (see ``_inv_batched``), and ``pgd`` runs one batched PGD over every
+    anchor's dual through ``_dual_operator``, on a K + beta I built for it
+    (see ``svm._pgd_batched`` for its face steps and convergence rule).
+    The Gram matrix K is computed once and reused, unwritten, for the
+    gradient. ``pgd`` starts each anchor at its ``inv`` solution, which
+    ``max_iters = 0`` returns. Each step is a face step where one is
+    accepted and a projected-gradient step otherwise, of length
+    ``solver.step_size``, or for "auto" 1 / a closed-form bound on each
+    ||D_k||_2 (see ``resolve_step_sizes``), computed only on the first
+    step that needs it. Non-finite embeddings give NaN alphas. Both
+    methods cost O(N^2) memory, and O(N^3) time per ``inv`` call or per
+    PGD step.
 
     Any other ``method`` raises ValueError; the exact per-anchor
     ``svm.solve_oracle`` is a reference, not a batch method. Both methods
@@ -446,18 +474,16 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
         raise ValueError(f"unknown solver method {method!r}: batch_loss solves with 'pgd' or 'inv'")
     _check_C_beta(C, beta)
     K_full = gram(spec, E, E)
-    M = K_full.copy()
-    M.flat[::2 * N + 1] += beta
-    block = _inv_batched(M, beta, C)
+    block = _inv_batched(K_full, beta, C)
     if method == "pgd":
-        matvec, gather = _dual_operator(K_full, M)
+        matvec, gather = _dual_operator(K_full, _plus_beta_identity(K_full, beta))
         block, _, _ = _pgd_batched(
             matvec, gather, _zero_own_columns(np.full((N, 2 * N), 2.0)), C,
             lambda: resolve_step_sizes(K_full, beta, solver.step_size), block,
             solver.max_iters, solver.tol, solver.nesterov)
     if fn_correction:
         block = fn_correct(block, C)
-    alphas = np.take_along_axis(block, negative_indices(N), axis=1)
+    alphas = block.take(_negative_flat_index(N))
     np.fill_diagonal(block, -np.sum(alphas, axis=1))
     total, d_E = _accumulate_anchor_terms(spec, E, K_full, block)
     return total, d_E[:, :N], d_E[:, N:], alphas

@@ -13,8 +13,8 @@ from mmcl import config as cfgmod
 from mmcl import loss as loss_module
 from mmcl import svm as svm_module
 from mmcl.data import stream_rng
-from mmcl.loss import (_dsytrf_lwork, _dual_operator, _pgd_batched, negative_indices,
-                       resolve_step_sizes)
+from mmcl.loss import (_dsytrf_lwork, _dual_operator, _inv_batched, _negative_flat_index,
+                       _pgd_batched, negative_indices, resolve_step_sizes)
 
 from helpers import (RecordingOperator, _to_block, anchor_deltas, central_diff,
                      nce_batch_loss_reference, rel_err, training_batches, unit_columns)
@@ -238,6 +238,11 @@ class TestBatchLoss:
         for k, cols in enumerate(idx):
             others = [j for j in range(N) if j != k]
             assert cols.tolist() == others + [N + j for j in others]
+        # the same order as a cached, read-only index into a flat N x 2N block
+        flat = _negative_flat_index(N)
+        assert not flat.flags.writeable and _negative_flat_index(N) is flat
+        block = np.random.default_rng(N).standard_normal((N, 2 * N))
+        assert np.array_equal(block.take(flat), np.take_along_axis(block, idx, axis=1))
 
     def test_rejects_tiny_batch(self):
         rng = np.random.default_rng(0)
@@ -1066,6 +1071,31 @@ class TestSharedFactorizationInv:
         total, _, _, alphas = batch_loss(v1, v2, KernelSpec(), 3.0, 0.1, SolverConfig(), method="inv")
         assert np.all(np.isnan(alphas)) and math.isnan(total)
 
+    def test_inv_never_writes_the_kernel_matrix(self):
+        # LAPACK factors and inverts a buffer of its own, so that batch_loss
+        # can reuse K for the gradient: K stays bit-equal on a solved batch,
+        # a rejected tanh batch, a singular K + beta I and a non-finite K
+        rng = np.random.default_rng(14)
+        v1, v2 = unit_columns(rng, 6, 16), unit_columns(rng, 6, 16)
+        singular = v2.copy()
+        singular[:, 3] = v1[:, 1]
+        nan = v1.copy()
+        nan[0, 2] = np.nan
+        cases = [(KernelSpec(kind="rbf"), v1, v2, 0.1, None),
+                 (KernelSpec(kind="tanh"), v1, v2, 0.5, r"^anchor 0 of 16: D is not"),
+                 (KernelSpec(kind="rbf"), v1, singular, 0.0, r"^K \+ beta I of the batch of 16 "),
+                 (KernelSpec(kind="rbf"), nan, v2, 0.1, None)]
+        for spec, a, b, beta, message in cases:
+            E = np.concatenate([a, b], axis=1)
+            K = gram(spec, E, E)
+            before = K.copy()
+            if message is None:
+                _inv_batched(K, beta, 3.0)
+            else:
+                with pytest.raises(SingularInstanceError, match=message):
+                    _inv_batched(K, beta, 3.0)
+            assert np.array_equal(K, before, equal_nan=True)
+
     @pytest.mark.parametrize("method,max_iters", [("inv", 5), ("pgd", 5), ("pgd", 40)],
                              ids=["inv", "pgd", "pgd-face-steps"])
     def test_allocation_stays_quadratic(self, method, max_iters):
@@ -1089,13 +1119,13 @@ class TestSharedFactorizationInv:
         assert peaks[256] < 6 * peaks[128]
 
     def test_inv_allocates_at_most_5_4_matrices_of_size_2N(self):
-        # the (2N)^2 arrays of one inv call are K, M = K + beta I (built
-        # once per batch, without an identity temporary), the LDL' factor,
-        # which dsytri overwrites with the inverse, and the |M| or |P| of
-        # the singularity test; the rest is N x 2N blocks. A separate
-        # inverse and its symmetrized copy peaked at 5.12, and building M
-        # twice with np.eye temporaries at 5.58. The test's name keeps the
-        # bound of 5.4 it was written with
+        # the (2N)^2 arrays of one inv call are K, the one buffer that holds
+        # M = K + beta I and that dsytrf factors and dsytri inverts in place,
+        # and the |M| or |P| of the singularity test; the rest is N x 2N
+        # blocks. A copy of M for LAPACK's input peaked at 4.12, a separate
+        # inverse and its symmetrized copy at 5.12, and building M twice
+        # with np.eye temporaries at 5.58. The test's name keeps the bound
+        # of 5.4 it was written with
         N = 256
         rng = np.random.default_rng(N)
         v1, v2 = unit_columns(rng, 32, N), unit_columns(rng, 32, N)
@@ -1107,4 +1137,4 @@ class TestSharedFactorizationInv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.12 * (2 * N) ** 2 * 8
+        assert peak <= 3.15 * (2 * N) ** 2 * 8
