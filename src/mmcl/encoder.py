@@ -130,11 +130,15 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
 
 
 def forward_features(params: EncoderParams, X) -> np.ndarray:
-    """Backbone output (pre-head features), the default evaluation surface."""
+    """Backbone output (pre-head features), the default evaluation surface.
+    Each layer makes one array, its product W @ H, and adds the bias and
+    applies the ReLU in place, as ``forward`` does."""
     X = np.asarray(X, dtype=np.float64)
     H = X
     for W, b in params.layers:
-        H = np.maximum(W @ H + b[:, None], 0.0)
+        H = W @ H
+        H += b[:, None]
+        np.maximum(H, 0.0, out=H)
     return H
 
 

@@ -88,12 +88,12 @@ class TrainConfig:
         if self.eval_features not in ("backbone", "head"):
             raise ValueError(f"eval_features must be 'backbone' or 'head', got {self.eval_features!r}")
         _check_C_beta(self.C, self.beta)
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
-        if not self.lr >= 0:
-            raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be nonnegative and finite, got {self.lr}")
         for key, width in (*(("model.backbone_widths", w) for w in self.backbone_widths),
                            ("model.head_hidden", self.head_hidden), ("model.out_dim", self.out_dim)):
             if width < 1:
@@ -116,8 +116,8 @@ class TrainConfig:
             raise ValueError(f"eval.k must be >= 1, got {self.eval_k}")
         if self.probe_epochs < 1:
             raise ValueError(f"eval.probe_epochs must be >= 1, got {self.probe_epochs}")
-        if not self.probe_lr > 0:
-            raise ValueError(f"eval.probe_lr must be positive, got {self.probe_lr}")
+        if not 0 < self.probe_lr < math.inf:
+            raise ValueError(f"eval.probe_lr must be positive and finite, got {self.probe_lr}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"eval.test_fraction must be in (0, 1), got {self.test_fraction}")
 

@@ -1,6 +1,6 @@
 """Shared test utilities: finite differences, random instance builders,
 recorded training batches, reference solver steps, the reference encoder
-and InfoNCE passes, and reference readouts."""
+and InfoNCE passes, and reference readouts and probe fits."""
 
 import warnings
 from types import SimpleNamespace
@@ -279,3 +279,76 @@ def linear_probe_reference(train_emb, train_labels, epochs, lr):
         W -= lr * (X.T @ err)
         b -= lr * err.sum(axis=0)
     return W, b
+
+
+def forward_features_reference(params, X):
+    """Reference for ``encoder.forward_features``: a fresh array for the
+    product, the bias sum and the ReLU of every layer."""
+    H = np.asarray(X, dtype=np.float64)
+    for W, b in params.layers:
+        H = np.maximum(W @ H + b[:, None], 0.0)
+    return H
+
+
+def knn_readout_negated_product(train_emb, train_labels, test_emb, test_labels, k):
+    """Reference for ``evaluate.knn_readout``: the same vote, on the
+    n_test x n_train similarity product negated in place after the GEMM."""
+    train_emb = np.asarray(train_emb, dtype=np.float64)
+    test_emb = np.asarray(test_emb, dtype=np.float64)
+    train_labels = np.asarray(train_labels, dtype=np.int64)
+    test_labels = np.asarray(test_labels, dtype=np.int64)
+    n_train, n_test = train_emb.shape[0], test_emb.shape[0]
+    if k > n_train:
+        warnings.warn(f"k={k} exceeds train size {n_train}; clipping", stacklevel=2)
+        k = n_train
+
+    def normalize(X):
+        return X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+
+    neg_sims = normalize(test_emb) @ normalize(train_emb).T
+    np.negative(neg_sims, out=neg_sims)
+    num_classes = int(train_labels.max()) + 1
+    top = np.argpartition(neg_sims, kth=k - 1, axis=1)[:, :k]
+    top_sims = np.take_along_axis(neg_sims, top, axis=1)
+    cut = np.nonzero(np.count_nonzero(neg_sims <= top_sims.max(axis=1, keepdims=True), axis=1) > k)[0]
+    if cut.size:
+        top[cut] = np.argsort(neg_sims[cut], axis=1, kind="stable")[:, :k]
+        top_sims[cut] = np.take_along_axis(neg_sims[cut], top[cut], axis=1)
+    bins = train_labels[top]
+    bins += num_classes * np.arange(n_test)[:, None]
+    size = n_test * num_classes
+    votes = np.bincount(bins.ravel(), minlength=size).reshape(n_test, num_classes)
+    sim_sums = -np.bincount(bins.ravel(), weights=top_sims.ravel(),
+                            minlength=size).reshape(n_test, num_classes)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    preds = np.argmax(np.where(tied, sim_sums, -np.inf), axis=1)
+    return int(np.count_nonzero(preds == test_labels)) / n_test
+
+
+def fit_linear_probe_allocating(train_emb, train_labels, epochs, lr):
+    """Reference for ``evaluate.fit_linear_probe``: the same class-major
+    steps, each making a fresh weight step and transposed-features view and
+    scaling by lr / n recomputed. Returns (W (d x c), b (c,))."""
+    X = np.asarray(train_emb, dtype=np.float64)
+    y = np.asarray(train_labels, dtype=np.int64)
+    num_classes = int(y.max()) + 1
+    n, d = X.shape
+    Xa = np.empty((d + 1, n))
+    Xa[:d] = X.T
+    Xa[d] = 1.0
+    onehot = np.zeros((num_classes, n))
+    onehot[y, np.arange(n)] = 1.0
+    Wb = np.zeros((num_classes, d + 1))
+    logits = np.empty((num_classes, n))
+    peak = np.empty(n)
+    total = np.empty(n)
+    for _ in range(epochs):
+        np.matmul(Wb, Xa, out=logits)
+        np.max(logits, axis=0, out=peak)
+        logits -= peak
+        np.exp(logits, out=logits)
+        np.sum(logits, axis=0, out=total)
+        logits /= total
+        logits -= onehot
+        Wb -= (lr / n) * (logits @ Xa.T)
+    return Wb[:, :d].T, Wb[:, d]

@@ -70,7 +70,8 @@ class TestTrainCommand:
         ("C", -1.0), ("beta", -1.0), ("temperature", 0.0), ("eval_every", -1), ("lr", -1.0),
         ("model.backbone_widths", "8,0"), ("model.head_hidden", 0), ("model.out_dim", 0),
         ("schedules", "2:C:-1"), ("schedules", "2:sigma_sq:-1"), ("beta", "nan"),
-        ("kernel.sigma_sq", "inf"), ("schedules", "2:sigma_sq:inf"), ("batch_size", 64)])
+        ("kernel.sigma_sq", "inf"), ("schedules", "2:sigma_sq:inf"), ("batch_size", 64),
+        ("eval.probe_lr", "inf"), ("lr", "inf"), ("temperature", "inf")])
     def test_unusable_eval_setting_exits_2_before_training(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "blobs.cfg"
         write_blobs_config(cfg, tmp_path, **{"eval_every": 1, "epochs": 3, key: value})
@@ -78,6 +79,20 @@ class TestTrainCommand:
         assert code == 2
         assert key in err
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_infinite_probe_lr_exits_2_on_default_config(self, tmp_path, capsys):
+        # a probe fitted at an infinite rate has NaN weights; the run stops
+        # before its first epoch, naming the key, and writes nothing
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg),
+                                 "--set", "eval_every=1", "--set", "eval.probe_lr=inf",
+                                 "--set", "eval.probe_epochs=20", "--set", "epochs=2",
+                                 "--set", f"out.metrics={tmp_path / 'metrics.csv'}",
+                                 "--set", f"out.checkpoint={tmp_path / 'model.ckpt'}")
+        assert code == 2
+        assert "eval.probe_lr must be positive and finite, got inf" in err
+        assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.ckpt").exists()
 
     def test_one_class_dataset_with_evaluation_exits_2_before_training(self, tmp_path, capsys):
         # the linear probe needs 2 classes: the run stops before its first

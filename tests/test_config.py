@@ -129,7 +129,9 @@ class TestBuilders:
 
     @pytest.mark.parametrize("key,value", [
         ("eval.test_fraction", "1"), ("eval.test_fraction", "1.5"), ("eval.test_fraction", "0"),
-        ("eval.probe_epochs", "0"), ("eval.k", "0"), ("eval.probe_lr", "0")])
+        ("eval.probe_epochs", "0"), ("eval.k", "0"), ("eval.probe_lr", "0"),
+        ("eval.probe_lr", "inf"), ("eval.probe_lr", "nan"), ("lr", "inf"), ("lr", "nan"),
+        ("temperature", "inf"), ("temperature", "nan")])
     def test_unusable_eval_setting_is_config_error_naming_it(self, key, value):
         cfg = parse_config_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=re.escape(key)):

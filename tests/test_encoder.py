@@ -9,7 +9,8 @@ from mmcl import (AdamState, EncoderParams, KernelSpec, LossBatch, StaleTapeErro
                   save_params)
 from mmcl.encoder import zero_grads
 
-from helpers import backward_reference, forward_reference, rel_err, unit_columns
+from helpers import (backward_reference, forward_features_reference, forward_reference, rel_err,
+                     unit_columns)
 
 
 def tiny_params(seed=0, in_dim=3, widths=(5, 4), head_hidden=4, out_dim=3):
@@ -190,6 +191,21 @@ class TestAgainstReference:
         grads = backward(params, tape, dE)
         for (gW, gb), (rW, rb) in zip(grads, backward_reference(params, tape_ref, dE)):
             assert np.array_equal(gW, rW) and np.array_equal(gb, rb)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_features_bit_for_bit(self, seed):
+        # 2048 columns of the default backbone, column-major as evaluation
+        # passes samples.T, with a zero column against a zero first bias
+        params = init_params(16, (64, 64), 64, 32, seed=seed)
+        W0, _ = params.layers[0]
+        params.layers[0] = (W0, np.zeros(W0.shape[0]))
+        X = np.random.default_rng(seed).standard_normal((2048, 16)).T
+        X[:, 0] = 0.0
+        X_before = X.copy()
+        F = forward_features(params, X)
+        assert F.shape == (64, 2048)
+        assert np.array_equal(F, forward_features_reference(params, X))
+        assert np.array_equal(X, X_before) and not np.shares_memory(F, X)
 
     def test_caller_arrays_not_written(self):
         params, X, dE = self._case(3)

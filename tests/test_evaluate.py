@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import knn_readout_reference, linear_probe_reference
+from helpers import (fit_linear_probe_allocating, knn_readout_negated_product,
+                     knn_readout_reference, linear_probe_reference)
 from mmcl import config as cfgmod
 from mmcl import fit_linear_probe, knn_readout, linear_probe, train
 from mmcl.training import eval_embeddings, evaluation_split, held_out_accuracies
@@ -79,11 +80,12 @@ class TestKnnReadout:
             knn_readout(np.zeros((0, 2)), np.zeros(0), np.ones((1, 2)), np.ones(1), k=1)
 
     @staticmethod
-    def _accuracies(train, train_labels, test, test_labels, k):
-        """``knn_readout``'s and the per-row loop's accuracies, checking that
-        each warns about clipping exactly when k exceeds the train set."""
+    def _accuracies(train, train_labels, test, test_labels, k, reference=knn_readout_reference):
+        """``knn_readout``'s and ``reference``'s (by default the per-row
+        loop's) accuracies, checking that each warns about clipping exactly
+        when k exceeds the train set."""
         accs = []
-        for readout in (knn_readout, knn_readout_reference):
+        for readout in (knn_readout, reference):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 accs.append(readout(train, train_labels, test, test_labels, k))
@@ -135,6 +137,39 @@ class TestKnnReadout:
         assert vote_ties > 100
         assert boundary_ties > 100 or k > 14
 
+    @pytest.mark.parametrize("k", [1, 5, 200])
+    def test_bit_identical_to_negated_product_on_random_inputs(self, k):
+        # evaluation-sized sets (410 train rows of 64 features, as pgd_b32
+        # evaluates) and small ones, some with fewer train rows than k
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n_train, n_test, d = (410, 102, 64) if seed < 4 else (int(rng.integers(3, 60)), 11, 5)
+            train, test = rng.standard_normal((n_train, d)), rng.standard_normal((n_test, d))
+            train_labels, test_labels = rng.integers(0, 4, n_train), rng.integers(0, 4, n_test)
+            fast, ref = self._accuracies(train, train_labels, test, test_labels, k,
+                                         knn_readout_negated_product)
+            assert fast == ref, seed
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_bit_identical_to_negated_product_on_integer_grid(self, k):
+        # entries in {-1, 0, 1}: exact similarity ties at the k-th place,
+        # similarities of exactly 0 and vote ties
+        boundary_ties = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n_train = int(rng.integers(4, 30))
+            train = rng.integers(-1, 2, (n_train, 3)).astype(float)
+            test = rng.integers(-1, 2, (9, 3)).astype(float)
+            train_labels, test_labels = rng.integers(0, 3, n_train), rng.integers(0, 3, 9)
+            fast, ref = self._accuracies(train, train_labels, test, test_labels, k,
+                                         knn_readout_negated_product)
+            assert fast == ref, seed
+            if k < n_train:
+                unit = train / np.maximum(np.linalg.norm(train, axis=1, keepdims=True), 1e-12)
+                sims = -np.sort(-(test @ unit.T), axis=1)
+                boundary_ties += np.count_nonzero(sims[:, k - 1] == sims[:, k])
+        assert boundary_ties > 500
+
     @pytest.mark.parametrize("which", ["train", "test"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rows_rejected(self, which, value):
@@ -164,13 +199,17 @@ class TestLinearProbe:
         assert abs(acc - 0.5) <= 0.1
 
     def test_loss_decreases_monotonically_small_lr(self):
-        # the training cross-entropy of the probe fitted for e epochs, e = 0..200
+        # the training cross-entropy of the probe fitted for e epochs,
+        # e = 0..200; e = 0 is the zero start, which a fit never returns
         rng = np.random.default_rng(3)
         X = rng.standard_normal((60, 4))
         y = rng.integers(0, 3, 60)
         losses = []
         for epochs in range(201):
-            W, b = fit_linear_probe(X, y, epochs=epochs, lr=0.01)
+            if epochs == 0:
+                W, b = np.zeros((4, y.max() + 1)), np.zeros(y.max() + 1)
+            else:
+                W, b = fit_linear_probe(X, y, epochs=epochs, lr=0.01)
             logits = X @ W + b
             logits -= logits.max(axis=1, keepdims=True)
             log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
@@ -206,6 +245,41 @@ class TestLinearProbe:
         assert np.max(np.abs(b - b_ref)) <= 1e-12
         assert np.array_equal(np.argmax(X_test @ W + b, axis=1),
                               np.argmax(X_test @ W_ref + b_ref, axis=1))
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    @pytest.mark.parametrize("n", [2, 37, 410, 1638])
+    def test_bit_identical_to_allocating_steps(self, n, d):
+        # 2-7 classes present and one id below the largest absent, whose
+        # column is fitted from no sample
+        rng = np.random.default_rng(100 * n + d)
+        for present in range(2, 8):
+            absent = int(rng.integers(0, present))
+            ids = np.delete(np.arange(present + 1), absent)
+            y = ids[rng.integers(0, present, n)]
+            y[:2] = ids[[0, -1]]  # 2 classes and the largest id, also at n = 2
+            X = 2.0 * rng.standard_normal((present + 1, d))[y] + rng.standard_normal((n, d))
+            X_before = X.copy()
+            for epochs in (1, 5, 60):
+                for lr in (0.1, 0.5):
+                    W, b = fit_linear_probe(X, y, epochs=epochs, lr=lr)
+                    W_ref, b_ref = fit_linear_probe_allocating(X, y, epochs, lr)
+                    assert W.shape == (d, present + 1)
+                    assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref), (present, epochs, lr)
+            assert np.array_equal(X, X_before)
+
+    @pytest.mark.parametrize("epochs,lr,message", [
+        (0, 0.1, "epochs must be >= 1, got 0"), (-3, 0.1, "epochs must be >= 1, got -3"),
+        (10, 0.0, "lr must be positive and finite, got 0.0"),
+        (10, -0.5, "lr must be positive and finite, got -0.5"),
+        (10, np.inf, "lr must be positive and finite, got inf"),
+        (10, np.nan, "lr must be positive and finite, got nan")])
+    def test_unusable_epochs_or_lr_rejected(self, epochs, lr, message):
+        rng = np.random.default_rng(8)
+        X, y = rng.standard_normal((20, 3)), rng.integers(0, 2, 20)
+        with pytest.raises(ValueError, match=message):
+            fit_linear_probe(X, y, epochs=epochs, lr=lr)
+        with pytest.raises(ValueError, match=message):
+            linear_probe(X, y, X, y, epochs=epochs, lr=lr)
 
     @pytest.mark.parametrize("which", ["train", "test"])
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
