@@ -62,7 +62,8 @@ class Dataset:
 @dataclass(frozen=True)
 class AugmentationSpec:
     """Random cascade applied to a sample: a multiplicative scale drawn from
-    [scale_lo, scale_hi], additive Gaussian noise, then coordinate dropout."""
+    [scale_lo, scale_hi], additive Gaussian noise, then coordinate dropout.
+    Construction rejects a value no run can use, naming its ``aug.*`` key."""
 
     noise_sigma: float = 0.0
     dropout_p: float = 0.0
@@ -70,12 +71,15 @@ class AugmentationSpec:
     scale_hi: float = 1.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"aug.noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
         if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if not 0.0 < self.scale_lo <= self.scale_hi:
-            raise ValueError(f"need 0 < scale_lo <= scale_hi, got {self.scale_lo}, {self.scale_hi}")
+            raise ValueError(f"aug.dropout_p must be in [0, 1), got {self.dropout_p}")
+        if not 0.0 < self.scale_lo < math.inf:
+            raise ValueError(f"aug.scale_lo must be positive and finite, got {self.scale_lo}")
+        if not self.scale_lo <= self.scale_hi < math.inf:
+            raise ValueError(f"aug.scale_hi must be finite and >= aug.scale_lo = {self.scale_lo}, "
+                             f"got {self.scale_hi}")
 
 
 def augment_batch(spec: AugmentationSpec, X, rng: np.random.Generator) -> np.ndarray:
@@ -104,8 +108,8 @@ def make_blobs(num_classes: int, per_class: int, d: int, separation: float,
     """
     if num_classes < 1 or per_class < 1 or d < 1:
         raise ValueError("num_classes, per_class and d must all be >= 1")
-    if not separation > 0:
-        raise ValueError(f"separation must be positive, got {separation}")
+    if not 0 < separation < math.inf:
+        raise ValueError(f"data.separation must be positive and finite, got {separation}")
     if num_classes > d:
         raise ValueError(f"equidistant means need num_classes <= d, got {num_classes} > {d}")
     rng = stream_rng(seed, "blobs")
@@ -125,8 +129,8 @@ def make_moons(per_class: int, noise: float, ambient_dim: int, seed: int = 0) ->
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     if ambient_dim < 2:
         raise ValueError(f"ambient_dim must be >= 2, got {ambient_dim}")
-    if noise < 0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"data.noise must be nonnegative and finite, got {noise}")
     t = np.linspace(0.0, np.pi, per_class)
     upper = np.stack([np.cos(t), np.sin(t)], axis=1)
     lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)

@@ -15,12 +15,16 @@ Checkpoint format (documented because it is a stable external surface):
     for each layer, in order:
         weight matrix, row-major little-endian float64 (out_dim * in_dim)
         bias vector, little-endian float64 (out_dim)
+
+The weights and biases, in this order, are the one vector
+``EncoderParams.flat`` in which the parameters live; a gradient and each
+Adam moment are vectors of the same layout.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,31 +39,65 @@ class StaleTapeError(RuntimeError):
     being differentiated."""
 
 
-@dataclass
 class EncoderParams:
-    """Backbone and projection-head weights; ``layers`` and ``head`` are
-    lists of (weight, bias) pairs."""
+    """Backbone and projection-head weights in one contiguous float64
+    vector, ``flat``, in checkpoint order: each layer's weight (row-major),
+    then its bias, backbone first. ``layers`` and ``head`` are tuples of
+    (weight, bias) views into ``flat``, so a write through a view writes
+    the vector. ``adam_step`` updates ``flat`` in place and bumps
+    ``version``, which a tape records, so a tape made before a step is
+    stale. Construction from (weight, bias) pairs copies them."""
 
-    layers: list
-    head: list
-
-    def __post_init__(self):
-        expected_in = None
-        for W, b in self.layers + self.head:
+    def __init__(self, layers, head):
+        pairs = [(np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                 for W, b in [*layers, *head]]
+        for W, b in pairs:
             if W.ndim != 2 or b.shape != (W.shape[0],):
                 raise ValueError(f"bad layer shapes W {W.shape}, b {b.shape}")
-            if expected_in is not None and W.shape[1] != expected_in:
-                raise ValueError(f"layer shapes do not chain: expected in={expected_in}, got {W.shape}")
-            expected_in = W.shape[0]
-        if len(self.head) != 2:
-            raise ValueError(f"projection head must have exactly 2 layers, got {len(self.head)}")
+        flat = np.concatenate([a.ravel() for pair in pairs for a in pair])
+        self._bind(flat, [W.shape for W, _ in pairs], len(layers))
 
-    def all_layers(self) -> list:
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes, n_backbone: int) -> "EncoderParams":
+        """Parameters held in ``flat`` itself (not a copy), whose layers
+        have the (out_dim, in_dim) ``shapes``, backbone first."""
+        params = cls.__new__(cls)
+        params._bind(flat, shapes, n_backbone)
+        return params
+
+    def _bind(self, flat, shapes, n_backbone):
+        self.shapes = tuple(shapes)
+        expected_in = None
+        for shape in self.shapes:
+            if expected_in is not None and shape[1] != expected_in:
+                raise ValueError(f"layer shapes do not chain: expected in={expected_in}, got {shape}")
+            expected_in = shape[0]
+        if len(self.shapes) - n_backbone != 2:
+            raise ValueError(f"projection head must have exactly 2 layers, got {len(self.shapes) - n_backbone}")
+        self.flat = flat
+        self.version = 0
+        views = self.layer_views(flat)
+        self.layers, self.head = tuple(views[:n_backbone]), tuple(views[n_backbone:])
+
+    def layer_views(self, vector: np.ndarray) -> list:
+        """(weight, bias) views of ``vector``, laid out as ``flat``: the
+        per-layer form of a gradient or an Adam moment."""
+        views, start = [], 0
+        for out_dim, in_dim in self.shapes:
+            mid = start + out_dim * in_dim
+            views.append((vector[start:mid].reshape(out_dim, in_dim), vector[mid:mid + out_dim]))
+            start = mid + out_dim
+        return views
+
+    def all_layers(self) -> tuple:
         return self.layers + self.head
+
+    def copy(self) -> "EncoderParams":
+        return EncoderParams.from_flat(self.flat.copy(), self.shapes, len(self.layers))
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0][0].shape[1] if self.layers else self.head[0][0].shape[1]
+        return self.shapes[0][1]
 
 
 @dataclass
@@ -67,23 +105,33 @@ class ForwardTape:
     """What ``backward`` needs of one forward pass: each layer's input (the
     batch, then every hidden layer's ReLU output, from which ``backward``
     reads the ReLU masks, since relu(v) > 0 exactly where v > 0), the
-    last layer's output before normalization, and its column norms."""
+    last layer's output before normalization, and its column norms; and
+    the parameters and their ``version`` at the time of the pass."""
 
     inputs: list
     pre_norm: np.ndarray
     norms: np.ndarray
     params_ref: object = field(repr=False, default=None)
+    version: int = field(repr=False, default=0)
 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam's first and second moments, each one vector laid out as
+    ``EncoderParams.flat``, and its settings. ``scratch`` holds the two
+    work vectors of a step, so that a step makes no parameter-sized array."""
+
+    m: np.ndarray
+    v: np.ndarray
     lr: float
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.m.size))
 
 
 def _init_layer(rng, d_in: int, d_out: int):
@@ -125,7 +173,8 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
             np.maximum(H, 0.0, out=H)
     norms = np.maximum(np.linalg.norm(H, axis=0), NORM_FLOOR)
     E = H / norms[None, :]
-    tape = ForwardTape(inputs=inputs, pre_norm=H, norms=norms, params_ref=params)
+    tape = ForwardTape(inputs=inputs, pre_norm=H, norms=norms, params_ref=params,
+                       version=params.version)
     return E, tape
 
 
@@ -142,12 +191,15 @@ def forward_features(params: EncoderParams, X) -> np.ndarray:
     return H
 
 
-def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> list:
-    """Exact reverse-mode gradients for every (weight, bias) pair, given the
-    loss gradient w.r.t. the normalized embeddings. A hidden layer's ReLU
-    passes the gradient where its output on the tape is positive. Neither
-    the tape nor ``d_embeddings`` is written."""
-    if tape.params_ref is not params:
+def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> np.ndarray:
+    """Exact reverse-mode gradients of every parameter, given the loss
+    gradient w.r.t. the normalized embeddings, as one new vector laid out
+    as ``params.flat`` (``params.layer_views`` gives its per-layer form).
+    A hidden layer's ReLU passes the gradient where its output on the tape
+    is positive. Neither the tape nor ``d_embeddings`` is written. A tape
+    of other parameters, or of these before an ``adam_step``, raises
+    ``StaleTapeError``."""
+    if tape.params_ref is not params or tape.version != params.version:
         raise StaleTapeError("tape does not belong to these parameters; rerun forward")
     dE = np.asarray(d_embeddings, dtype=np.float64)
     if dE.shape != tape.pre_norm.shape:
@@ -156,61 +208,66 @@ def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> list:
     U = tape.pre_norm / tape.norms[None, :]
     dV = (dE - U * np.sum(U * dE, axis=0)[None, :]) / tape.norms[None, :]
     all_layers = params.all_layers()
-    grads = [None] * len(all_layers)
+    grads = np.empty_like(params.flat)
+    grad_views = params.layer_views(grads)
     last = len(all_layers) - 1
     for i in range(last, -1, -1):
         W, _ = all_layers[i]
+        gW, gb = grad_views[i]
         if i != last:
             dV *= tape.inputs[i + 1] > 0.0
-        grads[i] = (dV @ tape.inputs[i].T, np.sum(dV, axis=1))
+        np.matmul(dV, tape.inputs[i].T, out=gW)
+        np.add.reduce(dV, axis=1, out=gb)
         if i > 0:
             dV = W.T @ dV
     return grads
 
 
-def adam_step(params: EncoderParams, grads: list, state: AdamState):
-    """One bias-corrected Adam update; returns (new params, new state)."""
-    all_layers = params.all_layers()
-    if len(grads) != len(all_layers):
-        raise ValueError(f"expected {len(all_layers)} gradient pairs, got {len(grads)}")
+def adam_step(params: EncoderParams, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place,
+    from ``grads`` laid out as ``params.flat`` (what ``backward`` returns).
+    Every element takes m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g
+    and p = p - (lr (m / c1)) / (sqrt(v / c2) + eps), with c = 1 - b^t,
+    through the two ``state.scratch`` vectors. Bumps ``params.version``,
+    so the tapes of earlier forward passes are stale."""
+    g = np.asarray(grads, dtype=np.float64)
+    if g.shape != params.flat.shape:
+        raise ValueError(f"expected a gradient of shape {params.flat.shape}, got {g.shape}")
     t = state.step + 1
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    new_layers, new_m, new_v = [], [], []
-    for (W, b), (gW, gb), (mW, mb), (vW, vb) in zip(all_layers, grads, state.m, state.v):
-        mW = state.beta1 * mW + (1.0 - state.beta1) * gW
-        mb = state.beta1 * mb + (1.0 - state.beta1) * gb
-        vW = state.beta2 * vW + (1.0 - state.beta2) * gW * gW
-        vb = state.beta2 * vb + (1.0 - state.beta2) * gb * gb
-        W = W - state.lr * (mW / c1) / (np.sqrt(vW / c2) + state.epsilon)
-        b = b - state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.epsilon)
-        new_layers.append((W, b))
-        new_m.append((mW, mb))
-        new_v.append((vW, vb))
-    n_backbone = len(params.layers)
-    new_params = EncoderParams(layers=new_layers[:n_backbone], head=new_layers[n_backbone:])
-    return new_params, replace(state, m=new_m, v=new_v, step=t)
+    m, v, p = state.m, state.v, params.flat
+    num, den = state.scratch
+    np.multiply(m, state.beta1, out=m)
+    np.multiply(g, 1.0 - state.beta1, out=num)
+    np.add(m, num, out=m)
+    np.multiply(v, state.beta2, out=v)
+    np.multiply(g, 1.0 - state.beta2, out=num)
+    np.multiply(num, g, out=num)
+    np.add(v, num, out=v)
+    np.divide(m, c1, out=num)
+    np.multiply(num, state.lr, out=num)
+    np.divide(v, c2, out=den)
+    np.sqrt(den, out=den)
+    np.add(den, state.epsilon, out=den)
+    np.divide(num, den, out=num)
+    np.subtract(p, num, out=p)
+    state.step = t
+    params.version += 1
 
 
 def init_adam(params: EncoderParams, lr: float) -> AdamState:
     """Zero moments at learning rate ``lr``; AdamState's other defaults."""
-    return AdamState(m=zero_grads(params), v=zero_grads(params), lr=lr)
-
-
-def zero_grads(params: EncoderParams) -> list:
-    return [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.all_layers()]
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
 def save_params(params: EncoderParams, fh) -> None:
     """Write the checkpoint layout documented in the module docstring."""
-    all_layers = params.all_layers()
     fh.write(MAGIC)
     fh.write(struct.pack("<qq", len(params.layers), len(params.head)))
-    for W, _ in all_layers:
-        fh.write(struct.pack("<qq", W.shape[0], W.shape[1]))
-    for W, b in all_layers:
-        fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    for shape in params.shapes:
+        fh.write(struct.pack("<qq", *shape))
+    fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_params(fh) -> EncoderParams:
@@ -219,6 +276,7 @@ def load_params(fh) -> EncoderParams:
         raise ValueError(f"bad checkpoint magic {magic!r}, expected {MAGIC!r}")
     n_backbone, n_head = read_struct(fh, "<qq")
     shapes = [read_struct(fh, "<qq") for _ in range(n_backbone + n_head)]
-    pairs = [(read_array(fh, "<f8", (out_dim, in_dim)), read_array(fh, "<f8", (out_dim,)))
-             for out_dim, in_dim in shapes]
-    return EncoderParams(layers=pairs[:n_backbone], head=pairs[n_backbone:])
+    if any(dim < 0 for shape in shapes for dim in shape):
+        raise ValueError(f"{getattr(fh, 'name', '<stream>')}: corrupt: negative layer shape in {shapes}")
+    flat = read_array(fh, "<f8", (sum(out_dim * in_dim + out_dim for out_dim, in_dim in shapes),))
+    return EncoderParams.from_flat(flat, shapes, n_backbone)

@@ -2,7 +2,7 @@
 per-anchor SVM solves, backprop, Adam updates, and C / sigma^2 schedules.
 
 State checkpoint format: a header followed by the encoder checkpoint and
-the Adam moment buffers (same per-layer layout as the encoder weights):
+the Adam moments (each in the layout of the encoder weights):
 
     magic  b"MMTR1"
     int64  completed epochs, int64 seed
@@ -11,7 +11,8 @@ the Adam moment buffers (same per-layer layout as the encoder weights):
            (epoch, C, sigma_sq, mean_loss, knn_acc, linear_acc; NaN when
            a metric was not recorded)
     encoder checkpoint (see mmcl.encoder)
-    Adam first-moment buffers, then second-moment buffers
+    Adam first moments, then second moments, little-endian float64 (one
+    value per encoder parameter, in checkpoint order)
 """
 
 from __future__ import annotations
@@ -162,6 +163,8 @@ def check_batch_size(config: TrainConfig, dataset: Dataset) -> None:
 
 def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
     """Train one epoch in place of ``state``; returns (state, mean batch loss).
+    Each batch ends with one ``adam_step``, which updates ``state.params``
+    and ``state.adam`` in place.
 
     Shuffling and the two augmentation streams are derived from
     (config.seed, epoch index), and the dual solves are deterministic, so
@@ -201,7 +204,7 @@ def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
                 f"non-finite loss {total} at epoch {epoch}, batch {b}",
                 _abort_diagnostics(epoch, b, total, emb1, emb2, alphas))
         grads = enc.backward(state.params, tape, np.concatenate([g1, g2], axis=1))
-        state.params, state.adam = enc.adam_step(state.params, grads, state.adam)
+        enc.adam_step(state.params, grads, state.adam)
         losses.append(total)
     state.epoch = epoch + 1
     return state, float(np.mean(losses))
@@ -336,10 +339,8 @@ def save_state(state: TrainState, path) -> None:
             for row in state.history:
                 fh.write(struct.pack("<6d", *[float(v) for v in row]))
             enc.save_params(state.params, fh)
-            for buffers in (state.adam.m, state.adam.v):
-                for mW, mb in buffers:
-                    fh.write(np.ascontiguousarray(mW, dtype="<f8").tobytes())
-                    fh.write(np.ascontiguousarray(mb, dtype="<f8").tobytes())
+            for moment in (state.adam.m, state.adam.v):
+                fh.write(np.ascontiguousarray(moment, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -357,8 +358,7 @@ def load_state(path) -> TrainState:
         (n_rows,) = read_struct(fh, "<q")
         history = [read_struct(fh, "<6d") for _ in range(n_rows)]
         params = enc.load_params(fh)
-        m, v = [[(read_array(fh, "<f8", W.shape), read_array(fh, "<f8", b.shape))
-                 for W, b in params.all_layers()] for _moment in range(2)]
+        m, v = [read_array(fh, "<f8", params.flat.shape) for _moment in range(2)]
     adam = enc.AdamState(m=m, v=v, step=step, lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
     return TrainState(params=params, adam=adam, epoch=epoch, seed=seed,
                       history=[(int(r[0]),) + r[1:] for r in history])

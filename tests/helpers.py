@@ -1,17 +1,21 @@
 """Shared test utilities: finite differences, random instance builders,
 recorded training batches, reference solver steps, the reference encoder
-and InfoNCE passes, and reference readouts and probe fits."""
+and InfoNCE passes, the layer-wise backward, Adam step and state writer,
+and reference readouts and probe fits."""
 
+import struct
 import warnings
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from mmcl import KernelSpec, build_instance
 from mmcl import config as cfgmod
-from mmcl import training
-from mmcl.encoder import NORM_FLOOR
+from mmcl import encoder, training
+from mmcl.encoder import MAGIC, NORM_FLOOR, EncoderParams, StaleTapeError
 from mmcl.loss import negative_indices
+from mmcl.training import STATE_MAGIC
 
 
 def _to_block(neg_idx: np.ndarray, values) -> np.ndarray:
@@ -197,6 +201,126 @@ def backward_reference(params, tape, d_embeddings):
         if i > 0:
             dV = W.T @ dV
     return grads
+
+
+@dataclass
+class LayerwiseAdamState:
+    """Adam state of the layer-wise step: one (weight, bias) pair of
+    moment arrays per layer."""
+
+    m: list
+    v: list
+    lr: float
+    step: int = 0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+
+def layerwise_zeros(params) -> list:
+    return [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.all_layers()]
+
+
+def backward_layerwise(params, tape, d_embeddings) -> list:
+    """Reference for ``encoder.backward``: a fresh (weight, bias) gradient
+    pair per layer, from the tape of ``encoder.forward``."""
+    if tape.params_ref is not params:
+        raise StaleTapeError("tape does not belong to these parameters; rerun forward")
+    dE = np.asarray(d_embeddings, dtype=np.float64)
+    if dE.shape != tape.pre_norm.shape:
+        raise ValueError(f"gradient shape {dE.shape} does not match embeddings {tape.pre_norm.shape}")
+    # normalization Jacobian: dv = (I - u u') d / ||v||, column-wise
+    U = tape.pre_norm / tape.norms[None, :]
+    dV = (dE - U * np.sum(U * dE, axis=0)[None, :]) / tape.norms[None, :]
+    all_layers = params.all_layers()
+    grads = [None] * len(all_layers)
+    last = len(all_layers) - 1
+    for i in range(last, -1, -1):
+        W, _ = all_layers[i]
+        if i != last:
+            dV *= tape.inputs[i + 1] > 0.0
+        grads[i] = (dV @ tape.inputs[i].T, np.sum(dV, axis=1))
+        if i > 0:
+            dV = W.T @ dV
+    return grads
+
+
+def adam_step_layerwise(params, grads: list, state: LayerwiseAdamState):
+    """Reference for ``encoder.adam_step``: one bias-corrected Adam update,
+    layer by layer, in fresh arrays; returns (new params, new state)."""
+    all_layers = params.all_layers()
+    if len(grads) != len(all_layers):
+        raise ValueError(f"expected {len(all_layers)} gradient pairs, got {len(grads)}")
+    t = state.step + 1
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    new_layers, new_m, new_v = [], [], []
+    for (W, b), (gW, gb), (mW, mb), (vW, vb) in zip(all_layers, grads, state.m, state.v):
+        mW = state.beta1 * mW + (1.0 - state.beta1) * gW
+        mb = state.beta1 * mb + (1.0 - state.beta1) * gb
+        vW = state.beta2 * vW + (1.0 - state.beta2) * gW * gW
+        vb = state.beta2 * vb + (1.0 - state.beta2) * gb * gb
+        W = W - state.lr * (mW / c1) / (np.sqrt(vW / c2) + state.epsilon)
+        b = b - state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.epsilon)
+        new_layers.append((W, b))
+        new_m.append((mW, mb))
+        new_v.append((vW, vb))
+    n_backbone = len(params.layers)
+    new_params = EncoderParams(layers=new_layers[:n_backbone], head=new_layers[n_backbone:])
+    return new_params, replace(state, m=new_m, v=new_v, step=t)
+
+
+def layerwise_flat(pairs) -> np.ndarray:
+    """(weight, bias) pairs concatenated in checkpoint order."""
+    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+
+
+def write_state_layerwise(state, fh) -> None:
+    """Reference for the bytes of ``training.save_state``: the header, the
+    encoder checkpoint and the moments, each written array by array from
+    the (weight, bias) pairs of ``state.params.all_layers()`` and of
+    ``state.adam.m`` and ``state.adam.v``."""
+    fh.write(STATE_MAGIC)
+    fh.write(struct.pack("<qq", state.epoch, state.seed))
+    fh.write(struct.pack("<ddddq", state.adam.lr, state.adam.beta1,
+                         state.adam.beta2, state.adam.epsilon, state.adam.step))
+    fh.write(struct.pack("<q", len(state.history)))
+    for row in state.history:
+        fh.write(struct.pack("<6d", *[float(v) for v in row]))
+    params = state.params
+    all_layers = params.all_layers()
+    fh.write(MAGIC)
+    fh.write(struct.pack("<qq", len(params.layers), len(params.head)))
+    for W, _ in all_layers:
+        fh.write(struct.pack("<qq", W.shape[0], W.shape[1]))
+    for W, b in all_layers:
+        fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    for buffers in (state.adam.m, state.adam.v):
+        for mW, mb in buffers:
+            fh.write(np.ascontiguousarray(mW, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(mb, dtype="<f8").tobytes())
+
+
+def train_layerwise(monkeypatch, config, dataset, state):
+    """``training.train`` from ``state`` with ``encoder.backward`` and
+    ``encoder.adam_step`` replaced by the layer-wise references. Each step's
+    new parameters are copied into ``state.params`` (and its version
+    bumped), so the loop runs unchanged; the layer-wise Adam state, which
+    takes the place of ``state.adam``, is returned."""
+    adam = [LayerwiseAdamState(m=layerwise_zeros(state.params), v=layerwise_zeros(state.params),
+                               lr=state.adam.lr)]
+
+    def adam_step(params, grads, _flat_state):
+        new_params, adam[0] = adam_step_layerwise(params, grads, adam[0])
+        params.flat[...] = new_params.flat
+        params.version += 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(encoder, "backward", backward_layerwise)
+        patch.setattr(encoder, "adam_step", adam_step)
+        training.train(config, dataset, state)
+    return adam[0]
 
 
 def nce_batch_loss_reference(embeddings_view1, embeddings_view2, temperature):

@@ -94,6 +94,31 @@ class TestTrainCommand:
         assert "eval.probe_lr must be positive and finite, got inf" in err
         assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("settings,message", [
+        (["aug.noise_sigma=nan"], "aug.noise_sigma must be nonnegative and finite, got nan"),
+        (["aug.noise_sigma=inf"], "aug.noise_sigma must be nonnegative and finite, got inf"),
+        (["aug.scale_hi=inf"], "aug.scale_hi must be finite and >= aug.scale_lo = 1.0, got inf"),
+        (["aug.scale_lo=inf", "aug.scale_hi=inf"], "aug.scale_lo must be positive and finite, got inf"),
+        (["data.kind=moons", "data.noise=nan"], "data.noise must be nonnegative and finite, got nan"),
+        (["data.kind=moons", "data.noise=inf"], "data.noise must be nonnegative and finite, got inf"),
+        (["data.separation=inf"], "data.separation must be positive and finite, got inf")],
+        ids=["noise_sigma-nan", "noise_sigma-inf", "scale_hi-inf", "scale_lo-inf",
+             "moons-noise-nan", "moons-noise-inf", "blobs-separation-inf"])
+    def test_non_finite_setting_exits_2_on_default_config(self, tmp_path, capsys, settings, message):
+        # these used to train into a non-finite loss (exit 1), overflow in
+        # the augmentation's scale draw (a traceback), or stop at the
+        # generic "samples contain NaN or Inf"; each now exits 2 before the
+        # first epoch, naming its key, and writes nothing
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg), *sets,
+                               "--set", f"out.metrics={tmp_path / 'metrics.csv'}",
+                               "--set", f"out.checkpoint={tmp_path / 'model.ckpt'}")
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.ckpt").exists()
+
     def test_one_class_dataset_with_evaluation_exits_2_before_training(self, tmp_path, capsys):
         # the linear probe needs 2 classes: the run stops before its first
         # epoch, naming the class count, and writes no metrics or checkpoint

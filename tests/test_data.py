@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -62,6 +63,26 @@ class TestAugment:
             AugmentationSpec(scale_lo=0.0, scale_hi=1.0)
         with pytest.raises(ValueError):
             AugmentationSpec(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sigma", math.nan), ("noise_sigma", math.inf), ("scale_lo", math.nan),
+        ("scale_hi", math.inf), ("scale_hi", math.nan)])
+    def test_non_finite_spec_names_its_key(self, field, value):
+        with pytest.raises(ValueError, match=f"aug.{field} must be"):
+            AugmentationSpec(**{field: value})
+        if field == "scale_hi":
+            with pytest.raises(ValueError, match="aug.scale_lo must be"):
+                AugmentationSpec(scale_lo=value, scale_hi=value)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("key", ["data.separation", "data.noise"])
+def test_generators_reject_non_finite_settings(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be .* and finite, got {value}"):
+        if key == "data.separation":
+            make_blobs(2, 4, 4, separation=value)
+        else:
+            make_moons(4, noise=value, ambient_dim=2)
 
 
 class TestMakeBlobs:

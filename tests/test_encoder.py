@@ -1,4 +1,6 @@
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ from mmcl import (AdamState, EncoderParams, KernelSpec, LossBatch, StaleTapeErro
                   adam_step, backward, forward, forward_features, init_adam,
                   init_params, load_params, mmcl_grad, mmcl_loss, nce_grad, nce_loss,
                   save_params)
-from mmcl.encoder import zero_grads
 
-from helpers import (backward_reference, forward_features_reference, forward_reference, rel_err,
-                     unit_columns)
+from helpers import (LayerwiseAdamState, adam_step_layerwise, backward_layerwise,
+                     backward_reference, forward_features_reference, forward_reference,
+                     layerwise_flat, layerwise_zeros, rel_err, unit_columns)
 
 
 def tiny_params(seed=0, in_dim=3, widths=(5, 4), head_hidden=4, out_dim=3):
@@ -70,7 +72,7 @@ class TestBackward:
         X = np.random.default_rng(1).standard_normal((3, 4))
         E, tape = forward(params, X)
         grads = backward(params, tape, np.zeros_like(E))
-        assert all(not gW.any() and not gb.any() for gW, gb in grads)
+        assert grads.shape == params.flat.shape and not grads.any()
 
     def test_normalization_jacobian_hand_value(self):
         # v = (3, 4), upstream (1, 0): ((I - uu')/5) d = (0.128, -0.096)
@@ -80,16 +82,22 @@ class TestBackward:
         # the last layer's bias gradient is exactly the normalization-layer
         # gradient ((I - uu')/||v||) d
         expected = np.array([0.128, -0.096])
-        assert grads[1][1] == pytest.approx(expected, abs=1e-12)
+        assert params.layer_views(grads)[1][1] == pytest.approx(expected, abs=1e-12)
 
     def test_stale_tape_rejected(self):
+        # a tape made before an Adam step, which updates the parameters in
+        # place, is stale; so is the tape of other parameters
         params = tiny_params(2)
         X = np.zeros((3, 2))
         E, tape = forward(params, X)
         state = init_adam(params, lr=1e-3)
-        new_params, _ = adam_step(params, zero_grads(params), state)
+        adam_step(params, np.zeros_like(params.flat), state)
         with pytest.raises(StaleTapeError):
-            backward(new_params, tape, np.zeros_like(E))
+            backward(params, tape, np.zeros_like(E))
+        E, tape = forward(params, X)
+        backward(params, tape, np.zeros_like(E))
+        with pytest.raises(StaleTapeError):
+            backward(params.copy(), tape, np.zeros_like(E))
 
     def test_upstream_shape_checked(self):
         params = tiny_params(3)
@@ -143,6 +151,7 @@ class TestBackward:
     @staticmethod
     def _check_param_grads_fd(params, grads, full_loss, h=1e-5, tol=1e-4):
         layers = params.all_layers()
+        grads = params.layer_views(grads)
         for li, (W, b) in enumerate(layers):
             for arr_index, arr in enumerate((W, b)):
                 fd = np.zeros_like(arr)
@@ -170,8 +179,7 @@ class TestAgainstReference:
         # that meets a zero first-layer bias: its pre-activations are
         # exactly 0, where the ReLU must pass no gradient
         params = init_params(6, (16, 8), 8, 4, seed=seed)
-        W0, _ = params.layers[0]
-        params.layers[0] = (W0, np.zeros(W0.shape[0]))
+        params.layers[0][1][...] = 0.0
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((40, 6)).T
         X[:, 0] = 0.0
@@ -188,17 +196,17 @@ class TestAgainstReference:
             assert np.array_equal(H, H_ref)
         assert np.array_equal(tape.pre_norm, tape_ref.pre_norm)
         assert np.array_equal(tape.norms, tape_ref.norms)
-        grads = backward(params, tape, dE)
+        grads = params.layer_views(backward(params, tape, dE))
         for (gW, gb), (rW, rb) in zip(grads, backward_reference(params, tape_ref, dE)):
             assert np.array_equal(gW, rW) and np.array_equal(gb, rb)
+        assert np.array_equal(layerwise_flat(grads), layerwise_flat(backward_layerwise(params, tape, dE)))
 
     @pytest.mark.parametrize("seed", range(2))
     def test_features_bit_for_bit(self, seed):
         # 2048 columns of the default backbone, column-major as evaluation
         # passes samples.T, with a zero column against a zero first bias
         params = init_params(16, (64, 64), 64, 32, seed=seed)
-        W0, _ = params.layers[0]
-        params.layers[0] = (W0, np.zeros(W0.shape[0]))
+        params.layers[0][1][...] = 0.0
         X = np.random.default_rng(seed).standard_normal((2048, 16)).T
         X[:, 0] = 0.0
         X_before = X.copy()
@@ -224,20 +232,22 @@ class TestAgainstReference:
         made2 = [E2, tape2.pre_norm, *tape2.inputs[1:]]
         assert not any(np.shares_memory(a, b) for a in made1 for b in made2 + [X])
         grads1, grads2 = backward(params, tape1, dE), backward(params, tape1, dE)
-        flat1 = [g for pair in grads1 for g in pair]
-        flat2 = [g for pair in grads2 for g in pair]
-        assert not any(np.shares_memory(a, b) for a in flat1 for b in flat2 + [dE])
+        assert not any(np.shares_memory(grads1, b) for b in (grads2, dE, params.flat))
+
+
+def default_encoder(seed=0):
+    # the encoder of TrainConfig() on 16-dimensional data: 11 488 parameters
+    return init_params(16, (64, 64), 64, 32, seed=seed)
 
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = tiny_params(5)
+        before = params.flat.copy()
         state = init_adam(params, lr=1e-3)
-        new_params, new_state = adam_step(params, zero_grads(params), state)
-        for (W0, b0), (W1, b1) in zip(params.all_layers(), new_params.all_layers()):
-            assert np.array_equal(W0, W1)
-            assert np.array_equal(b0, b1)
-        assert new_state.step == 1
+        assert adam_step(params, np.zeros_like(params.flat), state) is None
+        assert np.array_equal(params.flat, before)
+        assert state.step == 1 and params.version == 1
 
     def test_single_scalar_first_step(self):
         # one parameter, gradient 1, fresh state: bias-corrected update is
@@ -245,23 +255,88 @@ class TestAdam:
         params = EncoderParams(layers=[], head=[(np.array([[1.0]]), np.zeros(1)),
                                                 (np.array([[2.0]]), np.zeros(1))])
         state = init_adam(params, lr=1e-3)
-        grads = [(np.array([[1.0]]), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
-        new_params, _ = adam_step(params, grads, state)
-        update = new_params.head[0][0][0, 0] - 1.0
+        grads = np.array([1.0, 0.0, 0.0, 0.0])  # head[0] W, b, head[1] W, b
+        adam_step(params, grads, state)
+        update = params.head[0][0][0, 0] - 1.0
         assert update == pytest.approx(-1e-3, rel=1e-7)
 
     def test_deterministic_repeat(self):
+        # two copies of the parameters, each with a fresh state, take the
+        # same step to the same bits
         params = tiny_params(6)
-        rng = np.random.default_rng(6)
-        grads = [(rng.standard_normal(W.shape), rng.standard_normal(b.shape))
-                 for W, b in params.all_layers()]
+        grads = np.random.default_rng(6).standard_normal(params.flat.size)
+        a_params, b_params = params.copy(), params.copy()
+        a_state, b_state = init_adam(a_params, lr=1e-3), init_adam(b_params, lr=1e-3)
+        adam_step(a_params, grads, a_state)
+        adam_step(b_params, grads, b_state)
+        assert np.array_equal(a_params.flat, b_params.flat)
+        assert np.array_equal(a_state.m, b_state.m) and np.array_equal(a_state.v, b_state.v)
+        assert a_state.step == b_state.step == 1
+        assert not np.array_equal(a_params.flat, params.flat)
+
+    def test_matches_layerwise_reference(self):
+        # ten steps of random gradients: parameters and both moments equal
+        # those of the layer-wise step of tests/helpers.py, bit for bit
+        params = default_encoder(1)
+        ref_params = params.copy()
+        state = init_adam(params, lr=1e-2)
+        ref_state = LayerwiseAdamState(m=layerwise_zeros(params), v=layerwise_zeros(params), lr=1e-2)
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            grads = rng.standard_normal(params.flat.size) * rng.uniform(0.0, 3.0)
+            adam_step(params, grads, state)
+            ref_params, ref_state = adam_step_layerwise(ref_params, params.layer_views(grads), ref_state)
+        assert np.array_equal(params.flat, ref_params.flat)
+        assert np.array_equal(state.m, layerwise_flat(ref_state.m))
+        assert np.array_equal(state.v, layerwise_flat(ref_state.v))
+        assert state.step == ref_state.step == params.version == 10
+
+    def test_step_makes_no_parameter_sized_array(self):
+        # the update runs in place through the state's two work vectors:
+        # one step allocates less than one parameter vector (92 KB), which
+        # the layer-wise step exceeds
+        params = default_encoder()
+        assert params.flat.size == 11488
+        grads = np.random.default_rng(2).standard_normal(params.flat.size)
         state = init_adam(params, lr=1e-3)
-        a_params, a_state = adam_step(params, grads, state)
-        b_params, b_state = adam_step(params, grads, state)
-        for (Wa, ba), (Wb, bb) in zip(a_params.all_layers(), b_params.all_layers()):
-            assert np.array_equal(Wa, Wb)
-            assert np.array_equal(ba, bb)
-        assert a_state.step == b_state.step
+        ref_state = LayerwiseAdamState(m=layerwise_zeros(params), v=layerwise_zeros(params), lr=1e-3)
+        adam_step(params, grads, state)
+
+        def peak(step):
+            tracemalloc.start()
+            try:
+                step()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = params.flat.nbytes
+        assert peak(lambda: adam_step(params, grads, state)) < bound
+        assert peak(lambda: adam_step_layerwise(params, params.layer_views(grads), ref_state)) > bound
+
+    def test_gradient_shape_checked(self):
+        params = tiny_params(8)
+        with pytest.raises(ValueError, match="gradient of shape"):
+            adam_step(params, np.zeros(params.flat.size - 1), init_adam(params, lr=1e-3))
+
+
+class TestFlatLayout:
+    def test_layers_are_views_in_checkpoint_order(self):
+        params = tiny_params(9)
+        expected = np.concatenate([a.ravel() for W, b in params.all_layers() for a in (W, b)])
+        assert np.array_equal(params.flat, expected)
+        assert all(np.shares_memory(a, params.flat) for W, b in params.all_layers() for a in (W, b))
+        params.head[1][1][0] = 7.0
+        assert params.flat[-params.head[1][1].size] == 7.0
+
+    def test_pairs_are_copied_and_copy_is_independent(self):
+        W, b = np.eye(2), np.zeros(2)
+        params = EncoderParams(layers=[], head=[(W, b), (W, b)])
+        assert not np.shares_memory(params.flat, W)
+        twin = params.copy()
+        twin.flat[0] = 5.0
+        assert params.head[0][0][0, 0] == 1.0 and twin.head[0][0][0, 0] == 5.0
+        assert twin.shapes == params.shapes and len(twin.layers) == len(params.layers)
 
 
 class TestCheckpoint:
@@ -291,6 +366,12 @@ class TestCheckpoint:
             p.write_bytes(data)
             with open(p, "rb") as fh, pytest.raises(ValueError, match="m.ckpt: truncated"):
                 load_params(fh)
+
+    def test_negative_layer_shape_rejected(self):
+        # (-2) x (-3) weights and their bias would count 4 values
+        data = b"MMCL1" + struct.pack("<qqqqqq", 0, 2, -2, -3, 1, -2) + bytes(8 * 16)
+        with pytest.raises(ValueError, match="corrupt: negative layer shape"):
+            load_params(io.BytesIO(data))
 
 
 class TestParamsValidation:

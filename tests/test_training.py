@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -9,13 +10,13 @@ import pytest
 
 from mmcl import (Dataset, KernelSpec, LossBatch, SolverConfig, TrainConfig,
                   TrainingAbort, adam_step, apply_schedules, backward, batch_loss, forward,
-                  init_state, load_state, make_blobs, mmcl_loss, run_epoch, save_state,
+                  init_adam, init_state, load_state, make_blobs, mmcl_loss, run_epoch, save_state,
                   stream_rng, train)
 from mmcl import encoder, training
 from mmcl.data import augment_batch
 from mmcl.loss import nce_batch_loss
 
-from helpers import rel_err
+from helpers import layerwise_flat, rel_err, train_layerwise, write_state_layerwise
 
 
 def small_config(**kw):
@@ -148,9 +149,9 @@ class TestRunEpoch:
         else:
             _, g1, g2, _ = batch_loss(e1, e2, cfg.kernel, cfg.C, cfg.beta, cfg.solver,
                                       method=loss_kind.removeprefix("mmcl_"))
-        grads = [(gW1 + gW2, gb1 + gb2) for (gW1, gb1), (gW2, gb2) in
-                 zip(backward(state.params, tape1, g1), backward(state.params, tape2, g2))]
-        expected, _ = adam_step(state.params, grads, state.adam)
+        grads = backward(state.params, tape1, g1) + backward(state.params, tape2, g2)
+        expected = state.params.copy()
+        adam_step(expected, grads, init_adam(expected, lr=cfg.lr))
 
         state, _ = run_epoch(state, cfg, ds)
         assert len(seen) == 1
@@ -159,21 +160,23 @@ class TestRunEpoch:
             assert rel_err(W, W_ref) <= 1e-12 and rel_err(b, b_ref) <= 1e-12
 
     def test_one_encoder_pass_per_batch(self, monkeypatch):
+        # each batch makes one forward, one backward and then one Adam step,
+        # the last call of the step (the boundary that perfbench hooks)
         cfg = small_config()
         ds = small_blobs()
-        calls = {"forward": 0, "backward": 0}
-        for name in calls:
+        calls = []
+        for name in ("forward", "backward", "adam_step"):
             real = getattr(encoder, name)
 
-            def counting(*args, name=name, real=real):
-                calls[name] += 1
+            def recording(*args, name=name, real=real):
+                calls.append(name)
                 return real(*args)
 
-            monkeypatch.setattr(encoder, name, counting)
+            monkeypatch.setattr(encoder, name, recording)
         state, _ = run_epoch(init_state(cfg, ds.dim), cfg, ds)
         batches = len(ds) // cfg.batch_size
         assert state.adam.step == batches
-        assert calls == {"forward": batches, "backward": batches}
+        assert calls == ["forward", "backward", "adam_step"] * batches
 
     def test_small_dataset_rejected(self):
         cfg = small_config(batch_size=64)
@@ -235,8 +238,35 @@ class TestTrainLoop:
         for row_a, row_b in zip(full.history, resumed.history):
             for va, vb in zip(row_a, row_b):
                 assert va == vb or (math.isnan(va) and math.isnan(vb))
-        for (ma, _), (mb, _) in zip(full.adam.m, resumed.adam.m):
-            assert np.array_equal(ma, mb)
+        assert np.array_equal(full.adam.m, resumed.adam.m)
+        assert np.array_equal(full.adam.v, resumed.adam.v)
+
+    @pytest.mark.parametrize("loss_kind", ["mmcl_pgd", "mmcl_inv", "nce"])
+    def test_flat_step_matches_layerwise_reference(self, loss_kind, monkeypatch, tmp_path):
+        # two epochs with the flat in-place Adam step against the layer-wise
+        # backward and step of tests/helpers.py: parameters, both moments
+        # and the state checkpoint's bytes are identical, and a run resumed
+        # from that checkpoint continues bit for bit
+        cfg, ds = small_config(loss=loss_kind, lr=1e-2), small_blobs()
+        flat = train(cfg, ds)
+        ref = init_state(cfg, ds.dim)
+        ref.adam = train_layerwise(monkeypatch, cfg, ds, ref)
+        assert np.array_equal(flat.params.flat, ref.params.flat)
+        assert np.array_equal(flat.adam.m, layerwise_flat(ref.adam.m))
+        assert np.array_equal(flat.adam.v, layerwise_flat(ref.adam.v))
+        assert flat.adam.step == ref.adam.step
+
+        path = tmp_path / "state.ckpt"
+        save_state(flat, path)
+        expected = io.BytesIO()
+        write_state_layerwise(ref, expected)
+        assert path.read_bytes() == expected.getvalue()
+
+        longer = small_config(loss=loss_kind, lr=1e-2, epochs=3)
+        resumed, full = train(longer, ds, state=load_state(path)), train(longer, ds)
+        assert np.array_equal(resumed.params.flat, full.params.flat)
+        assert np.array_equal(resumed.adam.m, full.adam.m)
+        assert np.array_equal(resumed.adam.v, full.adam.v)
 
     @pytest.mark.parametrize("key,value", [("seed", 1), ("lr", 2e-3)])
     def test_resume_under_another_setting_raises(self, tmp_path, key, value):
@@ -336,7 +366,7 @@ class TestBlobsDescent:
             state = init_state(cfg, ds.dim)
             descended = True
             while state.epoch < cfg.epochs:
-                epoch, start = state.epoch, state.params
+                epoch, start = state.epoch, state.params.copy()
                 state, _ = run_epoch(state, cfg, ds)
                 before, after = fixed_alpha_epoch_losses(cfg, ds, epoch, start, state.params)
                 descended = descended and after < before
