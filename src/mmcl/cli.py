@@ -19,13 +19,13 @@ import argparse
 import sys
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from . import config as cfgmod
 from . import encoder as enc
 from .data import augment_batch, stream_rng
+from .evaluate import _check_finite
 from .loss import batch_loss, nce_batch_loss
 from .svm import (SingularInstanceError, SvmInstance, assemble_delta,
                   build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
@@ -101,7 +101,8 @@ def cmd_eval(args) -> int:
 def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
     """Read a solve instance: raw kernel blocks ([k_xx], [k_xY], [K_YY]) or
     embeddings ([z_pos], and [Z_neg] with one negative per row) under the
-    kernel ``tc.kernel``. C and beta are ``tc``'s."""
+    kernel ``tc.kernel``. C and beta are ``tc``'s. A section with a
+    non-finite value is rejected by name."""
     sections = {}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -127,6 +128,7 @@ def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
         k_xY = np.array([float(v) for v in ",".join(sections["k_xY"]).split(",")])
         K_YY = np.array([[float(v) for v in row.split(",")] for row in sections["K_YY"]])
         k_xx = float(",".join(sections["k_xx"])) if "k_xx" in sections else 1.0
+        _reject_non_finite(path, k_xx=k_xx, k_xY=k_xY, K_YY=K_YY)
         delta = assemble_delta(k_xx, k_xY, K_YY, tc.beta)
         asym = float(np.max(np.abs(K_YY - K_YY.T)))  # inv would factor one triangle of D
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(K_YY)))):
@@ -135,19 +137,28 @@ def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
     if "Z_neg" in sections:
         z_pos = np.array([float(v) for v in ",".join(sections["z_pos"]).split(",")])
         Z_neg = np.array([[float(v) for v in row.split(",")] for row in sections["Z_neg"]]).T
+        _reject_non_finite(path, z_pos=z_pos, Z_neg=Z_neg)
         return build_instance(tc.kernel, z_pos, Z_neg, tc.C, tc.beta)
     raise ValueError(f"{path}: need either a K_YY section or a Z_neg section")
+
+
+def _reject_non_finite(path, **sections) -> None:
+    """ValueError naming ``path`` and the first of the instance file's
+    ``sections`` (name=values) that holds a NaN or an infinity."""
+    for name, values in sections.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: [{name}] holds a non-finite value")
 
 
 def _solve_instance(inst: SvmInstance, method: str, tc: TrainConfig):
     """Solve one dual by ``method`` (inv, oracle or pgd) under ``tc``'s
     solver settings: ``oracle`` runs to its ``tol``, and ``pgd`` starts
-    from a point drawn from ``tc.seed``."""
+    at the ``inv`` solution."""
     if method == "inv":
         return solve_inv(inst)
     if method == "oracle":
         return solve_oracle(inst, tol=tc.solver.tol)
-    return solve_pgd(inst, replace(tc.solver, seed=tc.seed))
+    return solve_pgd(inst, tc.solver)
 
 
 def cmd_solve(args) -> int:
@@ -212,7 +223,10 @@ def cmd_inspect(args) -> int:
 
 
 def _head_embeddings(params, samples) -> np.ndarray:
+    """The d' x n head embeddings of the n rows of ``samples``; ValueError
+    when one is not finite, as ``mmcl eval`` rejects them."""
     emb, _ = enc.forward(params, np.asarray(samples, dtype=np.float64).T)
+    _check_finite(emb.T, "head")
     return emb
 
 
@@ -266,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
             "epoch (when eval_every divides epochs)")
 
     p_solve = command("solve", cmd_solve, "solve one dual instance from a file",
-                      "kernel.*, C, beta, solver.* and seed (the pgd start)")
+                      "kernel.*, C, beta and solver.*")
     p_solve.add_argument("--instance", required=True,
                          help="[k_xx], [k_xY] and [K_YY] kernel blocks, or [z_pos] and [Z_neg] "
                               "embeddings under kernel.*")
     p_solve.add_argument("--solver", choices=("pgd", "inv", "oracle"), default="pgd")
 
     p_inspect = command("inspect", cmd_inspect, "per-negative dual weights for an anchor",
-                        "out.checkpoint, data.*, batch_size, seed (the drawn batch and the pgd "
-                        "start), kernel.*, C, beta, solver.*, fn_correction and aug.*")
+                        "out.checkpoint, data.*, batch_size, seed (the drawn batch), kernel.*, "
+                        "C, beta, solver.*, fn_correction and aug.*")
     p_inspect.add_argument("--anchor", type=int, default=0)
     p_inspect.add_argument("--all-anchors", action="store_true",
                            help="dump every anchor of a two-view batch instead")

@@ -110,6 +110,8 @@ def make_blobs(num_classes: int, per_class: int, d: int, separation: float,
         raise ValueError("num_classes, per_class and d must all be >= 1")
     if not 0 < separation < math.inf:
         raise ValueError(f"data.separation must be positive and finite, got {separation}")
+    if seed < 0:
+        raise ValueError(f"data.seed must be >= 0, got {seed}")
     if num_classes > d:
         raise ValueError(f"equidistant means need num_classes <= d, got {num_classes} > {d}")
     rng = stream_rng(seed, "blobs")
@@ -131,6 +133,8 @@ def make_moons(per_class: int, noise: float, ambient_dim: int, seed: int = 0) ->
         raise ValueError(f"ambient_dim must be >= 2, got {ambient_dim}")
     if not 0 <= noise < math.inf:
         raise ValueError(f"data.noise must be nonnegative and finite, got {noise}")
+    if seed < 0:
+        raise ValueError(f"data.seed must be >= 0, got {seed}")
     t = np.linspace(0.0, np.pi, per_class)
     upper = np.stack([np.cos(t), np.sin(t)], axis=1)
     lower = np.stack([1.0 - np.cos(t), 0.5 - np.sin(t)], axis=1)

@@ -369,11 +369,11 @@ def _inv_batched(K_full: np.ndarray, beta: float, C: float) -> np.ndarray:
     return np.clip(X, 0.0, C, out=X)
 
 
-def resolve_step_sizes(K_full: np.ndarray, beta: float, step_size) -> np.ndarray:
-    """Each anchor's PGD step on its D_k: ``step_size``, or for "auto" the
-    reciprocal of an upper bound on lambda_max(D_k), which is ||D_k||_2
-    for the positive definite D_k that ``batch_loss`` accepts, from one
-    symmetric eigenvalue solve of the batch and O(N) scalars per anchor.
+def resolve_step_sizes(K_full: np.ndarray, beta: float) -> np.ndarray:
+    """Each anchor's "auto" PGD step on its D_k: the reciprocal of an upper
+    bound on lambda_max(D_k), which is ||D_k||_2 for the positive definite
+    D_k that ``batch_loss`` accepts, from one symmetric eigenvalue solve
+    of the batch and O(N) scalars per anchor.
 
     Centre the kernel at the mean of the batch's 2N points: with m the row
     means of K and m_ the mean of m, M_c = K - m1' - 1m' + m_ 11' + beta I.
@@ -389,8 +389,6 @@ def resolve_step_sizes(K_full: np.ndarray, beta: float, step_size) -> np.ndarray
     PGD stops at once with NaN alphas.
     """
     N = K_full.shape[0] // 2
-    if step_size != "auto":
-        return np.full(N, float(step_size))
     if not np.all(np.isfinite(K_full)):
         return np.full(N, np.nan)
     m = np.mean(K_full, axis=1)
@@ -479,8 +477,7 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
         matvec, gather = _dual_operator(K_full, _plus_beta_identity(K_full, beta))
         block, _, _ = _pgd_batched(
             matvec, gather, _zero_own_columns(np.full((N, 2 * N), 2.0)), C,
-            lambda: resolve_step_sizes(K_full, beta, solver.step_size), block,
-            solver.max_iters, solver.tol, solver.nesterov)
+            lambda: resolve_step_sizes(K_full, beta), block, solver)
     if fn_correction:
         block = fn_correct(block, C)
     alphas = block.take(_negative_flat_index(N))

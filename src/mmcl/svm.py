@@ -32,11 +32,11 @@ Three solvers are provided:
   principal blocks, so the batched ``pgd`` of ``loss.batch_loss`` runs
   every anchor of a batch through one operator on the shared K + beta I
   (``loss._dual_operator``), and ``solve_pgd``, on one dense D, is its
-  per-anchor reference. ``solve_pgd`` starts from a seeded random point
-  and steps 1 / ||D||_2; the batched ``pgd`` starts every anchor at its
-  ``inv`` solution and takes its step sizes from a closed-form bound
-  (``loss.resolve_step_sizes``). Either step size is computed only once
-  a projected-gradient step needs it.
+  per-anchor reference. Both start every instance at its ``inv``
+  solution, and ``_pgd_batched`` alone reads the ``SolverConfig``. An
+  "auto" step is 1 / ||D||_2 for ``solve_pgd`` and a closed-form bound
+  (``loss.resolve_step_sizes``) for the batched ``pgd``, computed only
+  once a projected-gradient step needs it.
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
   computed from the Cholesky factor that decides the precondition. It is
   the per-anchor reference for the batched ``inv`` of ``loss.batch_loss``,
@@ -122,9 +122,9 @@ class SolverConfig:
     onto the box, at which an instance counts as converged; it takes a
     unit step whatever ``step_size`` is. An instance whose projected
     gradient is not finite stops at once, unconverged, with NaN alphas.
-    ``seed`` drives the random initial point alpha_0 ~ U[0, min(C, 1)]^n
-    of ``solve_pgd`` only; the batched ``pgd`` starts at the ``inv``
-    solution and uses no seed.
+    ``seed`` is read by nothing in ``mmcl``: every PGD run starts at the
+    ``inv`` solution. It stays a field only because the benchmark harness
+    (``perfbench``) constructs ``SolverConfig(..., seed=...)``.
     """
 
     step_size: float | str = "auto"
@@ -206,10 +206,6 @@ def _dense_operator(delta: np.ndarray):
     batch of one."""
     return (lambda alpha: (delta @ alpha.T).T,
             lambda rows, cols: delta[cols[:, :, None], cols[:, None, :]])
-
-
-def _draw_alpha0(n: int, C: float, seed) -> np.ndarray:
-    return np.random.default_rng(seed).uniform(0.0, min(C, 1.0), size=n)
 
 
 # An instance whose binding free set is too large for a cheap face step
@@ -351,13 +347,15 @@ def _face_steps(gather, alpha: np.ndarray, g: np.ndarray, rows: np.ndarray, free
     return rows[accept], new[accept]
 
 
-def _pgd_batched(matvec, gather, b: np.ndarray, C: float, step_sizes, alpha0: np.ndarray,
-                 max_iters: int, tol: float, nesterov: bool):
+def _pgd_batched(matvec, gather, b: np.ndarray, C: float, auto_steps, alpha0: np.ndarray,
+                 solver: SolverConfig):
     """Projected gradient on a batch of instances g_i(a) = 1/2 a' D_i a - b_i' a
-    over the box [0, C], with face steps and one operator product per step.
+    over the box [0, C], with face steps and one operator product per step,
+    under the settings of ``solver``.
 
-    ``alpha0`` and the linear terms ``b`` are (B, n). ``step_sizes()``
-    returns the (B,) projected-gradient steps eta; it is called at most
+    ``alpha0`` and the linear terms ``b`` are (B, n). The projected-gradient
+    steps eta are ``solver.step_size``, or for "auto" the (B,) steps that
+    ``auto_steps()`` returns; it is called at most
     once, on the first step where an active instance takes a
     projected-gradient step, so a run of face steps alone never computes
     it. ``matvec(X)`` returns the rows D_i x_i of X's B rows, and
@@ -413,14 +411,14 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, step_sizes, alpha0: np
     prev, q_prev = alpha, q
     t_mom = np.ones(B)
     eta = None
-    tol2 = tol * tol
+    tol2 = solver.tol * solver.tol
     guard = max(_BINDING_GUARD * n, _BINDING_FLOOR * _BINDING_FLOOR)
     active = np.ones(B, dtype=bool)
     failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=np.int64)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max_iters + 1):
+        for k in range(solver.max_iters + 1):
             g = q - b
             # pg = alpha - P(alpha - g), built in place
             pg = _project(alpha - g, C)
@@ -428,7 +426,7 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, step_sizes, alpha0: np
             pg2 = np.einsum("ij,ij->i", pg, pg)
             failed |= ~np.isfinite(pg2)
             active &= (pg2 > tol2) & ~failed
-            if k == max_iters or not active.any():
+            if k == solver.max_iters or not active.any():
                 break
             free = _binding_free(alpha, g, C)
             size = np.add.reduce(free, axis=1)
@@ -440,13 +438,14 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, step_sizes, alpha0: np
             # a frozen instance keeps alpha, so its q needs no mask
             cand = alpha.copy()
             cand[rows] = points
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if nesterov else t_mom
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom)) if solver.nesterov else t_mom
             restart = np.ones(B, dtype=bool)
             plain = active.copy()
             plain[rows] = False
             if plain.any():
                 if eta is None:
-                    eta = step_sizes()[:, None]
+                    eta = (auto_steps() if solver.step_size == "auto"
+                           else np.full(B, float(solver.step_size)))[:, None]
                 p = slice(None) if plain.all() else np.nonzero(plain)[0]
                 momentum = ((t_mom[p] - 1.0) / t_next[p])[:, None]
                 # y = alpha + m (alpha - prev) and P(y - eta (g + m (q - q_prev))),
@@ -478,28 +477,24 @@ def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution
     with the step 1 / lambda_max(D) = 1 / ||D||_2 for "auto". Raises
     ``SingularInstanceError`` when D is not positive definite.
 
-    ``alpha0`` overrides the seeded random initial point; it is projected
-    onto the box before the first step. With max_iters = 0 the projected
-    initial point is returned, converged only if it is already stationary.
+    It starts at ``solve_inv``'s solution, as the batched ``pgd`` does,
+    unless ``alpha0`` overrides it; the start is projected onto the box
+    before the first step. With max_iters = 0 the projected start is
+    returned, converged only if it is already stationary.
     """
-    _cholesky(inst)
+    start = solve_inv(inst).alpha  # also the verdict on D
     matvec, gather = _dense_operator(inst.delta)
     b = np.full((1, inst.n), 2.0)
-    if alpha0 is None:
-        alpha0 = _draw_alpha0(inst.n, inst.C, cfg.seed)
-    a0 = np.asarray(alpha0, dtype=np.float64)[None]
+    a0 = np.asarray(start if alpha0 is None else alpha0, dtype=np.float64)[None]
 
-    def step_sizes():
-        if cfg.step_size != "auto":
-            return np.array([float(cfg.step_size)])
+    def auto_steps():
         # D is positive definite, so ||D||_2 is its largest eigenvalue; a
         # non-finite D, which ``_cholesky`` does not judge, gets NaN
         if not np.all(np.isfinite(inst.delta)):
             return np.array([math.nan])
         return np.array([1.0 / np.linalg.eigvalsh(inst.delta)[-1]])
 
-    alpha, iters, converged = _pgd_batched(
-        matvec, gather, b, inst.C, step_sizes, a0, cfg.max_iters, cfg.tol, cfg.nesterov)
+    alpha, iters, converged = _pgd_batched(matvec, gather, b, inst.C, auto_steps, a0, cfg)
     return DualSolution(
         alpha=alpha[0],
         objective=dual_objective(inst.delta, alpha[0]),

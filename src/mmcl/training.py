@@ -91,6 +91,8 @@ class TrainConfig:
         _check_C_beta(self.C, self.beta)
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if not 0 <= self.seed < 2 ** 63:  # the MMTR1 header stores it as int64
+            raise ValueError(f"seed must be in [0, 2^63), got {self.seed}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if not 0 <= self.lr < math.inf:

@@ -71,7 +71,8 @@ class TestTrainCommand:
         ("model.backbone_widths", "8,0"), ("model.head_hidden", 0), ("model.out_dim", 0),
         ("schedules", "2:C:-1"), ("schedules", "2:sigma_sq:-1"), ("beta", "nan"),
         ("kernel.sigma_sq", "inf"), ("schedules", "2:sigma_sq:inf"), ("batch_size", 64),
-        ("eval.probe_lr", "inf"), ("lr", "inf"), ("temperature", "inf")])
+        ("eval.probe_lr", "inf"), ("lr", "inf"), ("temperature", "inf"), ("seed", -1),
+        ("seed", 2 ** 63)])
     def test_unusable_eval_setting_exits_2_before_training(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "blobs.cfg"
         write_blobs_config(cfg, tmp_path, **{"eval_every": 1, "epochs": 3, key: value})
@@ -101,14 +102,22 @@ class TestTrainCommand:
         (["aug.scale_lo=inf", "aug.scale_hi=inf"], "aug.scale_lo must be positive and finite, got inf"),
         (["data.kind=moons", "data.noise=nan"], "data.noise must be nonnegative and finite, got nan"),
         (["data.kind=moons", "data.noise=inf"], "data.noise must be nonnegative and finite, got inf"),
-        (["data.separation=inf"], "data.separation must be positive and finite, got inf")],
+        (["data.separation=inf"], "data.separation must be positive and finite, got inf"),
+        (["data.seed=-1"], "data.seed must be >= 0, got -1"),
+        (["data.kind=moons", "data.seed=-1"], "data.seed must be >= 0, got -1"),
+        (["seed=-1"], "seed must be in [0, 2^63), got -1"),
+        ([f"seed={2 ** 63}"], f"seed must be in [0, 2^63), got {2 ** 63}")],
         ids=["noise_sigma-nan", "noise_sigma-inf", "scale_hi-inf", "scale_lo-inf",
-             "moons-noise-nan", "moons-noise-inf", "blobs-separation-inf"])
+             "moons-noise-nan", "moons-noise-inf", "blobs-separation-inf", "blobs-seed-negative",
+             "moons-seed-negative", "seed-negative", "seed-past-int64"])
     def test_non_finite_setting_exits_2_on_default_config(self, tmp_path, capsys, settings, message):
         # these used to train into a non-finite loss (exit 1), overflow in
-        # the augmentation's scale draw (a traceback), or stop at the
-        # generic "samples contain NaN or Inf"; each now exits 2 before the
-        # first epoch, naming its key, and writes nothing
+        # the augmentation's scale draw (a traceback), stop at the generic
+        # "samples contain NaN or Inf" or at numpy's "expected non-negative
+        # integer" after writing metrics.csv, or train the whole run and
+        # fail to store a seed past int64 in the checkpoint (a traceback);
+        # each now exits 2 before the first epoch, naming its key, and
+        # writes nothing
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("")
         sets = [arg for setting in settings for arg in ("--set", setting)]
@@ -212,10 +221,14 @@ class TestSolveCommand:
                                "--set", "solver.max_iters=0", "--set", "C=0.5", "--set", "beta=0.1")
         assert code == 0
         header, rows = parse_csv_blocks(out)[0]
-        assert rows[0][header.index("converged")] == "false"
         assert rows[0][header.index("iterations")] == "0"
-        alphas = [float(r[1]) for r in parse_csv_blocks(out)[1][1]]
-        assert all(0.0 <= a <= 0.5 for a in alphas)
+        # pgd starts at the inv solution, here both alphas at C = 0.5 with a
+        # gradient pointing out of the box, which is the optimum
+        assert rows[0][header.index("converged")] == "true"
+        _, inv_out, _ = run_cli(capsys, "solve", "--instance", str(inst), "--solver", "inv",
+                                "--set", "C=0.5", "--set", "beta=0.1")
+        assert parse_csv_blocks(out)[1] == parse_csv_blocks(inv_out)[1]
+        assert [float(r[1]) for r in parse_csv_blocks(out)[1][1]] == [0.5, 0.5]
 
     EMBEDDINGS = "[z_pos]\n1.0,0.0\n[Z_neg]\n0.0,1.0\n-1.0,0.0\n"
 
@@ -292,6 +305,25 @@ class TestSolveCommand:
                 code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver)
                 assert code == 2 and out == ""
                 assert message in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,text", [
+        ("k_xx", "[k_xx]\n{}\n[k_xY]\n0.5,0.2\n[K_YY]\n1,0.1\n0.1,1\n"),
+        ("k_xY", "[k_xY]\n0.5,{}\n[K_YY]\n1,0.1\n0.1,1\n"),
+        ("K_YY", "[k_xY]\n0.5,0.2\n[K_YY]\n1,{0}\n{0},1\n"),
+        ("z_pos", "[z_pos]\n{},0.0\n[Z_neg]\n0.0,1.0\n-1.0,0.0\n"),
+        ("Z_neg", "[z_pos]\n1.0,0.0\n[Z_neg]\n0.0,1.0\n-1.0,{}\n")],
+        ids=["k_xx", "k_xY", "K_YY", "z_pos", "Z_neg"])
+    def test_non_finite_instance_exits_2_naming_the_section(self, tmp_path, capsys, section, text,
+                                                            value):
+        # such an instance used to solve with NaN alphas that classify_support
+        # counted as support vectors, and an infinity leaked RuntimeWarnings
+        inst = tmp_path / "inst.txt"
+        inst.write_text(text.format(value))
+        for solver in ("pgd", "inv", "oracle"):
+            code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver)
+            assert code == 2 and out == ""
+            assert err == f"error: {inst}: [{section}] holds a non-finite value\n"
 
     def test_alpha_x_equals_alpha_sum(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
@@ -461,27 +493,42 @@ class TestInspectCommand:
         assert err.startswith("error: anchor 0 of 8: " if all_anchors else "error: D of ")
         assert "not positive definite" in err
 
-    def test_pgd_starts_from_the_configured_seed(self, tmp_path, capsys, monkeypatch):
-        # solve and the single-anchor inspect both draw PGD's start from the seed key
+    def test_pgd_does_not_read_the_seed(self, tmp_path, capsys, monkeypatch):
+        # PGD starts at the inv solution: solve prints the same bytes for
+        # every seed, and so does the single-anchor inspect once the batch,
+        # which the seed draws, is drawn from one seed
         cfg = self._setup(tmp_path, capsys)
-        seeds = []
-        real = cli.solve_pgd
-
-        def recording(inst, solver, *args, **kwargs):
-            seeds.append(solver.seed)
-            return real(inst, solver, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "solve_pgd", recording)
+        monkeypatch.setattr(cli, "stream_rng", lambda seed, *stream: stream_rng(0, *stream))
         inst = tmp_path / "inst.txt"
-        inst.write_text(TestSolveCommand.EMBEDDINGS)
+        inst.write_text("[z_pos]\n1.0,0.0,0.2\n[Z_neg]\n0.0,1.0,0.1\n-1.0,0.0,0.3\n"
+                        "0.3,0.3,-1.0\n0.5,-0.5,0.5\n")
+        outs = {"solve": set(), "inspect": set()}
         for seed in (0, 7):
-            code, _, _ = run_cli(capsys, "solve", "--config", str(cfg), "--instance", str(inst),
-                                 "--solver", "pgd", "--set", f"seed={seed}")
+            code, out, _ = run_cli(capsys, "solve", "--config", str(cfg), "--instance", str(inst),
+                                   "--solver", "pgd", "--set", f"seed={seed}")
             assert code == 0
-            code, _, _ = run_cli(capsys, "inspect", "--config", str(cfg), "--anchor", "0",
-                                 "--method", "pgd", "--set", "batch_size=8", "--set", f"seed={seed}")
+            outs["solve"].add(out)
+            code, out, _ = run_cli(capsys, "inspect", "--config", str(cfg), "--anchor", "0",
+                                   "--method", "pgd", "--set", "batch_size=8", "--set", f"seed={seed}")
             assert code == 0
-        assert seeds == [0, 0, 7, 7]
+            outs["inspect"].add(out)
+        assert len(outs["solve"]) == len(outs["inspect"]) == 1
+
+    @pytest.mark.parametrize("all_anchors", [False, True])
+    def test_non_finite_embeddings_exit_2(self, tmp_path, capsys, all_anchors):
+        # a NaN in the last backbone bias makes every head embedding
+        # non-finite; inspect refuses them as eval does, where it used to
+        # print NaN alphas marked as support vectors
+        cfg = self._setup(tmp_path, capsys)
+        state = load_state(tmp_path / "model.ckpt")
+        state.params.layers[-1][1][0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_state(state, bad)
+        which = ["--all-anchors"] if all_anchors else ["--anchor", "0"]
+        code, out, err = run_cli(capsys, "inspect", "--config", str(cfg), *which,
+                                 "--set", "batch_size=8", "--set", f"out.checkpoint={bad}")
+        assert code == 2 and out == ""
+        assert err == "error: head embeddings have 8 of 8 rows with non-finite entries\n"
 
     def test_oracle_is_for_a_single_anchor_only(self, tmp_path, capsys):
         # batch_loss solves with the paper's pgd or inv; the exact oracle

@@ -96,8 +96,9 @@ class TestTable:
         assert build_train_config(default_config()) == TrainConfig()
 
     def test_every_field_has_exactly_one_key(self):
-        # but solver.seed, which seeds only the start of a lone solve_pgd
-        # (`mmcl solve`); training starts PGD at the inv solution
+        # but solver.seed, which nothing in mmcl reads (every PGD run starts
+        # at the inv solution); it stays a field only because the benchmark
+        # harness constructs SolverConfig(..., seed=...)
         named = sorted(path for _, path in SCHEMA.values())
         assert named == sorted(set(_field_values(TrainConfig())) - {"solver.seed"})
 

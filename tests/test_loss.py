@@ -225,7 +225,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(0)
         v1, v2 = self._views(rng, 4, N)
         _, _, _, alphas = batch_loss(v1, v2, KernelSpec(), 100.0, 0.1,
-                                     SolverConfig(max_iters=3, seed=0))
+                                     SolverConfig(max_iters=3))
         assert len(alphas) == N
         assert all(a.size == expected for a in alphas)
 
@@ -271,7 +271,7 @@ class TestBatchLoss:
         N, d = 4, 6
         v1, v2 = self._views(rng, d, N)
         spec = KernelSpec(kind="rbf", sigma_sq=0.9)
-        solver = SolverConfig(max_iters=200, tol=1e-10, seed=7)
+        solver = SolverConfig(max_iters=200, tol=1e-10)
         total, _, _, alphas = batch_loss(v1, v2, spec, 10.0, 0.1, solver)
         E = np.concatenate([v1, v2], axis=1)
         expected = 0.0
@@ -288,7 +288,7 @@ class TestBatchLoss:
         N, d = 3, 4
         v1, v2 = self._views(rng, d, N)
         spec = KernelSpec(kind="rbf", sigma_sq=1.1)
-        solver = SolverConfig(max_iters=300, tol=1e-12, seed=1)
+        solver = SolverConfig(max_iters=300, tol=1e-12)
         total, g1, g2, alphas = batch_loss(v1, v2, spec, 100.0, 0.1, solver, method=method)
 
         E = np.concatenate([v1, v2], axis=1)
@@ -355,13 +355,12 @@ class TestBatchLoss:
         total, g1, g2, alphas = batch_loss(v1, v2, spec, C, beta, solver, method=method)
         assert alphas.shape == (N, 2 * N - 2)
         E = np.concatenate([v1, v2], axis=1)
-        eta = resolve_step_sizes(gram(spec, E, E), beta, "auto")
+        eta = resolve_step_sizes(gram(spec, E, E), beta)
 
         def anchor_terms(z, z_pos, Z_neg, k):
             inst = build_instance(spec, z_pos, Z_neg, C, beta)
             if reference == "pgd":
-                sol = solve_pgd(inst, replace(solver, step_size=float(eta[k])),
-                                alpha0=solve_inv(inst).alpha)
+                sol = solve_pgd(inst, replace(solver, step_size=float(eta[k])))
             elif reference == "inv":
                 sol = solve_inv(inst)
             else:
@@ -484,7 +483,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(31)
         v1, v2 = self._views(rng, 4, 3)
         spec = KernelSpec(kind="rbf", sigma_sq=0.5)
-        solver = SolverConfig(max_iters=400, tol=1e-12, seed=5)
+        solver = SolverConfig(max_iters=400, tol=1e-12)
         C = 0.05  # tiny slack forces boundary hits
         _, _, _, raw = batch_loss(v1, v2, spec, C, 0.1, solver)
         _, _, _, corrected = batch_loss(v1, v2, spec, C, 0.1, solver, fn_correction=True)
@@ -569,18 +568,17 @@ class TestDualOperator:
         # still holds lambda_max, at 0.41x to 0.71x of their ||D_k||_2
         _, _, _, K = self._gram(kernel, N)
         _, _, _, deltas = self._batch(kernel, N)
-        eta = resolve_step_sizes(K, self.BETA, "auto")
+        eta = resolve_step_sizes(K, self.BETA)
         assert eta.shape == (N,)
         for k, delta in enumerate(deltas):
             eig = np.linalg.eigvalsh(delta)
             assert eig[-1] <= 1.0 / eta[k] <= 1.55 * np.abs(eig).max()
-        assert np.array_equal(resolve_step_sizes(K, self.BETA, 0.25), np.full(N, 0.25))
 
     def test_nonfinite_kernel_gives_nan_steps(self):
         # as NaN alphas do, instead of the LinAlgError of an eigenvalue solve
         _, _, _, K = self._gram("rbf", 4)
         K[2, 5] = K[5, 2] = np.nan
-        assert np.all(np.isnan(resolve_step_sizes(K, self.BETA, "auto")))
+        assert np.all(np.isnan(resolve_step_sizes(K, self.BETA)))
 
     @staticmethod
     def _count_face_steps(monkeypatch):
@@ -607,7 +605,7 @@ class TestDualOperator:
 
         def step_sizes():
             step_sizes.calls += 1
-            return resolve_step_sizes(K, cls.BETA, "auto")
+            return resolve_step_sizes(K, cls.BETA)
 
         step_sizes.calls = 0
         return b, alpha0, step_sizes
@@ -626,7 +624,8 @@ class TestDualOperator:
             shapes.append(A.shape)
             return matvec(A)
 
-        _, iterations, _ = _pgd_batched(counted, gather, b, 100.0, eta, alpha0, max_iters, 1e-8, nesterov)
+        _, iterations, _ = _pgd_batched(counted, gather, b, 100.0, eta, alpha0,
+                                        SolverConfig(max_iters=max_iters, tol=1e-8, nesterov=nesterov))
         assert len(shapes) == iterations.max() + 1
         assert set(shapes) == {(N, 2 * N)}
         if max_iters == 1000:  # run to convergence, the batch takes face steps
@@ -641,11 +640,37 @@ class TestDualOperator:
         b, alpha0, eta = self._pgd_inputs(rng, "rbf", N)
         accepted = self._count_face_steps(monkeypatch)
         recording = RecordingOperator(matvec)
-        _, iterations, converged = _pgd_batched(recording, gather, b, 3.0, eta, alpha0, 1000, 1e-8,
-                                                nesterov=False)
+        _, iterations, converged = _pgd_batched(recording, gather, b, 3.0, eta, alpha0,
+                                                SolverConfig(tol=1e-8, nesterov=False))
         assert converged.all() and sum(accepted) > 0
         for trace in recording.traces(b, iterations):
             assert np.all(np.diff(trace) <= 1e-12)
+
+    def test_numeric_step_size_needs_no_auto_steps(self):
+        # a numeric solver.step_size is every instance's projected-gradient
+        # step, and auto_steps is never called: the run equals an "auto" run
+        # whose auto_steps returns that step. At N = 128 projected-gradient
+        # steps are taken
+        N = 128
+        rng, _, _, K = self._gram("rbf", N)
+        matvec, gather = _dual_operator(K, K + self.BETA * np.eye(len(K)))
+        b, alpha0, _ = self._pgd_inputs(rng, "rbf", N)
+        step = 0.9 * float(np.min(resolve_step_sizes(K, self.BETA)))
+        calls = []
+
+        def auto_steps():
+            calls.append(step)
+            return np.full(N, step)
+
+        def unused():
+            raise AssertionError("auto_steps called for a numeric step_size")
+
+        auto = _pgd_batched(matvec, gather, b, 100.0, auto_steps, alpha0, SolverConfig(tol=1e-8))
+        fixed = _pgd_batched(matvec, gather, b, 100.0, unused, alpha0,
+                             SolverConfig(step_size=step, tol=1e-8))
+        assert calls == [step] and auto[2].all()
+        for ours, theirs in zip(fixed, auto):
+            assert np.array_equal(ours, theirs)
 
     def test_face_blocks_stay_within_the_size_of_M(self):
         # faces are solved a few anchors at a time: no gathered stack of
@@ -666,7 +691,7 @@ class TestDualOperator:
                 shapes.append(blocks.shape)
                 return blocks
 
-            _pgd_batched(matvec, recording, b, 100.0, eta, alpha0, 1000, 1e-8, True)
+            _pgd_batched(matvec, recording, b, 100.0, eta, alpha0, SolverConfig(tol=1e-8))
             assert eta.calls == 1
             largest = max(r * f * f for r, f, _ in shapes)
             assert largest <= max((2 * N) ** 2, 2 ** 15)

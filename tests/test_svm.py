@@ -143,7 +143,7 @@ class TestSolveOracle:
         for seed in range(10):
             inst = random_instance(np.random.default_rng(seed), n=12, C=1.0)
             for sol in (solve_oracle(inst), solve_inv(inst),
-                        solve_pgd(inst, SolverConfig(max_iters=50, seed=seed))):
+                        solve_pgd(inst, SolverConfig(max_iters=50))):
                 assert np.all(sol.alpha >= 0.0)
                 assert np.all(sol.alpha <= 1.0)
 
@@ -167,11 +167,20 @@ class TestSolvePgd:
 
     def test_zero_iteration_budget(self):
         inst = make_instance(2.0 * np.eye(3), C=0.5)
-        cfg = SolverConfig(max_iters=0, seed=3)
+        cfg = SolverConfig(max_iters=0)
         sol = solve_pgd(inst, cfg, alpha0=np.array([-1.0, 0.25, 2.0]))
         assert np.array_equal(sol.alpha, [0.0, 0.25, 0.5])  # projected initial point
         assert not sol.converged
         assert sol.iterations == 0
+
+    @pytest.mark.parametrize("C", [0.05, 1.0, math.inf])
+    def test_starts_at_the_inv_solution(self, C):
+        # the start of the batched pgd: with no step, the inv alphas
+        for seed in range(5):
+            inst = random_instance(np.random.default_rng(seed), n=12, C=C)
+            sol = solve_pgd(inst, SolverConfig(max_iters=0))
+            assert np.array_equal(sol.alpha, solve_inv(inst).alpha)
+            assert sol.iterations == 0
 
     def test_nonfinite_delta_is_never_converged(self):
         # the NaN gradient at the start freezes the instance before its first step
@@ -204,20 +213,24 @@ class TestSolvePgd:
         # projected gradient does not shrink with eta. At n = 64 the start's
         # binding free set is too large for a face step, so the long step is
         # taken: the run diverges, unconverged, and the default step solves
-        # the same instance
+        # the same instance. Each run starts at a random point
+        # alpha_0 ~ U[0, 1]^n, whose binding free set is large (the inv
+        # start's is small enough for face steps alone)
         inst = random_instance(np.random.default_rng(4), n=64, C=math.inf)
+        start = np.random.default_rng(0).uniform(0.0, 1.0, size=64)
         star = solve_oracle(inst, tol=1e-12).objective
         assert star == pytest.approx(-32.10, abs=0.01)
-        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False))
+        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False), alpha0=start)
         assert not sol.converged and sol.iterations > 0
-        sol = solve_pgd(inst, SolverConfig(max_iters=50, nesterov=False))
+        sol = solve_pgd(inst, SolverConfig(max_iters=50, nesterov=False), alpha0=start)
         assert sol.converged and sol.objective == pytest.approx(star, rel=1e-12)
         # at n = 32 face steps take every step, so eta = 1e300 is never used
         # and the run stops at the optimum
         inst = random_instance(np.random.default_rng(4), n=32, C=math.inf)
         star = solve_oracle(inst, tol=1e-12).objective
         assert star == pytest.approx(-13.15, abs=0.01)
-        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False))
+        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
+                        alpha0=np.random.default_rng(0).uniform(0.0, 1.0, size=32))
         assert sol.converged and sol.objective == pytest.approx(star, rel=1e-12)
 
     def test_matches_oracle_on_moderate_conditioning(self):
@@ -229,15 +242,17 @@ class TestSolvePgd:
                 continue
             count += 1
             star = solve_oracle(inst, tol=1e-12)
-            cfg = SolverConfig(step_size="auto", max_iters=1000, tol=1e-12, nesterov=False, seed=seed)
+            cfg = SolverConfig(step_size="auto", max_iters=1000, tol=1e-12, nesterov=False)
             sol = solve_pgd(inst, cfg)
             assert abs(sol.objective - star.objective) / abs(star.objective) <= 1e-6
         assert count >= 5  # the conditioning filter must leave real cases
 
     @staticmethod
-    def _objective_trace(monkeypatch, inst, cfg):
+    def _objective_trace(monkeypatch, inst, cfg, seed):
         """``solve_pgd``'s objective before its first step and after every
-        step, rebuilt from the inputs of the operator it runs on."""
+        step, rebuilt from the inputs of the operator it runs on, from the
+        random start alpha_0 ~ U[0, min(C, 1)]^n drawn from ``seed``, which
+        is further from the optimum than the inv start."""
         recordings = []
         dense_operator = svm_module._dense_operator
 
@@ -247,28 +262,29 @@ class TestSolvePgd:
             return recordings[-1], gather
 
         monkeypatch.setattr(svm_module, "_dense_operator", recording)
-        sol = solve_pgd(inst, cfg)
+        start = np.random.default_rng(seed).uniform(0.0, min(inst.C, 1.0), size=inst.n)
+        sol = solve_pgd(inst, cfg, alpha0=start)
         return recordings[-1].traces(np.full((1, inst.n), 2.0), [sol.iterations])[0]
 
     def test_monotone_descent_plain(self, monkeypatch):
         for seed in range(5):
             inst = random_instance(np.random.default_rng(300 + seed), n=12)
-            cfg = SolverConfig(step_size="auto", max_iters=200, tol=1e-14, nesterov=False, seed=seed)
-            trace = self._objective_trace(monkeypatch, inst, cfg)
+            cfg = SolverConfig(step_size="auto", max_iters=200, tol=1e-14, nesterov=False)
+            trace = self._objective_trace(monkeypatch, inst, cfg, seed)
             assert np.all(np.diff(trace) <= 1e-12)
 
     def test_iterates_stay_in_box(self):
         inst = random_instance(np.random.default_rng(17), n=8, C=0.3)
-        cfg = SolverConfig(max_iters=50, seed=0)
+        cfg = SolverConfig(max_iters=50)
         sol = solve_pgd(inst, cfg)
         assert np.all((sol.alpha >= 0.0) & (sol.alpha <= 0.3))
 
-    def test_seeded_initialization_is_deterministic(self):
+    def test_start_does_not_read_the_seed(self):
+        # every run starts at the inv solution, whatever SolverConfig.seed is
         inst = random_instance(np.random.default_rng(23), n=8)
-        cfg = SolverConfig(max_iters=7, seed=99)
-        a = solve_pgd(inst, cfg).alpha
-        b = solve_pgd(inst, cfg).alpha
-        assert np.array_equal(a, b)
+        a = solve_pgd(inst, SolverConfig(max_iters=7, seed=99))
+        b = solve_pgd(inst, SolverConfig(max_iters=7))
+        assert np.array_equal(a.alpha, b.alpha) and a.iterations == b.iterations
 
     @pytest.mark.parametrize("kappa", [2.0, 10.0, 100.0])
     def test_linear_convergence_rate(self, monkeypatch, kappa):
@@ -281,8 +297,8 @@ class TestSolvePgd:
             delta = rotated_spectrum_delta(rng, np.linspace(1.0, kappa, n))
             inst = make_instance(delta, C=math.inf)
             star = solve_oracle(inst, tol=1e-13, max_sweeps=200000)
-            cfg = SolverConfig(step_size=1.0 / kappa, max_iters=300, tol=1e-16, nesterov=False, seed=seed)
-            gaps = self._objective_trace(monkeypatch, inst, cfg) - star.objective
+            cfg = SolverConfig(step_size=1.0 / kappa, max_iters=300, tol=1e-16, nesterov=False)
+            gaps = self._objective_trace(monkeypatch, inst, cfg, seed) - star.objective
             assert gaps.min() >= -1e-12
             rate = 1.0 - 1.0 / kappa
             bound = rho * gaps[0] * rate ** np.arange(len(gaps))
@@ -432,7 +448,7 @@ class TestOrderingChain:
             rng = np.random.default_rng(500 + seed)
             inst = random_instance(rng, n=int(rng.integers(2, 24)), C=C)
             star = solve_oracle(inst, tol=1e-11)
-            pgd = solve_pgd(inst, SolverConfig(max_iters=100, seed=seed))
+            pgd = solve_pgd(inst, SolverConfig(max_iters=100))
             inv = solve_inv(inst)
             unconstrained = 2.0 * np.linalg.solve(inst.delta, np.ones(inst.n))
             g_free = dual_objective(inst.delta, unconstrained)
@@ -466,9 +482,9 @@ class TestSpectralNorm:
         steps = []
         real = svm_module._pgd_batched
 
-        def recording(matvec, gather, b, C, step_sizes, *args):
-            steps.append(step_sizes())
-            return real(matvec, gather, b, C, step_sizes, *args)
+        def recording(matvec, gather, b, C, auto_steps, *args):
+            steps.append(auto_steps())
+            return real(matvec, gather, b, C, auto_steps, *args)
 
         monkeypatch.setattr(svm_module, "_pgd_batched", recording)
         for inst in instances:

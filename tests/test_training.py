@@ -23,7 +23,7 @@ def small_config(**kw):
     base = dict(
         batch_size=8, epochs=2, lr=1e-3, loss="mmcl_inv",
         kernel=KernelSpec(kind="rbf", sigma_sq=1.0), C=100.0, beta=0.1,
-        solver=SolverConfig(max_iters=100, seed=0),
+        solver=SolverConfig(max_iters=100),
         backbone_widths=(16, 16), head_hidden=16, out_dim=8, seed=0,
     )
     base.update(kw)
@@ -310,7 +310,7 @@ class TestTrainLoop:
     def test_loss_finite_over_run(self):
         for loss_kind in ("mmcl_inv", "mmcl_pgd", "nce"):
             cfg = small_config(loss=loss_kind, epochs=2,
-                               solver=SolverConfig(max_iters=50, seed=0))
+                               solver=SolverConfig(max_iters=50))
             state = train(cfg, small_blobs())
             assert all(math.isfinite(row[3]) for row in state.history)
 
