@@ -101,8 +101,9 @@ def cmd_eval(args) -> int:
 def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
     """Read a solve instance: raw kernel blocks ([k_xx], [k_xY], [K_YY]) or
     embeddings ([z_pos], and [Z_neg] with one negative per row) under the
-    kernel ``tc.kernel``. C and beta are ``tc``'s. A section with a
-    non-finite value is rejected by name."""
+    kernel ``tc.kernel``. C and beta are ``tc``'s. A section that is
+    empty, ragged or holds a cell that is no finite number is rejected by
+    name."""
     sections = {}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -125,29 +126,46 @@ def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
         if block in sections and needed not in sections:
             raise ValueError(f"{path}: a [{block}] section needs a [{needed}] section")
     if "K_YY" in sections:
-        k_xY = np.array([float(v) for v in ",".join(sections["k_xY"]).split(",")])
-        K_YY = np.array([[float(v) for v in row.split(",")] for row in sections["K_YY"]])
-        k_xx = float(",".join(sections["k_xx"])) if "k_xx" in sections else 1.0
-        _reject_non_finite(path, k_xx=k_xx, k_xY=k_xY, K_YY=K_YY)
+        k_xx = _section_values(path, sections, "k_xx") if "k_xx" in sections else np.ones(1)
+        if k_xx.size != 1:
+            raise ValueError(f"{path}: [k_xx] holds {k_xx.size} values, expected 1")
+        k_xx = float(k_xx[0])
+        k_xY = _section_values(path, sections, "k_xY")
+        K_YY = _section_values(path, sections, "K_YY", matrix=True)
         delta = assemble_delta(k_xx, k_xY, K_YY, tc.beta)
         asym = float(np.max(np.abs(K_YY - K_YY.T)))  # inv would factor one triangle of D
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(K_YY)))):
             raise ValueError(f"{path}: [K_YY] is not symmetric (max |K_YY - K_YY'| = {asym!r})")
         return SvmInstance(delta=delta, C=tc.C, beta=tc.beta)
     if "Z_neg" in sections:
-        z_pos = np.array([float(v) for v in ",".join(sections["z_pos"]).split(",")])
-        Z_neg = np.array([[float(v) for v in row.split(",")] for row in sections["Z_neg"]]).T
-        _reject_non_finite(path, z_pos=z_pos, Z_neg=Z_neg)
+        z_pos = _section_values(path, sections, "z_pos")
+        Z_neg = _section_values(path, sections, "Z_neg", matrix=True).T
         return build_instance(tc.kernel, z_pos, Z_neg, tc.C, tc.beta)
     raise ValueError(f"{path}: need either a K_YY section or a Z_neg section")
 
 
-def _reject_non_finite(path, **sections) -> None:
-    """ValueError naming ``path`` and the first of the instance file's
-    ``sections`` (name=values) that holds a NaN or an infinity."""
-    for name, values in sections.items():
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{path}: [{name}] holds a non-finite value")
+def _section_values(path, sections, name, matrix=False) -> np.ndarray:
+    """Section ``name`` of the instance file ``path`` as floats: a matrix
+    with one row per line, or else one vector of all its cells. Raises a
+    ValueError naming the file and the section when the section is empty,
+    a cell is not a number, the matrix is ragged or a value is NaN or
+    infinite."""
+    lines = sections[name]
+    if not lines:
+        raise ValueError(f"{path}: [{name}] is empty")
+    rows = [ln.split(",") for ln in lines] if matrix else [",".join(lines).split(",")]
+    try:
+        rows = [[float(v) for v in row] for row in rows]
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{name}] holds a non-numeric cell ({exc})") from exc
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path}: [{name}] row {i} has {len(row)} values, "
+                             f"expected {len(rows[0])}")
+    values = np.array(rows)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: [{name}] holds a non-finite value")
+    return values if matrix else values[0]
 
 
 def _solve_instance(inst: SvmInstance, method: str, tc: TrainConfig):

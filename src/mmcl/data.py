@@ -154,7 +154,10 @@ def make_moons(per_class: int, noise: float, ambient_dim: int, seed: int = 0) ->
 
 def load_csv(path) -> Dataset:
     """Rectangular numeric CSV; an optional header names the columns, and a
-    final column named 'label' is split off as integer labels."""
+    final column named 'label' is split off as integer labels, each the
+    nearest integer to its cell. A label cell that is not finite, lies
+    outside the int64 range or is not close to an integer is a ValueError
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -182,9 +185,14 @@ def load_csv(path) -> Dataset:
     data = np.asarray(rows, dtype=np.float64)
     if has_labels:
         labels = data[:, -1]
-        if not np.allclose(labels, np.round(labels)):
+        # int64 holds [-2^63, 2^63); NaN fails both comparisons
+        if not np.all((labels >= -2.0 ** 63) & (labels < 2.0 ** 63)):
+            raise ValueError(f"{path}: label column holds a non-finite value or one "
+                             "outside the int64 range")
+        rounded = np.round(labels)
+        if not np.allclose(labels, rounded):
             raise ValueError(f"{path}: label column contains non-integer values")
-        return Dataset(samples=data[:, :-1], labels=labels.astype(np.int64), name=str(path))
+        return Dataset(samples=data[:, :-1], labels=rounded.astype(np.int64), name=str(path))
     return Dataset(samples=data, labels=None, name=str(path))
 
 

@@ -20,17 +20,15 @@ Three solvers are provided:
 * ``solve_pgd``    -- m-step projected gradient, optionally Nesterov
   accelerated with gradient-based adaptive restart, at one product with
   D per step. From the first step on, an instance takes a face step
-  where it can: a Newton solve on its binding free set (the free
-  coordinates and those at a bound whose gradient points into the box)
-  and a projected search along its direction, which tries the full step
-  first and steps to the minimizer on that face when it lies in the box
-  (Bertsekas 1982's projected Newton). An instance whose binding set is
-  too large for a cheap solve takes that step only once its face has
-  settled, every second step; in every other step, and where the search
-  refuses, it takes a projected-gradient step. Its core,
-  ``_pgd_batched``, sees D only through a matvec and a gather of
-  principal blocks, so the batched ``pgd`` of ``loss.batch_loss`` runs
-  every anchor of a batch through one operator on the shared K + beta I
+  while its binding free set (the free coordinates and those at a bound
+  whose gradient points into the box) is small enough for a cheap solve:
+  a Newton solve on that set and a projected search along its direction,
+  which tries the full step first and steps to the minimizer on that
+  face when it lies in the box (Bertsekas 1982's projected Newton).
+  Otherwise, and where the search refuses, it takes a projected-gradient
+  step. Its core, ``_pgd_batched``, sees D only through a matvec and a
+  gather of principal blocks, so the batched ``pgd`` of ``loss.batch_loss``
+  runs every anchor of a batch through one operator on the shared K + beta I
   (``loss._dual_operator``), and ``solve_pgd``, on one dense D, is its
   per-anchor reference. Both start every instance at its ``inv``
   solution, and ``_pgd_batched`` alone reads the ``SolverConfig``. An
@@ -208,12 +206,6 @@ def _dense_operator(delta: np.ndarray):
             lambda rows, cols: delta[cols[:, :, None], cols[:, None, :]])
 
 
-# An instance whose binding free set is too large for a cheap face step
-# takes one only every _FACE_EVERY-th step, once its face has settled (see
-# ``_pgd_batched``), chosen by measurement on recorded training batches (see
-# CHANGES.md)
-_FACE_EVERY = 2
-
 # A face step first tries the full step t = 1, which passes for 71 683 of
 # the 71 718 face steps on 600 recorded training batches; a row that fails
 # it searches these shorter steps, longest first. The sufficient-decrease
@@ -229,7 +221,7 @@ _PAD_TO = 8
 # that at small n one solve takes every face of one padded size
 _CHUNK_FLOOR = 2 ** 15
 
-# An instance takes a face step on its binding free set F each step while
+# An instance takes a face step on its binding free set F exactly when
 # |F|^2 <= max(_BINDING_GUARD * n, _BINDING_FLOOR^2) (see ``_pgd_batched``).
 # Of 8, 12, 16 and 24, a _BINDING_GUARD of 12 balances recorded training
 # batches, where 16 and 24 are up to 8 % faster and 8 is 21 % slower,
@@ -243,11 +235,6 @@ _CHUNK_FLOOR = 2 ** 15
 # n = 126 at C = 0.05 about a fifth of its time (see CHANGES.md)
 _BINDING_GUARD = 12
 _BINDING_FLOOR = 48
-
-
-def _face_of(alpha: np.ndarray, C: float) -> np.ndarray:
-    """Each coordinate's face: 0 at the lower bound, 1 free, 2 at C."""
-    return (alpha > 0.0).astype(np.int8) + (alpha >= C)
 
 
 def _binding_free(alpha: np.ndarray, g: np.ndarray, C: float) -> np.ndarray:
@@ -372,15 +359,11 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, auto_steps, alpha0: np
     no bound holds by the sign of their gradient, so a step can free a
     coordinate as well as bind one, and the optimal face is found in a few
     steps. F is not empty while an instance is active. It solves on its F
-    from the first step on while |F|^2 <= max(``_BINDING_GUARD`` n,
+    from the first step on exactly when |F|^2 <= max(``_BINDING_GUARD`` n,
     ``_BINDING_FLOOR``^2), which keeps the O(|F|^3) = O(n^1.5) solve below
-    the O(n^2) share of an operator product as n grows. An instance whose
-    F is larger, as at small C early on, takes its face step on F only
-    once its face has settled: every ``_FACE_EVERY``-th step, if its face
-    (the coordinates at 0, the interior {0 < alpha < C}, those at C) is
-    that of the previous iterate. The search starts from alpha, so an
-    instance may take several face steps on one face. An accepted face
-    step restarts the instance's momentum.
+    the O(n^2) share of an operator product as n grows. The search starts
+    from alpha, so an instance may take several face steps on one face. An
+    accepted face step restarts the instance's momentum.
 
     An active instance without an accepted face step takes a
     projected-gradient step. The loop carries q = D alpha and
@@ -431,9 +414,6 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, auto_steps, alpha0: np
             free = _binding_free(alpha, g, C)
             size = np.add.reduce(free, axis=1)
             take = active & (size * size <= guard)
-            large = active & ~take
-            if k % _FACE_EVERY == _FACE_EVERY - 1 and large.any():
-                take |= large & np.all(_face_of(alpha, C) == _face_of(prev, C), axis=1)
             rows, points = _face_steps(gather, alpha, g, np.nonzero(take)[0], free, C)
             # a frozen instance keeps alpha, so its q needs no mask
             cand = alpha.copy()

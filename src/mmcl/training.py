@@ -248,16 +248,19 @@ def eval_split(dataset: Dataset, seed: int, test_fraction: float):
 def evaluation_split(config: TrainConfig, dataset: Dataset):
     """The (train, test) split of in-training evaluation, or None when
     training does not evaluate (``eval_every = 0`` or no labels). Raises
-    ValueError, before any epoch is trained, when the labels hold fewer
-    than the 2 classes that the linear probe needs or the split leaves no
-    sample to train on."""
+    ValueError, before any epoch is trained, when the split leaves no
+    sample to train on or its train part holds fewer than the 2 classes
+    that the linear probe needs."""
     if config.eval_every == 0 or dataset.labels is None:
         return None
-    classes = np.unique(dataset.labels).size
+    split = eval_split(dataset, config.seed, config.test_fraction)
+    classes = np.unique(dataset.labels[split[0]]).size
     if classes < 2:
-        raise ValueError(f"the dataset has {classes} label class(es), but eval_every = "
-                         f"{config.eval_every} runs a linear probe, which needs at least 2")
-    return eval_split(dataset, config.seed, config.test_fraction)
+        raise ValueError(f"the probe's train split under eval.test_fraction = "
+                         f"{config.test_fraction} holds {classes} label class(es), but "
+                         f"eval_every = {config.eval_every} runs a linear probe, which "
+                         "needs at least 2")
+    return split
 
 
 def held_out_accuracies(config: TrainConfig, params: enc.EncoderParams, dataset: Dataset,

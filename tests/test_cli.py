@@ -142,6 +142,21 @@ class TestTrainCommand:
         code, _, _ = run_cli(capsys, "train", "--config", str(cfg), "--set", "eval_every=0")
         assert code == 0 and (tmp_path / "model.ckpt").exists()
 
+    def test_probe_split_of_one_class_exits_2_before_training(self, tmp_path, capsys):
+        # the default 512 samples under eval.test_fraction = 0.998 leave the
+        # probe one train sample, so one class, although the dataset has 4:
+        # the run used to train a whole epoch, then exit 2 with the probe's
+        # "needs at least 2 classes", leaving a header-only metrics.csv
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--set", "eval_every=1",
+                                 "--set", "eval.test_fraction=0.998",
+                                 "--set", f"out.metrics={tmp_path / 'metrics.csv'}",
+                                 "--set", f"out.checkpoint={tmp_path / 'model.ckpt'}")
+        assert code == 2 and out == ""
+        assert "eval.test_fraction = 0.998 holds 1 label class" in err
+        assert not (tmp_path / "metrics.csv").exists() and not (tmp_path / "model.ckpt").exists()
+
     def test_threads_option_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "blobs.cfg"
         write_blobs_config(cfg, tmp_path)
@@ -324,6 +339,34 @@ class TestSolveCommand:
             code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver)
             assert code == 2 and out == ""
             assert err == f"error: {inst}: [{section}] holds a non-finite value\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("[k_xx]\n[k_xY]\n0.5,0.2\n[K_YY]\n1,0.1\n0.1,1\n", "[k_xx] is empty"),
+        ("[k_xx]\n1,2\n[k_xY]\n0.5,0.2\n[K_YY]\n1,0.1\n0.1,1\n", "[k_xx] holds 2 values"),
+        ("[k_xY]\n[K_YY]\n1,0.1\n0.1,1\n", "[k_xY] is empty"),
+        ("[k_xY]\n0.5,\n[K_YY]\n1,0.1\n0.1,1\n", "[k_xY] holds a non-numeric cell"),
+        ("[k_xY]\n0.5,0.2\n[K_YY]\n", "[K_YY] is empty"),
+        ("[k_xY]\n0.5,0.2\n[K_YY]\n1,x\n0.1,1\n", "[K_YY] holds a non-numeric cell"),
+        ("[k_xY]\n0.5,0.2\n[K_YY]\n1,0.1\n0.1\n", "[K_YY] row 2 has 1 values, expected 2"),
+        ("[z_pos]\n[Z_neg]\n0.0,1.0\n", "[z_pos] is empty"),
+        ("[z_pos]\n1.0,one\n[Z_neg]\n0.0,1.0\n", "[z_pos] holds a non-numeric cell"),
+        ("[z_pos]\n1.0,0.0\n[Z_neg]\n", "[Z_neg] is empty"),
+        ("[z_pos]\n1.0,0.0\n[Z_neg]\n0.0,\n", "[Z_neg] holds a non-numeric cell"),
+        ("[z_pos]\n1.0,0.0\n[Z_neg]\n0.0,1.0\n-1.0\n", "[Z_neg] row 2 has 1 values, expected 2")],
+        ids=["k_xx-empty", "k_xx-two-values", "k_xY-empty", "k_xY-non-numeric", "K_YY-empty",
+             "K_YY-non-numeric", "K_YY-ragged", "z_pos-empty", "z_pos-non-numeric",
+             "Z_neg-empty", "Z_neg-non-numeric", "Z_neg-ragged"])
+    def test_malformed_section_exits_2_naming_the_file_and_section(self, tmp_path, capsys, text,
+                                                                   message):
+        # these used to exit 2 with numpy's or float()'s message alone ("could
+        # not convert string to float: ''", "setting an array element with a
+        # sequence", or a shape error), naming neither file nor section
+        inst = tmp_path / "inst.txt"
+        inst.write_text(text)
+        for solver in ("pgd", "inv", "oracle"):
+            code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {inst}: {message}")
 
     def test_alpha_x_equals_alpha_sum(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,25 @@ class TestCsv:
         p.write_text("1,2\n3,oops\n")
         with pytest.raises(ValueError, match="row 2"):
             load_csv(p)
+
+    def test_label_next_to_an_integer_rounds_to_it(self, tmp_path):
+        # 0.9999999999 passes the integer check; a cast truncated it to 0
+        p = tmp_path / "near.csv"
+        p.write_text("x0,label\n0.5,0.9999999999\n1.5,2.0000000001\n2.5,-0.0000000001\n")
+        assert np.array_equal(load_csv(p).labels, [1, 2, 0])
+
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e30", "-1e30", "9.3e18"])
+    def test_non_finite_or_int64_overflowing_label_names_the_file(self, tmp_path, label):
+        # inf and 1e30 used to reach the int64 cast, which warned "invalid
+        # value encountered in cast" before "labels must be nonnegative"
+        p = tmp_path / "huge.csv"
+        p.write_text(f"x0,label\n0.5,1\n1.5,{label}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                load_csv(p)
+        assert str(exc.value) == (f"{p}: label column holds a non-finite value or one outside "
+                                  "the int64 range")
 
 
 class TestBinary:

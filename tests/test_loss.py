@@ -781,25 +781,27 @@ class TestPgdConvergence:
                 star = solve_oracle(inst, tol=1e-12).objective
                 assert abs(dual_objective(inst.delta, alphas[k]) - star) <= 1e-12 * abs(star)
 
-    def test_face_steps_solve_small_binding_sets_or_settled_faces(self, monkeypatch):
-        # every face step solves on the anchor's binding free set F: each
-        # step while |F|^2 <= max(_BINDING_GUARD n, _BINDING_FLOOR^2), and
-        # beyond that only once its face has settled. At C = 0.05 both occur
-        # on this batch of N = 80, and so do face steps on sets that only
-        # the floor admits
+    def test_face_steps_solve_exactly_the_small_binding_sets(self, monkeypatch):
+        # an active anchor takes a face step on its binding free set F
+        # exactly when |F|^2 <= max(_BINDING_GUARD n, _BINDING_FLOOR^2), and
+        # otherwise a projected-gradient step. At C = 0.05 this batch of
+        # N = 80 has face steps on sets within the guard, face steps on sets
+        # that only the floor admits, and active anchors whose F is larger
         tc = cfgmod.build_train_config(cfgmod.default_config())
-        counts = {"within_guard": 0, "within_floor": 0, "settled": 0}
+        counts = {"within_guard": 0, "within_floor": 0, "beyond": 0}
         face_steps = svm_module._face_steps
 
         def checking(gather, alpha, g, rows, free, C):
-            binding = svm_module._binding_free(alpha, g, C)
+            assert np.array_equal(free, svm_module._binding_free(alpha, g, C))
             guard = svm_module._BINDING_GUARD * alpha.shape[1]
             limit = max(guard, svm_module._BINDING_FLOOR ** 2)
-            for i in rows:
-                assert np.array_equal(free[i], binding[i])
-                size2 = np.sum(free[i]) ** 2
-                counts["within_guard" if size2 <= guard else
-                       "within_floor" if size2 <= limit else "settled"] += 1
+            size2 = np.sum(free, axis=1) ** 2
+            pg = alpha - np.clip(alpha - g, 0.0, C)
+            active = np.einsum("ij,ij->i", pg, pg) > tc.solver.tol ** 2
+            assert np.array_equal(rows, np.nonzero(active & (size2 <= limit))[0])
+            counts["within_guard"] += int(np.sum(size2[rows] <= guard))
+            counts["within_floor"] += int(np.sum(size2[rows] > guard))
+            counts["beyond"] += int(np.sum(active & (size2 > limit)))
             return face_steps(gather, alpha, g, rows, free, C)
 
         monkeypatch.setattr(svm_module, "_face_steps", checking)

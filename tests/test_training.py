@@ -221,6 +221,17 @@ class TestTrainLoop:
             train(small_config(eval_every=1, test_fraction=0.99), small_blobs(), on_epoch=rows.append)
         assert rows == []
 
+    def test_probe_split_of_one_class_fails_before_training(self, monkeypatch):
+        # 0.97 of 48 samples leaves the probe 1 train sample, so 1 class of
+        # the dataset's 2; the class count used to be taken over the whole
+        # dataset, so an epoch trained before the probe refused the split
+        epochs = []
+        monkeypatch.setattr(training, "run_epoch",
+                            lambda *args: epochs.append(args) or run_epoch(*args))
+        with pytest.raises(ValueError, match=r"eval.test_fraction = 0.97 holds 1 label class"):
+            train(small_config(eval_every=1, test_fraction=0.97), small_blobs())
+        assert epochs == []
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         ds = small_blobs()
         full = train(small_config(epochs=4), ds)
