@@ -29,9 +29,9 @@ from .evaluate import _check_finite
 from .loss import batch_loss, nce_batch_loss
 from .svm import (SingularInstanceError, SvmInstance, assemble_delta,
                   build_instance, classify_support, solve_inv, solve_oracle, solve_pgd)
-from .training import (METRICS_HEADER, STATE_MAGIC, TrainConfig, TrainingAbort, check_batch_size,
-                       eval_split, evaluation_split, format_metrics_row, held_out_accuracies,
-                       load_state, save_state, train)
+from .training import (LOSS_KINDS, METRICS_HEADER, SOLVER_METHODS, TrainConfig, TrainingAbort,
+                       check_batch_size, eval_split, evaluation_split, format_metrics_row,
+                       held_out_accuracies, load_checkpoint_params, save_state, train)
 
 CATEGORY_NAMES = {0: "non-support", 1: "support", 2: "margin-violator"}
 
@@ -42,14 +42,6 @@ def _settings(args) -> tuple:
     cfg = cfgmod.parse_config_file(args.config) if args.config else cfgmod.default_config()
     cfgmod.apply_overrides(cfg, args.set)
     return cfg, cfgmod.build_train_config(cfg)
-
-
-def _load_checkpoint_params(path) -> enc.EncoderParams:
-    with open(path, "rb") as fh:
-        if fh.read(len(STATE_MAGIC)) == STATE_MAGIC:
-            return load_state(path).params
-        fh.seek(0)
-        return enc.load_params(fh)
 
 
 def cmd_train(args) -> int:
@@ -82,11 +74,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, tc = _settings(args)
-    params = _load_checkpoint_params(cfg["out.checkpoint"])
+    params = load_checkpoint_params(cfg["out.checkpoint"])
     dataset = cfgmod.load_dataset(cfg)
-    if dataset.labels is None:
-        print("eval requires a labeled dataset", file=sys.stderr)
-        return 2
     split = eval_split(dataset, tc.seed, tc.test_fraction)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -102,8 +91,8 @@ def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
     """Read a solve instance: raw kernel blocks ([k_xx], [k_xY], [K_YY]) or
     embeddings ([z_pos], and [Z_neg] with one negative per row) under the
     kernel ``tc.kernel``. C and beta are ``tc``'s. A section that is
-    empty, ragged or holds a cell that is no finite number is rejected by
-    name."""
+    empty, ragged or holds a cell that is no finite number, and sections
+    whose lengths do not match, are rejected by name."""
     sections = {}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -132,15 +121,21 @@ def _parse_instance_file(path, tc: TrainConfig) -> SvmInstance:
         k_xx = float(k_xx[0])
         k_xY = _section_values(path, sections, "k_xY")
         K_YY = _section_values(path, sections, "K_YY", matrix=True)
-        delta = assemble_delta(k_xx, k_xY, K_YY, tc.beta)
+        n = k_xY.size
+        if K_YY.shape != (n, n):
+            raise ValueError(f"{path}: [K_YY] is {K_YY.shape[0]} x {K_YY.shape[1]}, but [k_xY] "
+                             f"holds {n} values, so it must be {n} x {n}")
         asym = float(np.max(np.abs(K_YY - K_YY.T)))  # inv would factor one triangle of D
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(K_YY)))):
             raise ValueError(f"{path}: [K_YY] is not symmetric (max |K_YY - K_YY'| = {asym!r})")
-        return SvmInstance(delta=delta, C=tc.C, beta=tc.beta)
+        return SvmInstance(delta=assemble_delta(k_xx, k_xY, K_YY, tc.beta), C=tc.C, beta=tc.beta)
     if "Z_neg" in sections:
         z_pos = _section_values(path, sections, "z_pos")
-        Z_neg = _section_values(path, sections, "Z_neg", matrix=True).T
-        return build_instance(tc.kernel, z_pos, Z_neg, tc.C, tc.beta)
+        Z_neg = _section_values(path, sections, "Z_neg", matrix=True)
+        if Z_neg.shape[1] != z_pos.size:
+            raise ValueError(f"{path}: [Z_neg] rows hold {Z_neg.shape[1]} values, but [z_pos] "
+                             f"holds {z_pos.size}")
+        return build_instance(tc.kernel, z_pos, Z_neg.T, tc.C, tc.beta)
     raise ValueError(f"{path}: need either a K_YY section or a Z_neg section")
 
 
@@ -170,8 +165,7 @@ def _section_values(path, sections, name, matrix=False) -> np.ndarray:
 
 def _solve_instance(inst: SvmInstance, method: str, tc: TrainConfig):
     """Solve one dual by ``method`` (inv, oracle or pgd) under ``tc``'s
-    solver settings: ``oracle`` runs to its ``tol``, and ``pgd`` starts
-    at the ``inv`` solution."""
+    solver settings; ``oracle`` runs to its ``tol``."""
     if method == "inv":
         return solve_inv(inst)
     if method == "oracle":
@@ -197,7 +191,7 @@ def cmd_solve(args) -> int:
 
 def cmd_inspect(args) -> int:
     cfg, tc = _settings(args)
-    params = _load_checkpoint_params(cfg["out.checkpoint"])
+    params = load_checkpoint_params(cfg["out.checkpoint"])
     dataset = cfgmod.load_dataset(cfg)
     if dataset.labels is None:
         print("inspect requires a labeled dataset", file=sys.stderr)
@@ -250,8 +244,16 @@ def _head_embeddings(params, samples) -> np.ndarray:
 
 def cmd_bench(args) -> int:
     _, tc = _settings(args)
-    sizes = sorted(int(s) for s in args.sizes.split(","))
-    for name, value, low in (("sizes", min(sizes), 2), ("--dim", args.dim, 1), ("--reps", args.reps, 1)):
+    sizes = []
+    for entry in args.sizes.split(","):
+        try:
+            sizes.append(int(entry))
+        except ValueError:
+            print(f"bench --sizes must be comma-separated integers, got {entry!r} in {args.sizes!r}",
+                  file=sys.stderr)
+            return 2
+    sizes.sort()
+    for name, value, low in (("--sizes", min(sizes), 2), ("--dim", args.dim, 1), ("--reps", args.reps, 1)):
         if value < low:
             print(f"bench {name} must be >= {low}", file=sys.stderr)
             return 2
@@ -262,7 +264,7 @@ def cmd_bench(args) -> int:
         v1 /= np.linalg.norm(v1, axis=0, keepdims=True)
         v2 = rng.standard_normal((args.dim, N))
         v2 /= np.linalg.norm(v2, axis=0, keepdims=True)
-        for variant in ("mmcl_pgd", "mmcl_inv", "nce"):
+        for variant in LOSS_KINDS:
             times = []
             for _ in range(args.reps):
                 start = time.perf_counter()
@@ -270,7 +272,7 @@ def cmd_bench(args) -> int:
                     nce_batch_loss(v1, v2, tc.temperature)
                 else:
                     batch_loss(v1, v2, tc.kernel, tc.C, tc.beta, tc.solver,
-                               method="pgd" if variant == "mmcl_pgd" else "inv")
+                               method=SOLVER_METHODS[variant])
                 times.append((time.perf_counter() - start) * 1e3)
             print(f"{N},{variant},{sorted(times)[len(times) // 2]!r}")
     return 0

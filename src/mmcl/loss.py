@@ -34,22 +34,16 @@ by blocks once 2N exceeds its block size. ``inv`` builds M in one new
 buffer, which ``dsytrf`` overwrites with the factor and ``dsytri`` with
 M^{-1}; K itself is never written, since the gradient reuses it.
 scipy.linalg is imported only where a matrix is factored, so that
-``import mmcl`` and InfoNCE training do not load it. ``pgd`` starts every
-anchor at that ``inv`` solution, the paper's truncated least-squares
-approximation (the "alpha seeding" of DeCoste & Wagstaff 2000), and runs
-on every anchor at once through one operator (``_dual_operator``) whose
+``import mmcl`` and InfoNCE training do not load it. ``pgd`` runs on
+every anchor at once through one operator (``_dual_operator``) whose
 product with the N x 2N block of alphas is one GEMM with M, built again
 for it since ``inv`` overwrites its own; each PGD step makes one such
-product. Its face steps, from the first step on, read the blocks D_k[F,F]
-of each anchor's binding free set F (the free coordinates and those at a
-bound whose gradient points into the box) from M and the rank-2 term,
-stacked by size, and search along the Newton direction on them without a
-further product. An anchor steps along its projected gradient only where
-it takes no face step, with its step from a closed-form bound on ||D_k||_2
-(``resolve_step_sizes``), computed for the batch the first time such a
-step is taken; on recorded N = 32 training batches face steps take every
-step and the bound is never computed. Nothing in this module assembles a
-D_k; the per-anchor references of ``svm`` do, one anchor at a time.
+product. Its face steps read the blocks D_k[F,F] of each anchor's binding
+free set F (the free coordinates and those at a bound whose gradient
+points into the box) from M and the rank-2 term, stacked by size, and
+search along the Newton direction on them without a further product.
+Nothing in this module assembles a D_k; the per-anchor references of
+``svm`` do, one anchor at a time.
 """
 
 from __future__ import annotations
@@ -308,7 +302,9 @@ def _inv_batched(K_full: np.ndarray, beta: float, C: float) -> np.ndarray:
     Returns a new N x 2N block of alphas, zero at the own columns. Raises
     ``SingularInstanceError`` naming the first anchor whose D_k is not
     positive definite, or M when it is singular to working precision.
-    Non-finite kernel values give NaN alphas and reject no anchor.
+    Non-finite kernel values give NaN alphas and reject no anchor; as the
+    start of the batched ``pgd`` they freeze every anchor before its first
+    step.
     """
     N = K_full.shape[0] // 2
     M = _plus_beta_identity(K_full, beta)
@@ -385,12 +381,9 @@ def resolve_step_sizes(K_full: np.ndarray, beta: float) -> np.ndarray:
     largest eigenvalue lambda_+ >= 0 that of the 2x2 matrix W U'U, of
     trace a n - 2 s and determinant s^2 - n p, with n = |R|, s = 1'u and
     p = u'u. Centring keeps the bound closer than the uncentred
-    ||K + beta I|| + ||T_k||. Non-finite kernel values give NaN steps, so
-    PGD stops at once with NaN alphas.
+    ||K + beta I|| + ||T_k||.
     """
     N = K_full.shape[0] // 2
-    if not np.all(np.isfinite(K_full)):
-        return np.full(N, np.nan)
     m = np.mean(K_full, axis=1)
     m_mean = np.mean(m)
     centred = K_full - m[:, None]
@@ -442,16 +435,14 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     2N x 2N matrix K + beta I, made and inverted in one buffer of its own
     (see ``_inv_batched``), and ``pgd`` runs one batched PGD over every
     anchor's dual through ``_dual_operator``, on a K + beta I built for it
-    (see ``svm._pgd_batched`` for its face steps and convergence rule).
-    The Gram matrix K is computed once and reused, unwritten, for the
-    gradient. ``pgd`` starts each anchor at its ``inv`` solution, which
-    ``max_iters = 0`` returns. Each step is a face step where one is
-    accepted and a projected-gradient step otherwise, of length
-    ``solver.step_size``, or for "auto" 1 / a closed-form bound on each
-    ||D_k||_2 (see ``resolve_step_sizes``), computed only on the first
-    step that needs it. Non-finite embeddings give NaN alphas. Both
-    methods cost O(N^2) memory, and O(N^3) time per ``inv`` call or per
-    PGD step.
+    (see ``svm._pgd_batched`` for its steps and convergence rule), with
+    ``resolve_step_sizes`` for an "auto" ``solver.step_size``. ``pgd``
+    starts each anchor at its ``inv`` solution, the paper's truncated
+    least-squares approximation (the "alpha seeding" of DeCoste & Wagstaff
+    2000), which ``max_iters = 0`` returns. The Gram matrix K is computed
+    once and reused, unwritten, for the gradient. Non-finite embeddings
+    give NaN alphas. Both methods cost O(N^2) memory, and O(N^3) time per
+    ``inv`` call or per PGD step.
 
     Any other ``method`` raises ValueError; the exact per-anchor
     ``svm.solve_oracle`` is a reference, not a batch method. Both methods

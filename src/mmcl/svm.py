@@ -30,11 +30,7 @@ Three solvers are provided:
   gather of principal blocks, so the batched ``pgd`` of ``loss.batch_loss``
   runs every anchor of a batch through one operator on the shared K + beta I
   (``loss._dual_operator``), and ``solve_pgd``, on one dense D, is its
-  per-anchor reference. Both start every instance at its ``inv``
-  solution, and ``_pgd_batched`` alone reads the ``SolverConfig``. An
-  "auto" step is 1 / ||D||_2 for ``solve_pgd`` and a closed-form bound
-  (``loss.resolve_step_sizes``) for the batched ``pgd``, computed only
-  once a projected-gradient step needs it.
+  per-anchor reference.
 * ``solve_inv``    -- truncated least squares: clip(2 D^{-1} 1, 0, C),
   computed from the Cholesky factor that decides the precondition. It is
   the per-anchor reference for the batched ``inv`` of ``loss.batch_loss``,
@@ -106,22 +102,16 @@ class DualSolution:
 
 @dataclass
 class SolverConfig:
-    """Projected-gradient settings.
+    """Projected-gradient settings, which ``_pgd_batched`` alone reads.
 
-    ``step_size`` is a positive float or the string ``"auto"``: for one
-    dense D (``solve_pgd``) 1 / ||D||_2, its largest eigenvalue, and in
-    the batched ``pgd`` of ``loss.batch_loss`` the reciprocal of a
-    closed-form upper bound on each anchor's ||D_k||_2
-    (``loss.resolve_step_sizes``), so no step is longer than 1 / ||D||_2.
-    Only projected-gradient steps use it, and "auto" is computed only if
-    one is taken: a run of face steps alone never computes it.
+    ``step_size`` is the length of a projected-gradient step: a positive
+    float, or the string ``"auto"`` for the step of each instance that its
+    solver supplies (``solve_pgd``, ``loss.resolve_step_sizes``).
     ``max_iters`` caps the steps, face steps included, and ``tol`` the
     norm of the projected gradient alpha - P(alpha - g), P the projection
     onto the box, at which an instance counts as converged; it takes a
-    unit step whatever ``step_size`` is. An instance whose projected
-    gradient is not finite stops at once, unconverged, with NaN alphas.
-    ``seed`` is read by nothing in ``mmcl``: every PGD run starts at the
-    ``inv`` solution. It stays a field only because the benchmark harness
+    unit step whatever ``step_size`` is. ``seed`` is read by nothing in
+    ``mmcl``. It stays a field only because the benchmark harness
     (``perfbench``) constructs ``SolverConfig(..., seed=...)``.
     """
 
@@ -176,7 +166,9 @@ def build_instance(spec: KernelSpec, z_pos, Z_neg, C: float, beta: float) -> Svm
 def _cholesky(inst: SvmInstance):
     """The Cholesky factor of D, the verdict of every per-anchor solver:
     raises ``SingularInstanceError`` when D is not positive definite. A
-    non-finite D is not judged, and its factor is NaN."""
+    non-finite D is not judged: its factor is NaN, and so are the ``inv``
+    solution and ``solve_pgd``'s start from it, which freezes the run
+    before its first step."""
     # imported here, so that ``import mmcl`` and InfoNCE training, which
     # factor nothing, do not load scipy.linalg
     from scipy.linalg import LinAlgError, cho_factor
@@ -451,30 +443,21 @@ def _pgd_batched(matvec, gather, b: np.ndarray, C: float, auto_steps, alpha0: np
     return alpha, iterations, ~active & ~failed
 
 
-def solve_pgd(inst: SvmInstance, cfg: SolverConfig, alpha0=None) -> DualSolution:
+def solve_pgd(inst: SvmInstance, cfg: SolverConfig) -> DualSolution:
     """Run (optionally Nesterov-accelerated) projected gradient, with face
     steps, on one instance: ``_pgd_batched`` on a batch of one dense D,
-    with the step 1 / lambda_max(D) = 1 / ||D||_2 for "auto". Raises
-    ``SingularInstanceError`` when D is not positive definite.
-
-    It starts at ``solve_inv``'s solution, as the batched ``pgd`` does,
-    unless ``alpha0`` overrides it; the start is projected onto the box
-    before the first step. With max_iters = 0 the projected start is
-    returned, converged only if it is already stationary.
+    started at ``solve_inv``'s solution, with the step
+    1 / lambda_max(D) = 1 / ||D||_2 for "auto". Raises
+    ``SingularInstanceError`` when D is not positive definite. With
+    max_iters = 0 the start is returned, converged only if it is already
+    stationary.
     """
     start = solve_inv(inst).alpha  # also the verdict on D
     matvec, gather = _dense_operator(inst.delta)
     b = np.full((1, inst.n), 2.0)
-    a0 = np.asarray(start if alpha0 is None else alpha0, dtype=np.float64)[None]
-
-    def auto_steps():
-        # D is positive definite, so ||D||_2 is its largest eigenvalue; a
-        # non-finite D, which ``_cholesky`` does not judge, gets NaN
-        if not np.all(np.isfinite(inst.delta)):
-            return np.array([math.nan])
-        return np.array([1.0 / np.linalg.eigvalsh(inst.delta)[-1]])
-
-    alpha, iters, converged = _pgd_batched(matvec, gather, b, inst.C, auto_steps, a0, cfg)
+    # D is positive definite, so ||D||_2 is its largest eigenvalue
+    alpha, iters, converged = _pgd_batched(
+        matvec, gather, b, inst.C, lambda: 1.0 / np.linalg.eigvalsh(inst.delta)[-1:], start[None], cfg)
     return DualSolution(
         alpha=alpha[0],
         objective=dual_objective(inst.delta, alpha[0]),

@@ -33,6 +33,8 @@ from .svm import SolverConfig, _check_C_beta
 
 STATE_MAGIC = b"MMTR1"
 LOSS_KINDS = ("mmcl_pgd", "mmcl_inv", "nce")
+# the ``batch_loss`` method of each max-margin loss; nce solves no dual
+SOLVER_METHODS = {"mmcl_pgd": "pgd", "mmcl_inv": "inv"}
 SCHEDULABLE_FIELDS = ("C", "sigma_sq")
 METRICS_HEADER = "epoch,C,sigma_sq,loss,knn_acc,linear_acc"
 
@@ -184,7 +186,7 @@ def run_epoch(state: TrainState, config: TrainConfig, dataset: Dataset):
     C, spec = apply_schedules(config, epoch)
     order = stream_rng(config.seed, "shuffle", epoch).permutation(len(dataset))
     n_batches = len(dataset) // N
-    method = {"mmcl_pgd": "pgd", "mmcl_inv": "inv"}.get(config.loss)
+    method = SOLVER_METHODS.get(config.loss)
     losses = []
     for b in range(n_batches):
         rows = dataset.samples[order[b * N:(b + 1) * N]]
@@ -236,31 +238,30 @@ def eval_embeddings(params: enc.EncoderParams, samples: np.ndarray, which: str) 
 
 
 def eval_split(dataset: Dataset, seed: int, test_fraction: float):
-    """Deterministic train/test index split of every held-out evaluation."""
+    """Deterministic (train, test) index split of every held-out evaluation.
+    Raises ValueError when held-out evaluation cannot run on it: the
+    dataset has no labels, the split leaves no sample to train on, or its
+    train part holds fewer than the 2 classes that the linear probe needs."""
+    if dataset.labels is None:
+        raise ValueError("held-out evaluation needs a labeled dataset")
     perm = stream_rng(seed, "evalsplit").permutation(len(dataset))
     n_test = max(1, int(round(test_fraction * len(dataset))))
     if n_test >= len(dataset):
         raise ValueError(f"eval.test_fraction = {test_fraction} leaves none of "
                          f"{len(dataset)} samples to train on")
+    classes = np.unique(dataset.labels[perm[n_test:]]).size
+    if classes < 2:
+        raise ValueError(f"the linear probe needs at least 2 label classes, but its train split "
+                         f"under eval.test_fraction = {test_fraction} holds {classes} label class(es)")
     return perm[n_test:], perm[:n_test]
 
 
 def evaluation_split(config: TrainConfig, dataset: Dataset):
-    """The (train, test) split of in-training evaluation, or None when
-    training does not evaluate (``eval_every = 0`` or no labels). Raises
-    ValueError, before any epoch is trained, when the split leaves no
-    sample to train on or its train part holds fewer than the 2 classes
-    that the linear probe needs."""
+    """The ``eval_split`` of in-training evaluation, or None when training
+    does not evaluate (``eval_every = 0`` or no labels)."""
     if config.eval_every == 0 or dataset.labels is None:
         return None
-    split = eval_split(dataset, config.seed, config.test_fraction)
-    classes = np.unique(dataset.labels[split[0]]).size
-    if classes < 2:
-        raise ValueError(f"the probe's train split under eval.test_fraction = "
-                         f"{config.test_fraction} holds {classes} label class(es), but "
-                         f"eval_every = {config.eval_every} runs a linear probe, which "
-                         "needs at least 2")
-    return split
+    return eval_split(dataset, config.seed, config.test_fraction)
 
 
 def held_out_accuracies(config: TrainConfig, params: enc.EncoderParams, dataset: Dataset,
@@ -293,8 +294,8 @@ def train(config: TrainConfig, dataset: Dataset, state: TrainState = None,
 
     ``on_epoch`` receives each history row as it is produced. Evaluation
     runs every ``eval_every`` epochs on a held-out split when the dataset
-    has labels (``evaluation_split``, which rejects an unusable dataset
-    before the first epoch).
+    has labels (``evaluation_split``), and a split it cannot run on is
+    rejected before the first epoch.
 
     The ``mean_loss`` history column (the ``loss`` column of the metrics
     CSV) is the mean batch loss from ``run_epoch``: for the max-margin
@@ -354,6 +355,11 @@ def save_state(state: TrainState, path) -> None:
 
 
 def load_state(path) -> TrainState:
+    """The train state that ``save_state`` wrote to ``path``. Raises
+    ValueError naming the file and the field when a header field is out of
+    range: a negative epoch, seed, Adam step or history count, an lr that
+    is negative or not finite, a beta1 or beta2 outside [0, 1), or an
+    epsilon that is not positive and finite."""
     with open(path, "rb") as fh:
         magic = fh.read(len(STATE_MAGIC))
         if magic != STATE_MAGIC:
@@ -361,9 +367,36 @@ def load_state(path) -> TrainState:
         epoch, seed = read_struct(fh, "<qq")
         lr, beta1, beta2, epsilon, step = read_struct(fh, "<ddddq")
         (n_rows,) = read_struct(fh, "<q")
+        for name, value, valid, expected in (
+                ("epoch", epoch, epoch >= 0, ">= 0"),
+                ("seed", seed, seed >= 0, "in [0, 2^63)"),
+                ("lr", lr, 0 <= lr < math.inf, "finite and >= 0"),
+                ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
+                ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
+                ("epsilon", epsilon, 0 < epsilon < math.inf, "finite and > 0"),
+                ("Adam step", step, step >= 0, ">= 0"),
+                ("history count", n_rows, n_rows >= 0, ">= 0")):
+            if not valid:
+                raise ValueError(f"{path}: train-state {name} = {value!r}, expected {expected}")
         history = [read_struct(fh, "<6d") for _ in range(n_rows)]
         params = enc.load_params(fh)
         m, v = [read_array(fh, "<f8", params.flat.shape) for _moment in range(2)]
     adam = enc.AdamState(m=m, v=v, step=step, lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
     return TrainState(params=params, adam=adam, epoch=epoch, seed=seed,
                       history=[(int(r[0]),) + r[1:] for r in history])
+
+
+def load_checkpoint_params(path) -> enc.EncoderParams:
+    """The encoder parameters of ``path``, a train state (``save_state``,
+    magic ``STATE_MAGIC``) or an encoder checkpoint (``encoder.save_params``,
+    magic ``encoder.MAGIC``, of the same length). Raises ValueError naming
+    the file and both magics when it is neither."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(STATE_MAGIC))
+        if magic == enc.MAGIC:
+            fh.seek(0)
+            return enc.load_params(fh)
+    if magic == STATE_MAGIC:
+        return load_state(path).params
+    raise ValueError(f"{path}: not a checkpoint: magic {magic!r}, expected {STATE_MAGIC!r} "
+                     f"(train state) or {enc.MAGIC!r} (encoder)")

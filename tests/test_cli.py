@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from mmcl import (Dataset, TrainConfig, augment_batch, batch_loss, forward, load_state,
-                  make_blobs, save_csv, save_state, stream_rng)
-from mmcl import cli
+                  make_blobs, save_csv, save_params, save_state, stream_rng)
+from mmcl import cli, training
+from mmcl import config as cfgmod
 from mmcl.cli import build_parser, main
 from mmcl.config import build_train_config, parse_config_file
 
@@ -368,6 +369,25 @@ class TestSolveCommand:
             assert code == 2 and out == ""
             assert err.startswith(f"error: {inst}: {message}")
 
+    @pytest.mark.parametrize("text,message", [
+        ("[k_xY]\n0.5\n[K_YY]\n1,0\n0,1\n",
+         "[K_YY] is 2 x 2, but [k_xY] holds 1 values, so it must be 1 x 1"),
+        ("[k_xY]\n0.5,0.2\n[K_YY]\n1,0,0\n0,1,0\n",
+         "[K_YY] is 2 x 3, but [k_xY] holds 2 values, so it must be 2 x 2"),
+        ("[z_pos]\n1,2,3\n[Z_neg]\n1,2\n3,4\n", "[Z_neg] rows hold 2 values, but [z_pos] holds 3")],
+        ids=["K_YY-larger", "K_YY-not-square", "Z_neg-shorter"])
+    def test_mismatched_sections_exit_2_naming_the_file_and_sections(self, tmp_path, capsys, text,
+                                                                     message):
+        # these used to exit 2 with "K_YY shape (2, 2) does not match k_xY
+        # length 1" or "dimension mismatch: z_pos has 3 rows, Z_neg has 2",
+        # naming neither file nor section
+        inst = tmp_path / "inst.txt"
+        inst.write_text(text)
+        for solver in ("pgd", "inv", "oracle"):
+            code, out, err = run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver)
+            assert code == 2 and out == ""
+            assert err == f"error: {inst}: {message}\n"
+
     def test_alpha_x_equals_alpha_sum(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
         inst.write_text("[k_xY]\n0.2,0.1,0.4\n[K_YY]\n1,0,0\n0,1,0\n0,0,1\n")
@@ -428,6 +448,7 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, "eval", "--config", cfg,
                                "--set", "data.kind=csv", "--set", f"data.path={unlabeled}")
         assert code == 2
+        assert err == "error: held-out evaluation needs a labeled dataset\n"
 
     @pytest.mark.parametrize("key,value", [
         ("eval.test_fraction", "1"), ("eval.probe_epochs", "0"), ("eval.k", "0"),
@@ -445,6 +466,28 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, "eval", "--config", cfg, "--set", f"out.checkpoint={bad}")
         assert code == 2
         assert "short.ckpt" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_file_of_neither_checkpoint_kind_exits_2_naming_it(self, tmp_path, capsys, command):
+        # it used to read "bad checkpoint magic b'hello', expected b'MMCL1'",
+        # naming no path and not the MMTR1 that mmcl train writes
+        cfg = self._trained(tmp_path, capsys)
+        bad = tmp_path / "notes.txt"
+        bad.write_bytes(b"hello world")
+        code, out, err = run_cli(capsys, command, "--config", cfg, "--set", f"out.checkpoint={bad}")
+        assert code == 2 and out == ""
+        assert err == (f"error: {bad}: not a checkpoint: magic b'hello', expected b'MMTR1' "
+                       "(train state) or b'MMCL1' (encoder)\n")
+
+    def test_encoder_checkpoint_evaluates_as_its_train_state(self, tmp_path, capsys):
+        # the parameters of a train state, saved alone as an encoder checkpoint
+        cfg = self._trained(tmp_path, capsys)
+        encoder_ckpt = tmp_path / "encoder.ckpt"
+        with open(encoder_ckpt, "wb") as fh:
+            save_params(load_state(tmp_path / "model.ckpt").params, fh)
+        outs = [run_cli(capsys, "eval", "--config", cfg, "--set", f"out.checkpoint={path}")
+                for path in (tmp_path / "model.ckpt", encoder_ckpt)]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
 
     def test_non_finite_embeddings_exit_2(self, tmp_path, capsys):
         # a NaN in the last backbone bias makes every train and test
@@ -649,6 +692,31 @@ class TestBenchCommand:
         code, _, _ = run_cli(capsys, "bench", "--sizes", "1,4")
         assert code == 2
 
+    @pytest.mark.parametrize("sizes,entry", [("", ""), ("8,,16", ""), ("8,x", "x")],
+                             ids=["empty", "empty-entry", "non-integer"])
+    def test_non_integer_size_exits_2_naming_it(self, capsys, sizes, entry):
+        # these used to exit 2 with "invalid literal for int() with base 10"
+        code, out, err = run_cli(capsys, "bench", "--sizes", sizes, "--reps", "1")
+        assert code == 2 and out == ""
+        assert err == (f"bench --sizes must be comma-separated integers, got {entry!r} "
+                       f"in {sizes!r}\n")
+
+    def test_variants_are_the_loss_kinds_and_their_solver_methods(self, capsys, monkeypatch):
+        # one table maps each max-margin loss to its batch_loss method, for
+        # training and bench alike
+        methods = []
+
+        def recording(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return batch_loss(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "batch_loss", recording)
+        code, out, _ = run_cli(capsys, "bench", "--sizes", "2", "--reps", "1", "--dim", "2")
+        assert code == 0
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == list(training.LOSS_KINDS)
+        assert methods == [training.SOLVER_METHODS[kind] for kind in training.LOSS_KINDS
+                           if kind in training.SOLVER_METHODS] == ["pgd", "inv"]
+
     @pytest.mark.parametrize("flag,message", [("--reps", "--reps must be >= 1"),
                                               ("--dim", "--dim must be >= 1")])
     def test_zero_reps_or_dim_exit_2(self, capsys, flag, message):
@@ -657,6 +725,41 @@ class TestBenchCommand:
                                  flag, "0")
         assert code == 2
         assert out == "" and message in err
+
+
+class TestHeldOutSplit:
+    """``training.eval_split`` alone decides whether held-out evaluation can
+    run, so ``train()``, ``mmcl train`` and ``mmcl eval`` refuse a split
+    with one message."""
+
+    @pytest.mark.parametrize("setting", ["eval.test_fraction=0.998", "data.classes=1"])
+    def test_train_and_eval_refuse_with_one_message(self, tmp_path, capsys, monkeypatch, setting):
+        # 0.998 of the default 512 samples leaves the probe 1 train sample;
+        # one class leaves it 1 class. mmcl eval used to embed both sets and
+        # run the kNN readout, then exit with the probe's "linear probe
+        # needs at least 2 classes, got 1"
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        outputs = ["--set", f"out.metrics={tmp_path / 'metrics.csv'}",
+                   "--set", f"out.checkpoint={tmp_path / 'model.ckpt'}"]
+        code, _, _ = run_cli(capsys, "train", "--config", str(cfg), "--set", "epochs=1", *outputs)
+        assert code == 0
+
+        settings = cfgmod.default_config()
+        cfgmod.apply_overrides(settings, [setting, "eval_every=1"])
+        with pytest.raises(ValueError) as refused:
+            training.train(build_train_config(settings), cfgmod.load_dataset(settings))
+        message = str(refused.value)
+        assert "label class" in message and "eval.test_fraction = " in message
+
+        embedded = []
+        monkeypatch.setattr(training, "eval_embeddings", lambda *args: embedded.append(args))
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--set", setting,
+                                 "--set", "eval_every=1", "--set", "epochs=1", *outputs)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run_cli(capsys, "eval", "--config", str(cfg), "--set", setting, *outputs)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert embedded == []
 
 
 class TestOneConfig:

@@ -574,12 +574,6 @@ class TestDualOperator:
             eig = np.linalg.eigvalsh(delta)
             assert eig[-1] <= 1.0 / eta[k] <= 1.55 * np.abs(eig).max()
 
-    def test_nonfinite_kernel_gives_nan_steps(self):
-        # as NaN alphas do, instead of the LinAlgError of an eigenvalue solve
-        _, _, _, K = self._gram("rbf", 4)
-        K[2, 5] = K[5, 2] = np.nan
-        assert np.all(np.isnan(resolve_step_sizes(K, self.BETA)))
-
     @staticmethod
     def _count_face_steps(monkeypatch):
         """Rows that accept a face step, one entry per ``svm._face_steps`` call."""
@@ -752,6 +746,32 @@ class TestPgdConvergence:
         _, iterations, converged = results[0]
         assert converged.all()
         assert iterations.max() <= 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_projected_gradient_steps_converge_on_bench_inputs(self, monkeypatch, seed):
+        # at N = 128, C = 0.05 the binding free sets outgrow the face-step
+        # limit, so these batches take projected-gradient steps, which no
+        # benchmark workload does: the step bound is computed once, and the
+        # slowest anchor needs 31, 29 and 32 steps. Without Nesterov
+        # momentum it needs 78, 68 and 69, and up to 99 without the
+        # shorter-step search of the face steps
+        tc = cfgmod.build_train_config(cfgmod.default_config())
+        results, step_calls = [], []
+        resolve = loss_module.resolve_step_sizes
+
+        def recording(*args, **kwargs):
+            results.append(_pgd_batched(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(loss_module, "_pgd_batched", recording)
+        monkeypatch.setattr(loss_module, "resolve_step_sizes",
+                            lambda *args: step_calls.append(args) or resolve(*args))
+        v1, v2 = self._bench_batch(seed, 128)
+        batch_loss(v1, v2, tc.kernel, 0.05, tc.beta, tc.solver, method="pgd")
+        _, iterations, converged = results[0]
+        assert len(step_calls) == 1
+        assert converged.all()
+        assert iterations.max() <= 32
 
     def test_step_sizes_are_computed_only_for_projected_gradient_steps(self, monkeypatch):
         # on a default N = 32 batch every step of every anchor is a face

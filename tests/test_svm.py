@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from mmcl import (KernelSpec, SolverConfig, SingularInstanceError, SvmInstance,
+from mmcl import (DualSolution, KernelSpec, SolverConfig, SingularInstanceError, SvmInstance,
                   build_instance, dual_objective, kernel_eval, solve_inv,
                   solve_oracle, solve_pgd)
+from mmcl import loss as loss_module
 from mmcl import svm as svm_module
-from mmcl.loss import negative_indices
+from mmcl.loss import batch_loss, negative_indices
 from mmcl.svm import _binding_free, _dense_operator, _face_steps
 
 import test_loss
@@ -19,6 +20,19 @@ from helpers import (RecordingOperator, _to_block, face_search_reference, random
 def make_instance(delta, C=100.0, beta=0.0):
     delta = np.asarray(delta, dtype=np.float64)
     return SvmInstance(delta=delta, C=C, beta=beta)
+
+
+def pgd_from(inst, cfg, start) -> DualSolution:
+    """``solve_pgd``'s run, started at ``start`` instead of its inv
+    solution: ``_pgd_batched`` on the dense operator of D, with the step
+    1 / lambda_max(D) for "auto"."""
+    matvec, gather = svm_module._dense_operator(inst.delta)
+    alpha, iterations, converged = svm_module._pgd_batched(
+        matvec, gather, np.full((1, inst.n), 2.0), inst.C,
+        lambda: 1.0 / np.linalg.eigvalsh(inst.delta)[-1:],
+        np.asarray(start, dtype=np.float64)[None], cfg)
+    return DualSolution(alpha=alpha[0], objective=dual_objective(inst.delta, alpha[0]),
+                        iterations=int(iterations[0]), solver="pgd", converged=bool(converged[0]))
 
 
 class TestBuildInstance:
@@ -154,21 +168,21 @@ class TestSolvePgd:
         star = solve_oracle(inst, tol=1e-12).alpha
         for nesterov in (False, True):
             cfg = SolverConfig(max_iters=100, tol=1e-8, nesterov=nesterov)
-            sol = solve_pgd(inst, cfg, alpha0=star)
+            sol = pgd_from(inst, cfg, star)
             assert np.abs(sol.alpha - star).max() <= 1e-12
             assert sol.converged
 
     def test_diagonal_single_step(self):
         inst = make_instance(2.0 * np.eye(4))
         cfg = SolverConfig(step_size=0.5, max_iters=1, tol=1e-12, nesterov=False)
-        sol = solve_pgd(inst, cfg, alpha0=np.zeros(4))
+        sol = pgd_from(inst, cfg, np.zeros(4))
         assert np.array_equal(sol.alpha, np.ones(4))
         assert sol.iterations == 1
 
     def test_zero_iteration_budget(self):
         inst = make_instance(2.0 * np.eye(3), C=0.5)
         cfg = SolverConfig(max_iters=0)
-        sol = solve_pgd(inst, cfg, alpha0=np.array([-1.0, 0.25, 2.0]))
+        sol = pgd_from(inst, cfg, np.array([-1.0, 0.25, 2.0]))
         assert np.array_equal(sol.alpha, [0.0, 0.25, 0.5])  # projected initial point
         assert not sol.converged
         assert sol.iterations == 0
@@ -201,8 +215,8 @@ class TestSolvePgd:
         # them into errors)
         inst = random_instance(np.random.default_rng(7), n=64, C=math.inf)
         assert np.linalg.eigvalsh(inst.delta)[0] > 0
-        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
-                        alpha0=np.zeros(64))
+        sol = pgd_from(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
+                       np.zeros(64))
         assert not sol.converged and sol.iterations == 1
         assert np.all(np.isnan(sol.alpha))
 
@@ -220,17 +234,17 @@ class TestSolvePgd:
         start = np.random.default_rng(0).uniform(0.0, 1.0, size=64)
         star = solve_oracle(inst, tol=1e-12).objective
         assert star == pytest.approx(-32.10, abs=0.01)
-        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False), alpha0=start)
+        sol = pgd_from(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False), start)
         assert not sol.converged and sol.iterations > 0
-        sol = solve_pgd(inst, SolverConfig(max_iters=50, nesterov=False), alpha0=start)
+        sol = pgd_from(inst, SolverConfig(max_iters=50, nesterov=False), start)
         assert sol.converged and sol.objective == pytest.approx(star, rel=1e-12)
         # at n = 32 face steps take every step, so eta = 1e300 is never used
         # and the run stops at the optimum
         inst = random_instance(np.random.default_rng(4), n=32, C=math.inf)
         star = solve_oracle(inst, tol=1e-12).objective
         assert star == pytest.approx(-13.15, abs=0.01)
-        sol = solve_pgd(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
-                        alpha0=np.random.default_rng(0).uniform(0.0, 1.0, size=32))
+        sol = pgd_from(inst, SolverConfig(step_size=1e300, max_iters=50, nesterov=False),
+                       np.random.default_rng(0).uniform(0.0, 1.0, size=32))
         assert sol.converged and sol.objective == pytest.approx(star, rel=1e-12)
 
     def test_matches_oracle_on_moderate_conditioning(self):
@@ -249,7 +263,7 @@ class TestSolvePgd:
 
     @staticmethod
     def _objective_trace(monkeypatch, inst, cfg, seed):
-        """``solve_pgd``'s objective before its first step and after every
+        """``pgd_from``'s objective before its first step and after every
         step, rebuilt from the inputs of the operator it runs on, from the
         random start alpha_0 ~ U[0, min(C, 1)]^n drawn from ``seed``, which
         is further from the optimum than the inv start."""
@@ -263,7 +277,7 @@ class TestSolvePgd:
 
         monkeypatch.setattr(svm_module, "_dense_operator", recording)
         start = np.random.default_rng(seed).uniform(0.0, min(inst.C, 1.0), size=inst.n)
-        sol = solve_pgd(inst, cfg, alpha0=start)
+        sol = pgd_from(inst, cfg, start)
         return recordings[-1].traces(np.full((1, inst.n), 2.0), [sol.iterations])[0]
 
     def test_monotone_descent_plain(self, monkeypatch):
@@ -501,13 +515,34 @@ class TestSpectralNorm:
             assert step[0] == pytest.approx(1.0 / exact, rel=1e-12)
         assert steps[-1][0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
-    def test_nonfinite_matrix_gives_nan(self, monkeypatch):
-        # instead of the LinAlgError of an eigenvalue solve, so that
-        # solve_pgd returns NaN alphas
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_inputs_compute_no_step(self, monkeypatch, value):
+        # a non-finite D (solve_pgd) or batch (batch_loss) gives a NaN inv
+        # start, which freezes every instance before its first step, so
+        # neither solve_pgd's auto step nor resolve_step_sizes is called
+        real = svm_module._pgd_batched
+
+        def no_auto_step(matvec, gather, b, C, auto_steps, *args):
+            def fail():
+                raise AssertionError("auto step computed for a non-finite input")
+            return real(matvec, gather, b, C, fail, *args)
+
+        monkeypatch.setattr(svm_module, "_pgd_batched", no_auto_step)
         inst = random_instance(np.random.default_rng(6), n=5)
-        inst.delta[1, 3] = inst.delta[3, 1] = np.inf
-        steps = self._auto_steps(monkeypatch, inst)
-        assert steps[0].shape == (1,) and math.isnan(steps[0][0])
+        inst.delta[1, 3] = inst.delta[3, 1] = value
+        sol = solve_pgd(inst, SolverConfig())
+        assert np.all(np.isnan(sol.alpha)) and not sol.converged and sol.iterations == 0
+
+        def no_step_sizes(*args):
+            raise AssertionError("resolve_step_sizes called for a non-finite batch")
+
+        monkeypatch.setattr(loss_module, "resolve_step_sizes", no_step_sizes)
+        rng = np.random.default_rng(6)
+        v1, v2 = unit_columns(rng, 4, 8), unit_columns(rng, 4, 8)
+        v1[2, 3] = np.nan  # an infinite rbf embedding warns in gram
+        total, _, _, alphas = batch_loss(v1, v2, KernelSpec(kind="rbf"), 100.0, 0.1,
+                                         SolverConfig(), method="pgd")
+        assert np.all(np.isnan(alphas)) and math.isnan(total)
 
 
 class TestSolverConfig:

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,32 @@ class TestTrainLoop:
         for cut in (8, 30, 70, len(full) // 2, len(full) - 1):
             path.write_bytes(full[:cut])
             with pytest.raises(ValueError, match="state.ckpt: truncated"):
+                load_state(path)
+
+    # the MMTR1 header after its 5-byte magic: each field's format and offset
+    HEADER_FIELDS = {"epoch": ("<q", 5), "seed": ("<q", 13), "lr": ("<d", 21),
+                     "beta1": ("<d", 29), "beta2": ("<d", 37), "epsilon": ("<d", 45),
+                     "Adam step": ("<q", 53), "history count": ("<q", 61)}
+
+    @pytest.mark.parametrize("field,values", [
+        ("epoch", [-3]), ("seed", [-1, -2 ** 63]), ("lr", [-1e-3, math.inf, math.nan]),
+        ("beta1", [5.0, 1.0, -0.1, math.nan]), ("beta2", [1.0, -0.5, math.nan]),
+        ("epsilon", [0.0, -1e-8, math.inf, math.nan]), ("Adam step", [-7]),
+        ("history count", [-2])],
+        ids=["epoch", "seed", "lr", "beta1", "beta2", "epsilon", "adam-step", "history-count"])
+    def test_out_of_range_header_field_names_it_and_the_file(self, tmp_path, field, values):
+        # each loaded before: an epoch of -3 failed in train naming no file,
+        # an Adam step of -7 aborted on a NaN loss, beta1 = 5 trained
+        # silently, and a history count of -2 read as a bad encoder magic
+        path = tmp_path / "state.ckpt"
+        save_state(train(small_config(epochs=1), small_blobs()), path)
+        good = path.read_bytes()
+        fmt, offset = self.HEADER_FIELDS[field]
+        for value in values:
+            bad = bytearray(good)
+            struct.pack_into(fmt, bad, offset, value)
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError, match=rf"state.ckpt: train-state {field} = {value!r}, expected"):
                 load_state(path)
 
     def test_sampling_streams_independent_of_loss_kind(self):
