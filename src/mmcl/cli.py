@@ -16,6 +16,7 @@ config, or input-file errors, and a solve by any method (``solve``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import warnings
@@ -51,6 +52,9 @@ def cmd_train(args) -> int:
     evaluation_split(tc, dataset)
     metrics_path = cfg["out.metrics"]
     ckpt_path = cfg["out.checkpoint"]
+    ckpt_dir = os.path.dirname(os.path.abspath(ckpt_path))
+    if not os.path.isdir(ckpt_dir):  # else every epoch would train before the save fails
+        raise ValueError(f"out.checkpoint = {ckpt_path}: directory {ckpt_dir} does not exist")
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics:
         metrics.write(METRICS_HEADER + "\n")
 

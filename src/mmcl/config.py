@@ -79,7 +79,6 @@ SCHEMA = {
     "kernel.sigma_sq": (float, "kernel.sigma_sq"),
     "kernel.gamma": (float, "kernel.gamma"),
     "kernel.bias": (float, "kernel.bias"),
-    "kernel.positive_gamma": (_parse_bool, "kernel.positive_gamma"),
     "loss": (str, "loss"),
     "C": (float, "C"),
     "beta": (float, "beta"),

@@ -36,7 +36,6 @@ def stream_rng(seed: int, *stream) -> np.random.Generator:
 class Dataset:
     samples: np.ndarray
     labels: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -121,7 +120,7 @@ def make_blobs(num_classes: int, per_class: int, d: int, separation: float,
     labels = np.repeat(np.arange(num_classes), per_class)
     samples = means[labels] + rng.standard_normal((labels.size, d))
     order = rng.permutation(labels.size)
-    return Dataset(samples=samples[order], labels=labels[order], name="blobs")
+    return Dataset(samples=samples[order], labels=labels[order])
 
 
 def make_moons(per_class: int, noise: float, ambient_dim: int, seed: int = 0) -> Dataset:
@@ -149,15 +148,15 @@ def make_moons(per_class: int, noise: float, ambient_dim: int, seed: int = 0) ->
         Q, _ = np.linalg.qr(G)
         samples = samples @ Q.T
     order = stream_rng(seed, "moons", "shuffle").permutation(labels.size)
-    return Dataset(samples=samples[order], labels=labels[order], name="moons")
+    return Dataset(samples=samples[order], labels=labels[order])
 
 
 def load_csv(path) -> Dataset:
     """Rectangular numeric CSV; an optional header names the columns, and a
     final column named 'label' is split off as integer labels, each the
-    nearest integer to its cell. A label cell that is not finite, lies
-    outside the int64 range or is not close to an integer is a ValueError
-    naming the file."""
+    nearest integer to its cell. A file with no data rows, or a label cell
+    that is not finite, lies outside the int64 range or is not close to an
+    integer, is a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -182,6 +181,8 @@ def load_csv(path) -> Dataset:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise ValueError(f"{path}: row {i}: non-numeric cell ({exc})") from exc
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
     if has_labels:
         labels = data[:, -1]
@@ -192,8 +193,8 @@ def load_csv(path) -> Dataset:
         rounded = np.round(labels)
         if not np.allclose(labels, rounded):
             raise ValueError(f"{path}: label column contains non-integer values")
-        return Dataset(samples=data[:, :-1], labels=rounded.astype(np.int64), name=str(path))
-    return Dataset(samples=data, labels=None, name=str(path))
+        return Dataset(samples=data[:, :-1], labels=rounded.astype(np.int64))
+    return Dataset(samples=data, labels=None)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -227,7 +228,7 @@ def load_binary(path) -> Dataset:
         n, d, has_labels = read_struct(fh, "<qqB")
         samples = read_array(fh, "<f8", (n, d))
         labels = read_array(fh, "<i8", (n,)) if has_labels else None
-    return Dataset(samples=samples, labels=labels, name=str(path))
+    return Dataset(samples=samples, labels=labels)
 
 
 def read_exact(fh, size: int) -> bytes:

@@ -271,12 +271,21 @@ def save_params(params: EncoderParams, fh) -> None:
 
 
 def load_params(fh) -> EncoderParams:
+    """The parameters of the checkpoint layout at ``fh``'s position. A
+    negative backbone layer count, a head layer count other than 2 or a
+    negative layer shape raises a ValueError naming the file and the field
+    before the layers are read."""
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}, expected {MAGIC!r}")
+    name = getattr(fh, "name", "<stream>")
     n_backbone, n_head = read_struct(fh, "<qq")
+    if n_backbone < 0:
+        raise ValueError(f"{name}: corrupt: backbone layer count {n_backbone}, expected >= 0")
+    if n_head != 2:
+        raise ValueError(f"{name}: corrupt: head layer count {n_head}, expected 2")
     shapes = [read_struct(fh, "<qq") for _ in range(n_backbone + n_head)]
     if any(dim < 0 for shape in shapes for dim in shape):
-        raise ValueError(f"{getattr(fh, 'name', '<stream>')}: corrupt: negative layer shape in {shapes}")
+        raise ValueError(f"{name}: corrupt: negative layer shape in {shapes}")
     flat = read_array(fh, "<f8", (sum(out_dim * in_dim + out_dim for out_dim, in_dim in shapes),))
     return EncoderParams.from_flat(flat, shapes, n_backbone)

@@ -4,9 +4,9 @@ Three kernel families are supported:
 
 * ``linear``:  k(a, b) = a.b
 * ``rbf``:     k(a, b) = exp(-||a - b||^2 / (2 sigma_sq))
-* ``tanh``:    k(a, b) = tanh(-gamma * a.b + bias), with an optional switch
-  to flip the slope to +gamma (the default sign makes similarity decrease
-  in a.b, which is unusual but is the documented behaviour).
+* ``tanh``:    k(a, b) = tanh(-gamma * a.b + bias). A positive gamma (the
+  default) makes similarity decrease in a.b, which is unusual but is the
+  documented behaviour; a negative gamma gives the increasing slope.
 
 All math is done in double precision. Gram matrices are computed exactly,
 with the RBF squared distance expanded as ||a||^2 + ||b||^2 - 2 a.b and
@@ -29,15 +29,14 @@ class KernelSpec:
 
     ``sigma_sq`` is the RBF bandwidth (must be positive for rbf),
     ``gamma`` and ``bias`` parameterize the tanh kernel; all three must be
-    finite, whatever the kind. ``positive_gamma`` flips the tanh slope
-    from the default -gamma to +gamma.
+    finite, whatever the kind. The tanh slope is -gamma, so a negative
+    ``gamma`` gives the kernel that increases in a.b.
     """
 
     kind: str = "rbf"
     sigma_sq: float = 1.0
     gamma: float = 1.0
     bias: float = 0.0
-    positive_gamma: bool = False
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -61,10 +60,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
-def _tanh_slope(spec: KernelSpec) -> float:
-    return spec.gamma if spec.positive_gamma else -spec.gamma
-
-
 def kernel_eval(spec: KernelSpec, a, b) -> float:
     """Evaluate k(a, b) for two vectors of equal dimension."""
     a = _as_vector(a, "a")
@@ -75,7 +70,7 @@ def kernel_eval(spec: KernelSpec, a, b) -> float:
     if spec.kind == "rbf":
         sq = float(a @ a) + float(b @ b) - 2.0 * float(a @ b)
         return float(np.exp(-max(sq, 0.0) / (2.0 * spec.sigma_sq)))
-    return float(np.tanh(_tanh_slope(spec) * float(a @ b) + spec.bias))
+    return float(np.tanh(-spec.gamma * float(a @ b) + spec.bias))
 
 
 def gram(spec: KernelSpec, A, B) -> np.ndarray:
@@ -99,7 +94,7 @@ def gram(spec: KernelSpec, A, B) -> np.ndarray:
         np.maximum(sq, 0.0, out=sq)
         np.divide(sq, -2.0 * spec.sigma_sq, out=sq)
         return np.exp(sq, out=sq)
-    return np.tanh(_tanh_slope(spec) * inner + spec.bias)
+    return np.tanh(-spec.gamma * inner + spec.bias)
 
 
 def _grad_scale(spec: KernelSpec, kvals):
@@ -108,12 +103,12 @@ def _grad_scale(spec: KernelSpec, kvals):
 
     linear: 1
     rbf:    k / sigma_sq
-    tanh:   slope * (1 - k^2)
+    tanh:   -gamma * (1 - k^2)
     """
     if spec.kind == "rbf":
         return kvals / spec.sigma_sq
     if spec.kind == "tanh":
-        return _tanh_slope(spec) * (1.0 - kvals * kvals)
+        return -spec.gamma * (1.0 - kvals * kvals)
     return np.ones_like(kvals)
 
 
@@ -127,7 +122,7 @@ def kernel_grad(spec: KernelSpec, a, b) -> np.ndarray:
 
     linear: a
     rbf:    k(a, b) * (a - b) / sigma_sq
-    tanh:   slope * (1 - tanh(slope * a.b + bias)^2) * a
+    tanh:   -gamma * (1 - tanh(-gamma * a.b + bias)^2) * a
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -113,16 +113,14 @@ def mmcl_grad(batch: LossBatch, spec: KernelSpec) -> LossGrads:
     return LossGrads(d_z=d_z, d_z_pos=d_z_pos, d_Z_neg=d_Z_neg)
 
 
-def fn_correct(alpha: np.ndarray, C: float, tol: float = 1e-9) -> np.ndarray:
+def fn_correct(alpha: np.ndarray, C: float) -> np.ndarray:
     """False-negative correction: zero every coordinate at the box bound C,
-    exactly those that ``svm.classify_support`` labels 2 under ``tol``.
-
-    Equality is tested with absolute tolerance ``tol`` since solver
-    projection sets boundary values exactly but the least-squares clip can
-    leave round-off. Idempotent; a no-op for C = inf.
+    exactly those that ``svm.classify_support`` labels 2, within its
+    tolerance, since solver projection sets boundary values exactly but the
+    least-squares clip can leave round-off. Idempotent; a no-op for C = inf.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    return np.where(classify_support(alpha, C, tol) == 2, 0.0, alpha)
+    return np.where(classify_support(alpha, C) == 2, 0.0, alpha)
 
 
 def nce_loss(z, z_pos, Z_neg, temperature: float) -> float:
@@ -194,6 +192,14 @@ def _stack_views(embeddings_view1, embeddings_view2):
     if N < 2:
         raise ValueError(f"batch size must be >= 2 (no negatives exist for N={N})")
     return np.concatenate([V1, V2], axis=1), N
+
+
+def _non_finite_result(E: np.ndarray, N: int):
+    """``(nan, grads1, grads2)`` for a batch with a non-finite embedding:
+    the gradient halves of one new all-NaN d' x 2N array. No kernel is
+    evaluated, so that no kind warns or raises on such a batch."""
+    d_E = np.full(E.shape, np.nan)
+    return math.nan, d_E[:, :N], d_E[:, N:]
 
 
 @lru_cache(maxsize=32)
@@ -440,9 +446,10 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     starts each anchor at its ``inv`` solution, the paper's truncated
     least-squares approximation (the "alpha seeding" of DeCoste & Wagstaff
     2000), which ``max_iters = 0`` returns. The Gram matrix K is computed
-    once and reused, unwritten, for the gradient. Non-finite embeddings
-    give NaN alphas. Both methods cost O(N^2) memory, and O(N^3) time per
-    ``inv`` call or per PGD step.
+    once and reused, unwritten, for the gradient. A batch with a non-finite
+    embedding gives a NaN loss, gradients and alphas for every kernel and
+    method, before K is computed. Both methods cost O(N^2) memory, and
+    O(N^3) time per ``inv`` call or per PGD step.
 
     Any other ``method`` raises ValueError; the exact per-anchor
     ``svm.solve_oracle`` is a reference, not a batch method. Both methods
@@ -462,6 +469,8 @@ def batch_loss(embeddings_view1, embeddings_view2, spec: KernelSpec, C: float,
     if method not in ("pgd", "inv"):
         raise ValueError(f"unknown solver method {method!r}: batch_loss solves with 'pgd' or 'inv'")
     _check_C_beta(C, beta)
+    if not np.isfinite(E).all():
+        return (*_non_finite_result(E, N), np.full((N, 2 * N - 2), np.nan))
     K_full = gram(spec, E, E)
     block = _inv_batched(K_full, beta, C)
     if method == "pgd":
@@ -490,11 +499,14 @@ def nce_batch_loss(embeddings_view1, embeddings_view2, temperature: float):
     max-shift, the softmax and the gradient w.r.t. the scores are formed
     in it in place, and ``kernels.gram_vjp`` takes it as its weight W.
     The views are not written, and no returned array shares memory with
-    an input or with another call's output.
+    an input or with another call's output. A batch with a non-finite
+    embedding gives a NaN loss and gradients, before any score is formed.
     """
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     E, N = _stack_views(embeddings_view1, embeddings_view2)
+    if not np.isfinite(E).all():
+        return _non_finite_result(E, N)
     # row k scores anchor k (column N+k) against every column; its own
     # column is masked out and the positive sits at column k
     anchors = E[:, N:] / temperature

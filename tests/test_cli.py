@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -58,6 +59,32 @@ class TestTrainCommand:
         code, _, _ = run_cli(capsys, "train", "--config", str(cfg), "--set", "epochs=2")
         assert code == 0
         assert len((tmp_path / "metrics.csv").read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("header", ["x0,x1,label", "x0,x1"])
+    def test_csv_without_data_rows_exits_2_naming_it(self, tmp_path, capsys, header):
+        # with a label column this exited 1 on an IndexError
+        cfg = tmp_path / "blobs.cfg"
+        write_blobs_config(cfg, tmp_path)
+        data = tmp_path / "empty.csv"
+        data.write_text(header + "\n")
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg),
+                                 "--set", "data.kind=csv", "--set", f"data.path={data}")
+        assert code == 2 and out == ""
+        assert err == f"error: {data}: no data rows\n"
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_missing_checkpoint_directory_exits_2_before_training(self, tmp_path, capsys):
+        # every epoch trained and was logged before the save failed,
+        # naming a temporary file
+        cfg = tmp_path / "blobs.cfg"
+        write_blobs_config(cfg, tmp_path, epochs=3)
+        ckpt = tmp_path / "nodir" / "c.ckpt"
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg),
+                                 "--set", f"out.checkpoint={ckpt}")
+        assert code == 2 and out == ""
+        assert err == (f"error: out.checkpoint = {ckpt}: directory {tmp_path / 'nodir'} "
+                       "does not exist\n")
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
         cfg = tmp_path / "blobs.cfg"
@@ -254,17 +281,15 @@ class TestSolveCommand:
         return run_cli(capsys, "solve", "--instance", str(inst), "--solver", solver, *settings)
 
     def test_kernel_comes_from_config_keys(self, tmp_path, capsys):
-        # tanh with the slope flipped to +gamma; "yes" and "true" must agree,
-        # as they do in config files; beta = 5 keeps D positive definite
+        # tanh with either slope: a negative gamma makes it increase in a.b;
+        # beta = 5 keeps D positive definite
         alphas = {}
-        for flag in ("yes", "true", "no"):
+        for gamma in ("-0.5", "0.5"):
             code, out, _ = self._solve(tmp_path, capsys, self.EMBEDDINGS, "--set", "beta=5.0",
-                                       "--set", "kernel.kind=tanh", "--set", "kernel.gamma=0.5",
-                                       "--set", f"kernel.positive_gamma={flag}")
+                                       "--set", "kernel.kind=tanh", "--set", f"kernel.gamma={gamma}")
             assert code == 0
-            alphas[flag] = [float(r[1]) for r in parse_csv_blocks(out)[1][1]]
-        assert alphas["yes"] == alphas["true"]
-        assert alphas["yes"] != alphas["no"]
+            alphas[gamma] = [float(r[1]) for r in parse_csv_blocks(out)[1][1]]
+        assert alphas["-0.5"] != alphas["0.5"]
 
     def test_inv_on_indefinite_dual_exits_2(self, tmp_path, capsys):
         # tanh with gamma = 2 gives this instance an indefinite D at the default beta
@@ -478,6 +503,31 @@ class TestEvalCommand:
         assert code == 2 and out == ""
         assert err == (f"error: {bad}: not a checkpoint: magic b'hello', expected b'MMTR1' "
                        "(train state) or b'MMCL1' (encoder)\n")
+
+    @pytest.mark.parametrize("kind", ["encoder", "train-state"])
+    @pytest.mark.parametrize("command", [["eval"], ["inspect"], ["inspect", "--all-anchors"]],
+                             ids=["eval", "inspect", "inspect-all-anchors"])
+    def test_corrupt_layer_counts_exit_2_naming_file_and_field(self, tmp_path, capsys,
+                                                               command, kind):
+        # an encoder header of -2 backbone and 0 head layers, alone or in a
+        # train state: eval scored the raw inputs and exited 0, and inspect
+        # exited 1 on an IndexError
+        cfg = tmp_path / "blobs.cfg"
+        write_blobs_config(cfg, tmp_path)
+        header = b"MMCL1" + struct.pack("<qq", -2, 0)
+        bad = tmp_path / "bad.ckpt"
+        if kind == "encoder":
+            bad.write_bytes(header)
+        else:
+            tc = build_train_config(parse_config_file(cfg))
+            save_state(training.init_state(tc, 6), bad)
+            good = bad.read_bytes()
+            at = good.index(b"MMCL1")
+            bad.write_bytes(good[:at] + header + good[at + len(header):])
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg),
+                                 "--set", f"out.checkpoint={bad}")
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: corrupt: backbone layer count -2, expected >= 0\n"
 
     def test_encoder_checkpoint_evaluates_as_its_train_state(self, tmp_path, capsys):
         # the parameters of a train state, saved alone as an encoder checkpoint

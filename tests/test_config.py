@@ -66,7 +66,7 @@ class TestOverrides:
 NON_DEFAULT = {
     "model.backbone_widths": "8,16", "model.head_hidden": "7", "model.out_dim": "5",
     "kernel.kind": "tanh", "kernel.sigma_sq": "2.0", "kernel.gamma": "0.5",
-    "kernel.bias": "0.25", "kernel.positive_gamma": "true", "loss": "nce", "C": "inf",
+    "kernel.bias": "0.25", "loss": "nce", "C": "inf",
     "beta": "0.5", "fn_correction": "true", "temperature": "0.2", "batch_size": "16",
     "epochs": "3", "lr": "0.01", "seed": "7", "eval_every": "2", "eval_features": "head",
     "eval.k": "11", "eval.probe_epochs": "50", "eval.probe_lr": "0.3",
@@ -137,6 +137,18 @@ class TestBuilders:
         cfg = parse_config_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=re.escape(key)):
             build_train_config(cfg)
+
+    @pytest.mark.parametrize("key", ["fn_correction", "solver.nesterov"])
+    def test_boolean_words_parse_alike_in_files_and_overrides(self, key):
+        def built(word, how):
+            cfg = (parse_config_text(f"{key} = {word}\n") if how == "file"
+                   else apply_overrides(default_config(), [f"{key}={word}"]))
+            return build_train_config(cfg)
+
+        on = [built(word, how) for word in ("yes", "true", "1") for how in ("file", "set")]
+        off = [built(word, how) for word in ("no", "false", "0") for how in ("file", "set")]
+        assert all(tc == on[0] for tc in on) and all(tc == off[0] for tc in off)
+        assert on[0] != off[0]
 
     def test_load_dataset_kinds(self):
         blobs = load_dataset(parse_config_text("data.kind = blobs\ndata.per_class = 5\ndata.classes = 2\ndata.dim = 4\n"))

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import warnings
 
@@ -177,6 +178,15 @@ class TestCsv:
         back = load_csv(p)
         assert np.abs(back.samples - ds.samples).max() <= 1e-15
         assert np.array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("header", ["x0,x1,label", "x0,x1"])
+    def test_header_without_data_rows_names_the_file(self, tmp_path, header):
+        # an IndexError with a label column, and without one an error on
+        # the samples' shape that named no file
+        p = tmp_path / "empty.csv"
+        p.write_text(header + "\n\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: no data rows$"):
+            load_csv(p)
 
     def test_ragged_rows_name_the_row(self, tmp_path):
         p = tmp_path / "bad.csv"

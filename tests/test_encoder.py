@@ -367,6 +367,19 @@ class TestCheckpoint:
             with open(p, "rb") as fh, pytest.raises(ValueError, match="m.ckpt: truncated"):
                 load_params(fh)
 
+    @pytest.mark.parametrize("counts,field", [
+        ((-2, 0), "backbone layer count -2, expected >= 0"),
+        ((-1, 2), "backbone layer count -1, expected >= 0"),
+        ((1, 0), "head layer count 0, expected 2"), ((0, 3), "head layer count 3, expected 2")],
+        ids=["backbone-2", "backbone-1", "head-0", "head-3"])
+    def test_bad_layer_count_names_file_and_field(self, tmp_path, counts, field):
+        # the 21-byte header of counts (-2, 0) loaded as an encoder with no
+        # layers, since -2 backbone and 0 head layers read no shape
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(b"MMCL1" + struct.pack("<qq", *counts))
+        with open(p, "rb") as fh, pytest.raises(ValueError, match=rf"m.ckpt: corrupt: {field}$"):
+            load_params(fh)
+
     def test_negative_layer_shape_rejected(self):
         # (-2) x (-3) weights and their bias would count 4 values
         data = b"MMCL1" + struct.pack("<qqqqqq", 0, 2, -2, -3, 1, -2) + bytes(8 * 16)

@@ -38,8 +38,8 @@ class TestKernelEval:
         b = np.array([1.0, 2.0])
         assert kernel_eval(spec, a, b) == pytest.approx(np.tanh(-0.8 * (a @ b) + 0.3), abs=1e-15)
 
-    def test_tanh_positive_gamma_switch(self):
-        spec = KernelSpec(kind="tanh", gamma=0.8, bias=0.0, positive_gamma=True)
+    def test_tanh_negative_gamma_flips_slope(self):
+        spec = KernelSpec(kind="tanh", gamma=-0.8, bias=0.0)
         a = np.array([1.0, 0.0])
         assert kernel_eval(spec, a, a) == pytest.approx(np.tanh(0.8), abs=1e-15)
 
@@ -155,9 +155,9 @@ class TestKernelGrad:
         assert rel_err(analytic, fd) <= 1e-6
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_positive_gamma_grad_matches_fd(self, kind):
+    def test_negative_gamma_grad_matches_fd(self, kind):
         rng = np.random.default_rng(11)
-        spec = KernelSpec(kind=kind, sigma_sq=0.5, gamma=2.0, bias=-0.1, positive_gamma=True)
+        spec = KernelSpec(kind=kind, sigma_sq=0.5, gamma=-2.0, bias=-0.1)
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
         fd = central_diff(lambda v: kernel_eval(spec, a, v), b, h=1e-5)

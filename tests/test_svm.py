@@ -517,9 +517,10 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_nonfinite_inputs_compute_no_step(self, monkeypatch, value):
-        # a non-finite D (solve_pgd) or batch (batch_loss) gives a NaN inv
-        # start, which freezes every instance before its first step, so
-        # neither solve_pgd's auto step nor resolve_step_sizes is called
+        # a non-finite D gives solve_pgd a NaN inv start, which freezes
+        # every instance before its first step, so its auto step is not
+        # called; batch_loss returns on a non-finite batch before any solve,
+        # so resolve_step_sizes is not called either
         real = svm_module._pgd_batched
 
         def no_auto_step(matvec, gather, b, C, auto_steps, *args):
@@ -539,7 +540,7 @@ class TestSpectralNorm:
         monkeypatch.setattr(loss_module, "resolve_step_sizes", no_step_sizes)
         rng = np.random.default_rng(6)
         v1, v2 = unit_columns(rng, 4, 8), unit_columns(rng, 4, 8)
-        v1[2, 3] = np.nan  # an infinite rbf embedding warns in gram
+        v1[2, 3] = value
         total, _, _, alphas = batch_loss(v1, v2, KernelSpec(kind="rbf"), 100.0, 0.1,
                                          SolverConfig(), method="pgd")
         assert np.all(np.isnan(alphas)) and math.isnan(total)
